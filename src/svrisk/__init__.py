@@ -14,7 +14,6 @@ from .bounds import (
     inner_region,
     marginal_region,
     outer_region,
-    regulator_region,
     risk_point,
     sandwich_violation,
     scalarize_bundle,
@@ -26,18 +25,15 @@ from .geom2d import (
     RiskRegion2D,
     canonical_json,
     hausdorff_on_window,
-    minkowski_cone,
     region_from_halfspaces,
     region_from_points_plus_cone,
 )
 from .markets import (
-    BidAskMatrix,
     ExchangeCone2D,
     ScenarioEnsemble,
     SetPortfolio,
     dual_cone,
     solvency_cone,
-    support_function,
 )
 from .riskstats import (
     ES,
@@ -57,7 +53,6 @@ from .riskstats import (
 from .scenarios import GenSpec, generate, read_csv, write_csv
 from .selections import (
     SelectionMatrix,
-    StrategyGrid,
     audit_selection,
     axis_transfer_selections,
     boost_worst_coordinate,
@@ -75,5 +70,3 @@ from .selections import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [name for name in dir() if not name.startswith("_")]

@@ -25,16 +25,9 @@ from .geom2d import (
     region_from_halfspaces,
     region_from_points_plus_cone,
 )
-from .markets import (
-    CONE_DET,
-    CONE_HALFPLANE_RANDOM,
-    solvency_cone,
-)
+from .markets import tail_slope_cone
 from .riskstats import (
-    ES,
-    RiskSpec,
     WeightedSample,
-    es_empirical,
     es_var_lognormal_mean_one,
     neg_expectation,
     risk_eval,
@@ -43,12 +36,17 @@ from .riskstats import (
 from .selections import SelectionMatrix, audit_selection, build_family, default_strategy_configs
 
 _THREAD_ENV = "SVRISK_THREADS"
+# Largest support violation a selection may show when bundles are audited.
+_AUDIT_TOL = 1e-7
 
 
 def _map_ordered(fn, items):
     # order-preserving map so thread count never changes results
     raw = os.environ.get(_THREAD_ENV, "").strip()
-    workers = int(raw) if raw else 1
+    try:
+        workers = int(raw) if raw else 1
+    except ValueError:
+        raise ValidationError(f"{_THREAD_ENV} must be an integer, got {raw!r}") from None
     if workers > 1 and len(items) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, items))
@@ -65,13 +63,6 @@ def risk_point(gains, weights, risk_spec):
 
 def risk_of_selection(selection, weights, risk_spec):
     return risk_point(selection.gains, weights, risk_spec)
-
-
-def regulator_region(point):
-    """All deterministic deposits dominating a single risk point."""
-    return region_from_points_plus_cone(
-        np.asarray(point, dtype=float)[None, :], ConvexCone2D.nonneg_orthant()
-    )
 
 
 def direction_grid(n_dirs):
@@ -92,12 +83,9 @@ def cone_risk_bounds(rate_sample, alpha):
     """
     if not 0.0 < alpha <= 0.5:
         raise ValidationError("cone bounds need a level in (0, 1/2]")
-    es_rate = es_empirical(rate_sample, alpha)
-    inv = WeightedSample(1.0 / rate_sample.values, rate_sample.weights)
-    es_inv = es_empirical(inv, alpha)
+    inner = tail_slope_cone(rate_sample, alpha)
     var_low = var_empirical(rate_sample, alpha)
     var_high = var_empirical(rate_sample, 1.0 - alpha)
-    inner = ConvexCone2D(_unit((1.0, es_rate)), _unit((es_inv, 1.0)))
     outer = ConvexCone2D(_unit((1.0, var_low)), _unit((-1.0, -var_high)))
     return inner, outer
 
@@ -117,24 +105,9 @@ def cone_risk_bounds_lognormal(sigma, alpha, mean=1.0):
     return inner, outer
 
 
-def _check_spec_for_kind(portfolio, risk_spec):
-    if portfolio.kind == CONE_HALFPLANE_RANDOM:
-        if risk_spec.kind != ES or risk_spec.level is None or risk_spec.level > 0.5:
-            raise ValidationError(
-                "random exchange-line portfolios need expected-shortfall "
-                "risk at a level in (0, 1/2]"
-            )
-
-
 def inner_recession(portfolio, risk_spec):
     """Recession cone that the scenario structure lets us add for free."""
-    if portfolio.kind == CONE_DET:
-        return solvency_cone(portfolio.cone)
-    if portfolio.kind == CONE_HALFPLANE_RANDOM:
-        E = portfolio.ensemble
-        rates = WeightedSample(E.require_rates(), E.weights)
-        return cone_risk_bounds(rates, risk_spec.level)[0]
-    return ConvexCone2D.nonneg_orthant()
+    return portfolio.definition.recession(portfolio, risk_spec)
 
 
 def gather_selections(portfolio, risk_spec, strategies=None):
@@ -150,14 +123,14 @@ def gather_selections(portfolio, risk_spec, strategies=None):
     return selections
 
 
-def inner_region(portfolio, risk_spec, strategies=None, audit=False, audit_tol=1e-7):
-    """Convex hull of selection risk points plus the provable recession."""
-    _check_spec_for_kind(portfolio, risk_spec)
+def _selection_hull(portfolio, risk_spec, strategies, audit):
+    """Gather selections, audit them if asked, evaluate their risk points and
+    hull them with the inner recession; returns (selections, region)."""
     selections = gather_selections(portfolio, risk_spec, strategies)
     if audit:
         for sel in selections:
             gap = audit_selection(portfolio, sel)
-            if gap > audit_tol:
+            if gap > _AUDIT_TOL:
                 raise ValidationError(
                     f"selection {sel.label!r} leaves the portfolio "
                     f"(support violation {gap:.3e})"
@@ -166,9 +139,16 @@ def inner_region(portfolio, risk_spec, strategies=None, audit=False, audit_tol=1
     points = _map_ordered(
         lambda sel: risk_of_selection(sel, weights, risk_spec), selections
     )
-    return region_from_points_plus_cone(
+    region = region_from_points_plus_cone(
         np.vstack(points), inner_recession(portfolio, risk_spec)
     )
+    return selections, region
+
+
+def inner_region(portfolio, risk_spec, strategies=None, audit=False):
+    """Convex hull of selection risk points plus the provable recession."""
+    portfolio.definition.risk_rule(risk_spec)
+    return _selection_hull(portfolio, risk_spec, strategies, audit)[1]
 
 
 def _support_halfspace(portfolio, risk_spec, u):
@@ -197,8 +177,7 @@ def outer_region_support_grid(portfolio, risk_spec, n_dirs=181):
     with unbounded support.  Exchange-cone portfolios also probe the exact
     dual generators, where the support stays finite."""
     candidates = list(direction_grid(n_dirs))
-    if portfolio.cone is not None:
-        candidates += [_unit(portfolio.cone.a1), _unit(portfolio.cone.a2)]
+    candidates += portfolio.definition.exact_dirs(portfolio)
     dirs, offsets = [], []
     for u in candidates:
         c = _support_halfspace(portfolio, risk_spec, u)
@@ -218,7 +197,7 @@ _CERTIFICATE_BUILDERS = (
 )
 
 
-def outer_region_random_halfplane(portfolio, risk_spec):
+def _outer_region_random_halfplane(portfolio, risk_spec):
     """Dual cuts from admissible scenario reweightings.
 
     A non-negative weight zeta yields the cut <x, (E[zeta*pi], E[zeta])> >=
@@ -226,8 +205,8 @@ def outer_region_random_halfplane(portfolio, risk_spec):
     unit mean, stay below 1/level -- then each is a valid tail density and
     the bound follows from the scalar dual representation.  Inadmissible
     candidates are skipped; if none qualify the region is the whole plane.
+    Callers check the risk spec against the kind's rule first.
     """
-    _check_spec_for_kind(portfolio, risk_spec)
     E = portfolio.ensemble
     pi = E.require_rates()
     w = E.weights
@@ -253,22 +232,28 @@ def outer_region_random_halfplane(portfolio, risk_spec):
     return region_from_halfspaces(HalfSpaceSet(np.asarray(dirs, dtype=float), offsets))
 
 
+# Outer-cut methods by the name a portfolio kind's record gives.
+_OUTER_CUTS = {
+    "dual-generators": lambda p, spec, n_dirs: outer_region_det_cone(p, spec),
+    "certificates": lambda p, spec, n_dirs: _outer_region_random_halfplane(p, spec),
+    "support-grid": outer_region_support_grid,
+}
+
+
 def outer_region(portfolio, risk_spec, n_dirs=181):
-    _check_spec_for_kind(portfolio, risk_spec)
-    if portfolio.kind == CONE_DET:
-        return outer_region_det_cone(portfolio, risk_spec)
-    if portfolio.kind == CONE_HALFPLANE_RANDOM:
-        return outer_region_random_halfplane(portfolio, risk_spec)
-    return outer_region_support_grid(portfolio, risk_spec, n_dirs)
+    portfolio.definition.risk_rule(risk_spec)
+    return _OUTER_CUTS[portfolio.definition.outer](portfolio, risk_spec, n_dirs)
+
+
+def _marginal(portfolio, risk_spec, recession):
+    point = risk_point(portfolio.ensemble.gains, portfolio.ensemble.weights, risk_spec)
+    return region_from_points_plus_cone(point[None, :], recession)
 
 
 def marginal_region(portfolio, risk_spec):
     """Risk point of the uncompensated position plus the free recession."""
-    _check_spec_for_kind(portfolio, risk_spec)
-    point = risk_point(portfolio.ensemble.gains, portfolio.ensemble.weights, risk_spec)
-    return region_from_points_plus_cone(
-        point[None, :], inner_recession(portfolio, risk_spec)
-    )
+    portfolio.definition.risk_rule(risk_spec)
+    return _marginal(portfolio, risk_spec, inner_recession(portfolio, risk_spec))
 
 
 @dataclass(frozen=True)
@@ -303,25 +288,11 @@ class RiskBundle:
 
 def compute_bundle(portfolio, risk_spec, strategies=None, n_dirs=181, audit=False):
     """Assemble the full sandwich for a portfolio."""
-    _check_spec_for_kind(portfolio, risk_spec)
-    selections = gather_selections(portfolio, risk_spec, strategies)
-    if audit:
-        for sel in selections:
-            gap = audit_selection(portfolio, sel)
-            if gap > 1e-7:
-                raise ValidationError(
-                    f"selection {sel.label!r} leaves the portfolio "
-                    f"(support violation {gap:.3e})"
-                )
-    weights = portfolio.ensemble.weights
-    points = _map_ordered(
-        lambda sel: risk_of_selection(sel, weights, risk_spec), selections
-    )
-    inner = region_from_points_plus_cone(
-        np.vstack(points), inner_recession(portfolio, risk_spec)
-    )
-    outer = outer_region(portfolio, risk_spec, n_dirs)
-    marginal = marginal_region(portfolio, risk_spec)
+    definition = portfolio.definition
+    definition.risk_rule(risk_spec)
+    selections, inner = _selection_hull(portfolio, risk_spec, strategies, audit)
+    outer = _OUTER_CUTS[definition.outer](portfolio, risk_spec, n_dirs)
+    marginal = _marginal(portfolio, risk_spec, inner.recession)
     meta = {
         "portfolio": portfolio.kind,
         "risk": {"kind": risk_spec.kind, "level": risk_spec.level},

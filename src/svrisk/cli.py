@@ -13,22 +13,11 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from ._repro import REPRO_IDS, run_repro
 from .bounds import RiskBundle, compute_bundle, scalarize_bundle
 from .errors import ValidationError, WholePlaneError
-from .geom2d import _clip_to_window, canonical_json
-from .markets import (
-    BALL,
-    CONE_DET,
-    CONE_HALFPLANE_RANDOM,
-    LIQUIDITY_CAPPED,
-    PORTFOLIO_KINDS,
-    SEGMENT_HULL,
-    ExchangeCone2D,
-    SetPortfolio,
-)
+from .geom2d import _clip_to_window, _window_halfspaces, canonical_json
+from .markets import KINDS
 from .riskstats import RiskSpec
 from .scenarios import GenSpec, generate, read_csv, write_csv
 
@@ -47,7 +36,10 @@ def _risk_spec(config):
     block = config.get("risk")
     if not isinstance(block, dict) or "kind" not in block:
         raise ValidationError('config needs a "risk" block with a "kind"')
-    return RiskSpec(block["kind"], block.get("level"))
+    try:
+        return RiskSpec(block["kind"], block.get("level"))
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"risk block: {exc}") from None
 
 
 def _ensemble(config, seed=None, n=None):
@@ -71,47 +63,30 @@ def _ensemble(config, seed=None, n=None):
 def _portfolio(config, ensemble):
     block = dict(config.get("portfolio") or {})
     kind = block.pop("kind", None)
-    if kind not in PORTFOLIO_KINDS:
-        raise ValidationError(f'portfolio "kind" must be one of {PORTFOLIO_KINDS}')
+    if not isinstance(kind, str) or kind not in KINDS:
+        raise ValidationError(f'portfolio "kind" must be one of {tuple(KINDS)}')
     try:
-        if kind == CONE_DET:
-            if "frictionless_rate" in block:
-                cone = ExchangeCone2D.frictionless(block.pop("frictionless_rate"))
-            elif block.pop("no_exchange", False):
-                cone = ExchangeCone2D.no_exchange()
-            else:
-                cone = ExchangeCone2D(block.pop("pi12"), block.pop("pi21"))
-            portfolio = SetPortfolio.cone_det(ensemble, cone)
-        elif kind == CONE_HALFPLANE_RANDOM:
-            portfolio = SetPortfolio.random_halfplane(ensemble)
-        elif kind == LIQUIDITY_CAPPED:
-            portfolio = SetPortfolio.liquidity_capped(
-                ensemble, cap=block.pop("cap", (1.0, 1.0))
-            )
-        elif kind == BALL:
-            portfolio = SetPortfolio.ball(ensemble, radius=block.pop("radius"))
-        else:
-            extra = block.pop("extra", None)
-            if extra == "mirror":
-                extra_gains = [ensemble.gains[:, ::-1]]
-            else:
-                extra_gains = [np.asarray(g, float) for g in block.pop("extra_gains")]
-            portfolio = SetPortfolio.segment_hull(ensemble, extra_gains)
+        portfolio = KINDS[kind].parse(block, ensemble)
     except KeyError as exc:
         raise ValidationError(f"portfolio block is missing {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"portfolio block: {exc}") from None
     if block:
         raise ValidationError(f"unknown portfolio keys: {sorted(block)}")
     return portfolio
 
 
-def _parse_window(text):
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise ValidationError("--window expects x0,y0,x1,y1")
+def _parse_window(value):
+    """Window box from the "x0,y0,x1,y1" flag text or a config list."""
+    parts = value.split(",") if isinstance(value, str) else value
+    if not isinstance(parts, (list, tuple)) or len(parts) != 4:
+        raise ValidationError("window expects x0,y0,x1,y1")
     try:
-        return tuple(float(p) for p in parts)
-    except ValueError:
-        raise ValidationError("--window expects four numbers") from None
+        box = tuple(float(p) for p in parts)
+    except (TypeError, ValueError):
+        raise ValidationError("window expects four numbers") from None
+    _window_halfspaces(box)  # rejects an empty box before any work is done
+    return box
 
 
 def _write_boundary_csv(region, path, window=None):
@@ -163,15 +138,24 @@ def cmd_risk(args):
     ensemble = _ensemble(config, seed=args.seed, n=args.n)
     portfolio = _portfolio(config, ensemble)
     spec = _risk_spec(config)
-    window = _parse_window(args.window) if args.window else config.get("window")
+    window = args.window or config.get("window")
     if window is not None:
-        window = tuple(float(v) for v in window)
+        window = _parse_window(window)
+    strategies = config.get("strategies")
+    if strategies is not None and not isinstance(strategies, list):
+        raise ValidationError('"strategies" must be a list of strategy objects')
+    n_dirs = config.get("directions", 181)
+    if not isinstance(n_dirs, int) or isinstance(n_dirs, bool) or n_dirs < 2:
+        raise ValidationError('"directions" must be an integer >= 2')
+    audit = config.get("audit", False)
+    if not isinstance(audit, bool):
+        raise ValidationError('"audit" must be true or false')
     bundle = compute_bundle(
         portfolio,
         spec,
-        strategies=config.get("strategies"),
-        n_dirs=config.get("directions", 181),
-        audit=bool(config.get("audit", False)),
+        strategies=strategies,
+        n_dirs=n_dirs,
+        audit=audit,
     )
     out_dir = args.out or "."
     path = _emit_bundle(bundle, out_dir, window)

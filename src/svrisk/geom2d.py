@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError, WholePlaneError
+from .errors import ValidationError
 
 TOL = 1e-9
 # Tighter band used to snap nearly parallel rays onto exact ray/half-plane
@@ -52,31 +52,25 @@ def _scale_of(x):
 class ConvexCone2D:
     """Convex cone spanned counterclockwise from ray ``lo`` to ray ``hi``.
 
-    The sweep angle is at most pi.  ``lo == hi`` encodes a single ray,
+    The sweep angle is at most pi.  ``lo == hi`` encodes a single ray and
     ``hi == -lo`` encodes the half-plane on the counterclockwise side of
-    ``lo``, and ``full`` encodes the whole plane.
+    ``lo``.
     """
 
     lo: np.ndarray
     hi: np.ndarray
-    full: bool = False
 
     def __post_init__(self):
-        if self.full:
-            fixed = np.array([1.0, 0.0])
-            object.__setattr__(self, "lo", fixed)
-            object.__setattr__(self, "hi", fixed.copy())
-        else:
-            lo = _unit(self.lo)
-            hi = _unit(self.hi)
-            cross = _cross(lo, hi)
-            dot = float(np.dot(lo, hi))
-            if abs(cross) <= _SNAP:
-                hi = lo.copy() if dot >= 0.0 else -lo
-            elif cross < 0.0:
-                raise ValidationError("cone rays must be ordered counterclockwise")
-            object.__setattr__(self, "lo", lo)
-            object.__setattr__(self, "hi", hi)
+        lo = _unit(self.lo)
+        hi = _unit(self.hi)
+        cross = _cross(lo, hi)
+        dot = float(np.dot(lo, hi))
+        if abs(cross) <= _SNAP:
+            hi = lo.copy() if dot >= 0.0 else -lo
+        elif cross < 0.0:
+            raise ValidationError("cone rays must be ordered counterclockwise")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
         self.lo.setflags(write=False)
         self.hi.setflags(write=False)
 
@@ -104,33 +98,20 @@ class ConvexCone2D:
     def nonneg_orthant(cls):
         return cls(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
 
-    @classmethod
-    def full_plane(cls):
-        return cls(np.array([1.0, 0.0]), np.array([1.0, 0.0]), full=True)
-
     @property
     def is_ray(self):
-        return (not self.full) and float(np.dot(self.lo, self.hi)) > 0.5 and (
+        return float(np.dot(self.lo, self.hi)) > 0.5 and (
             abs(_cross(self.lo, self.hi)) <= _SNAP
         )
 
     @property
     def is_halfplane(self):
-        return (not self.full) and float(np.dot(self.lo, self.hi)) < -0.5 and (
+        return float(np.dot(self.lo, self.hi)) < -0.5 and (
             abs(_cross(self.lo, self.hi)) <= _SNAP
         )
 
-    def span_angle(self):
-        if self.full:
-            return 2.0 * np.pi
-        if self.is_halfplane:
-            return np.pi
-        return float(np.arctan2(_cross(self.lo, self.hi), np.dot(self.lo, self.hi)))
-
     def contains(self, x, tol=TOL):
         x = np.asarray(x, dtype=float)
-        if self.full:
-            return True
         eps = tol * _scale_of(x)
         c_lo = _cross(self.lo, x)
         if self.is_ray:
@@ -141,8 +122,6 @@ class ConvexCone2D:
 
     def contains_many(self, pts, tol=TOL):
         pts = np.asarray(pts, dtype=float).reshape(-1, 2)
-        if self.full:
-            return np.ones(len(pts), dtype=bool)
         eps = tol * np.maximum(1.0, np.abs(pts).max(axis=1))
         c_lo = self.lo[0] * pts[:, 1] - self.lo[1] * pts[:, 0]
         if self.is_ray:
@@ -154,55 +133,13 @@ class ConvexCone2D:
         return (c_lo >= -eps) & (c_hi >= -eps)
 
     def contains_cone(self, other, tol=TOL):
-        if self.full:
-            return True
-        if other.full:
-            return False
         return self.contains(other.lo, tol) and self.contains(other.hi, tol)
 
     def positive_dual(self):
         """Cone of directions with non-negative inner product on this cone."""
-        if self.full:
-            raise ValidationError("the whole plane has a degenerate dual")
         return ConvexCone2D(_rot_cw(self.hi), _rot_ccw(self.lo))
 
-    def reflected(self):
-        """Image under central symmetry."""
-        if self.full:
-            return self
-        return ConvexCone2D(-self.lo, -self.hi)
-
-    def hull(self, other):
-        """Smallest convex cone containing both cones.
-
-        Both cones must contain the up-right diagonal, which holds for every
-        recession cone in this package.  Returns the full plane when the
-        union spans more than a half-plane.
-        """
-        if self.full or other.full:
-            return ConvexCone2D.full_plane()
-        ref = np.array([1.0, 1.0]) / np.sqrt(2.0)
-        for cone in (self, other):
-            if not cone.contains(ref, 1e-6):
-                raise ValidationError("hull expects cones containing (1,1)")
-
-        def rel_angle(v):
-            return float(np.arctan2(_cross(ref, v), np.dot(ref, v)))
-
-        lo_cands = [(rel_angle(c.lo), c.lo) for c in (self, other)]
-        hi_cands = [(rel_angle(c.hi), c.hi) for c in (self, other)]
-        a_lo, lo = min(lo_cands, key=lambda t: t[0])
-        a_hi, hi = max(hi_cands, key=lambda t: t[0])
-        span = a_hi - a_lo
-        if span >= np.pi + 1e-12:
-            return ConvexCone2D.full_plane()
-        if span >= np.pi - 1e-12:
-            return ConvexCone2D.halfplane(lo)
-        return ConvexCone2D(lo, hi)
-
     def approx_equal(self, other, tol=TOL):
-        if self.full or other.full:
-            return self.full and other.full
         return (
             float(np.max(np.abs(self.lo - other.lo))) <= tol
             and float(np.max(np.abs(self.hi - other.hi))) <= tol
@@ -210,8 +147,6 @@ class ConvexCone2D:
 
 
 def _check_upper_cone(rec):
-    if rec.full:
-        raise WholePlaneError("region recession cone covers the whole plane")
     e1 = np.array([1.0, 0.0])
     e2 = np.array([0.0, 1.0])
     if not (rec.contains(e1) and rec.contains(e2)):
@@ -280,16 +215,6 @@ class RiskRegion2D:
     def halfspaces(self):
         return HalfSpaceSet(self._normals.copy(), self._offsets.copy())
 
-    def translate(self, a):
-        a = np.asarray(a, dtype=float)
-        return RiskRegion2D(self.vertices + a, self.recession)
-
-    def scaled(self, c):
-        c = float(c)
-        if c <= 0:
-            raise ValidationError("scale factor must be positive")
-        return RiskRegion2D(c * self.vertices, self.recession)
-
     def to_dict(self):
         return {
             "vertices": [[float(x), float(y)] for x, y in self.vertices],
@@ -303,16 +228,23 @@ class RiskRegion2D:
     def from_dict(cls, data):
         try:
             rays = data["recession"]
-            cone = ConvexCone2D(np.asarray(rays[0], float), np.asarray(rays[1], float))
+            lo, hi = np.array(rays[0], dtype=float), np.array(rays[1], dtype=float)
+            cone = ConvexCone2D(lo, hi)
+            # The rays were written as unit vectors to 12 digits.  Keep them
+            # as written: normalising them again can move the last digit.
+            if np.allclose([cone.lo, cone.hi], [lo, hi], rtol=0.0, atol=1e-11):
+                for name, ray in (("lo", lo), ("hi", hi)):
+                    ray.setflags(write=False)
+                    object.__setattr__(cone, name, ray)
             return cls(np.asarray(data["vertices"], dtype=float), cone)
-        except (KeyError, IndexError, TypeError) as exc:
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed region payload: {exc}") from exc
 
 
 @dataclass(frozen=True)
 class HalfSpaceSet:
-    """Intersection of half-spaces <x, u> >= c with unit u in the closed
-    non-negative orthant.  The only representation used beyond the plane."""
+    """Intersection of planar half-spaces <x, u> >= c with unit u in the
+    closed non-negative quadrant."""
 
     directions: np.ndarray
     offsets: np.ndarray
@@ -320,8 +252,8 @@ class HalfSpaceSet:
     def __post_init__(self):
         dirs = np.asarray(self.directions, dtype=float)
         offs = np.asarray(self.offsets, dtype=float)
-        if dirs.ndim != 2 or dirs.shape[0] == 0:
-            raise ValidationError("need at least one half-space")
+        if dirs.ndim != 2 or dirs.shape[1] != 2 or dirs.shape[0] == 0:
+            raise ValidationError("need at least one planar half-space")
         if offs.shape != (dirs.shape[0],):
             raise ValidationError("offsets must match directions")
         norms = np.linalg.norm(dirs, axis=1)
@@ -335,35 +267,6 @@ class HalfSpaceSet:
         object.__setattr__(self, "offsets", offs)
         dirs.setflags(write=False)
         offs.setflags(write=False)
-
-    @property
-    def dim(self):
-        return self.directions.shape[1]
-
-    def contains(self, x, tol=TOL):
-        x = np.asarray(x, dtype=float)
-        eps = tol * max(_scale_of(x), _scale_of(self.offsets))
-        return bool(np.all(self.directions @ x >= self.offsets - eps))
-
-    def scalarize(self, u):
-        """Infimum of <u, x> subject to the half-space constraints."""
-        from scipy.optimize import linprog
-
-        u = np.asarray(u, dtype=float)
-        if u.shape != (self.dim,):
-            raise ValidationError("direction has wrong dimension")
-        res = linprog(
-            c=u,
-            A_ub=-self.directions,
-            b_ub=-self.offsets,
-            bounds=[(None, None)] * self.dim,
-            method="highs",
-        )
-        if res.status == 3:
-            return float("-inf")
-        if not res.success:
-            raise ValidationError(f"scalarization failed: {res.message}")
-        return float(res.fun)
 
 
 def region_from_points_plus_cone(points, recession):
@@ -423,8 +326,6 @@ def region_from_halfspaces(halfspaces):
     The directions all lie in the first quadrant, so the intersection is a
     non-empty upper set; redundant constraints are dropped.
     """
-    if halfspaces.dim != 2:
-        raise ValidationError("polygon extraction is only available in the plane")
     dirs = halfspaces.directions
     offs = halfspaces.offsets
 
@@ -465,22 +366,6 @@ def region_from_halfspaces(halfspaces):
         for j in range(len(cons) - 1, 0, -1)
     ]
     return region_from_points_plus_cone(np.array(verts), rec)
-
-
-def region_contains(region, x, tol=TOL):
-    return region.contains(x, tol)
-
-
-def scalarize(region, u, tol=TOL):
-    return region.scalarize(u, tol)
-
-
-def minkowski_cone(region, cone):
-    """Minkowski sum of a region with a convex cone, in canonical form."""
-    rec = region.recession.hull(cone)
-    if rec.full:
-        raise WholePlaneError("summed recession cone covers the whole plane")
-    return region_from_points_plus_cone(region.vertices, rec)
 
 
 def _window_halfspaces(window):

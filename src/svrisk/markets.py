@@ -10,58 +10,19 @@ its support function on the non-negative quadrant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
 from .geom2d import TOL, ConvexCone2D, _cross, _unit
-from .riskstats import WEIGHT_SUM_NOISE, WEIGHT_SUM_SLACK
+from .riskstats import ES, WeightedSample, _settle_weight_sum, es_empirical
 
 CONE_DET = "cone-det"
 CONE_HALFPLANE_RANDOM = "cone-halfplane-random"
 LIQUIDITY_CAPPED = "liquidity-capped"
 BALL = "ball"
 SEGMENT_HULL = "segment-hull"
-
-PORTFOLIO_KINDS = (
-    CONE_DET,
-    CONE_HALFPLANE_RANDOM,
-    LIQUIDITY_CAPPED,
-    BALL,
-    SEGMENT_HULL,
-)
-
-
-@dataclass(frozen=True)
-class BidAskMatrix:
-    """Matrix of exchange rates; entry (i, j) is the units of asset i paid
-    per unit of asset j received."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.entries, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 2:
-            raise ValidationError("bid-ask matrix must be square, d >= 2")
-        if not np.all(m > 0):
-            raise ValidationError("bid-ask entries must be positive")
-        if np.any(np.abs(np.diag(m) - 1.0) > 1e-12):
-            raise ValidationError("bid-ask diagonal must be one")
-        d = m.shape[0]
-        for i in range(d):
-            for j in range(d):
-                for k in range(d):
-                    if m[i, j] > m[i, k] * m[k, j] + TOL:
-                        raise ValidationError(
-                            "direct exchange may not beat a two-step exchange"
-                        )
-        object.__setattr__(self, "entries", m)
-        m.setflags(write=False)
-
-    @property
-    def dim(self):
-        return self.entries.shape[0]
 
 
 @dataclass(frozen=True)
@@ -87,12 +48,6 @@ class ExchangeCone2D:
         object.__setattr__(self, "pi21", p21)
 
     @classmethod
-    def from_bidask(cls, matrix):
-        if matrix.dim != 2:
-            raise ValidationError("expected a 2x2 bid-ask matrix")
-        return cls(matrix.entries[0, 1], matrix.entries[1, 0])
-
-    @classmethod
     def frictionless(cls, rate):
         rate = float(rate)
         if not (rate > 0 and math.isfinite(rate)):
@@ -102,14 +57,6 @@ class ExchangeCone2D:
     @classmethod
     def no_exchange(cls):
         return cls(math.inf, math.inf)
-
-    @property
-    def is_halfplane(self):
-        return (
-            math.isfinite(self.pi12)
-            and math.isfinite(self.pi21)
-            and abs(self.pi12 * self.pi21 - 1.0) <= 1e-12
-        )
 
     @property
     def b1(self):
@@ -162,12 +109,6 @@ def solvency_cone(cone):
     return ConvexCone2D.from_rays(lo, hi)
 
 
-def cone_contains(cone, x, tol=TOL):
-    if isinstance(cone, ExchangeCone2D):
-        return cone.contains(x, tol)
-    return cone.contains(x, tol)
-
-
 @dataclass(frozen=True)
 class ScenarioEnsemble:
     """Finite scenario model: gains matrix, optional exchange rate, weights."""
@@ -178,8 +119,8 @@ class ScenarioEnsemble:
 
     def __post_init__(self):
         x = np.asarray(self.gains, dtype=float)
-        if x.ndim != 2 or x.shape[0] == 0 or x.shape[1] < 2:
-            raise ValidationError("gains must be a non-empty (n, d) array, d >= 2")
+        if x.ndim != 2 or x.shape[0] == 0 or x.shape[1] != 2:
+            raise ValidationError("gains must be a non-empty (n, 2) array")
         if not np.all(np.isfinite(x)):
             raise ValidationError("gains contain non-finite entries")
         n = x.shape[0]
@@ -200,12 +141,7 @@ class ScenarioEnsemble:
                 raise ValidationError("weights must have one entry per scenario")
             if np.any(w < 0) or not np.all(np.isfinite(w)):
                 raise ValidationError("weights must be non-negative and finite")
-            total = float(np.sum(w))
-            drift = abs(total - 1.0)
-            if drift > WEIGHT_SUM_SLACK:
-                raise ValidationError(f"weights sum to {total!r}, expected 1")
-            if drift > WEIGHT_SUM_NOISE:
-                w = w / total
+            w = _settle_weight_sum(w)
         object.__setattr__(self, "gains", x)
         object.__setattr__(self, "rates", pi)
         object.__setattr__(self, "weights", w)
@@ -216,10 +152,6 @@ class ScenarioEnsemble:
     def n(self):
         return self.gains.shape[0]
 
-    @property
-    def dim(self):
-        return self.gains.shape[1]
-
     def require_rates(self):
         if self.rates is None:
             raise ValidationError("this portfolio kind needs per-scenario rates")
@@ -228,7 +160,8 @@ class ScenarioEnsemble:
 
 @dataclass(frozen=True)
 class SetPortfolio:
-    """Scenario ensemble plus the per-scenario attainable-set description."""
+    """Scenario ensemble plus the per-scenario attainable-set description;
+    ``KINDS[kind]`` holds everything that differs between kinds."""
 
     kind: str
     ensemble: ScenarioEnsemble
@@ -238,35 +171,9 @@ class SetPortfolio:
     extra_gains: tuple = ()
 
     def __post_init__(self):
-        if self.kind not in PORTFOLIO_KINDS:
+        if not isinstance(self.kind, str) or self.kind not in KINDS:
             raise ValidationError(f"unknown portfolio kind {self.kind!r}")
-        if self.ensemble.dim != 2:
-            raise ValidationError("set-valued portfolios are supported in the plane")
-        if self.kind == CONE_DET and self.cone is None:
-            raise ValidationError("cone-det portfolios need an exchange cone")
-        if self.kind in (CONE_HALFPLANE_RANDOM, LIQUIDITY_CAPPED):
-            self.ensemble.require_rates()
-        if self.kind == BALL:
-            if self.radius is None or not (float(self.radius) > 0):
-                raise ValidationError("ball portfolios need a positive radius")
-            object.__setattr__(self, "radius", float(self.radius))
-        if self.kind == LIQUIDITY_CAPPED:
-            cap = np.asarray(
-                self.cap if self.cap is not None else (1.0, 1.0), dtype=float
-            )
-            if cap.shape != (2,) or np.any(cap <= 0):
-                raise ValidationError("liquidity cap must be a positive 2-vector")
-            object.__setattr__(self, "cap", cap)
-            cap.setflags(write=False)
-        if self.kind == SEGMENT_HULL:
-            extras = tuple(np.asarray(g, dtype=float) for g in self.extra_gains)
-            if not extras:
-                raise ValidationError("segment-hull portfolios need extra vertices")
-            for g in extras:
-                if g.shape != self.ensemble.gains.shape:
-                    raise ValidationError("extra gain matrices must match gains")
-                g.setflags(write=False)
-            object.__setattr__(self, "extra_gains", extras)
+        self.definition.validate(self)
 
     @classmethod
     def cone_det(cls, ensemble, cone):
@@ -278,7 +185,7 @@ class SetPortfolio:
 
     @classmethod
     def liquidity_capped(cls, ensemble, cap=(1.0, 1.0)):
-        return cls(LIQUIDITY_CAPPED, ensemble, cap=np.asarray(cap, dtype=float))
+        return cls(LIQUIDITY_CAPPED, ensemble, cap=cap)
 
     @classmethod
     def ball(cls, ensemble, radius):
@@ -288,6 +195,11 @@ class SetPortfolio:
     def segment_hull(cls, ensemble, extra_gains):
         return cls(SEGMENT_HULL, ensemble, extra_gains=tuple(extra_gains))
 
+    @property
+    def definition(self):
+        """The record of this portfolio's kind."""
+        return KINDS[self.kind]
+
     def support_values(self, u):
         """Per-scenario support function at direction u (may contain +inf)."""
         u = np.asarray(u, dtype=float)
@@ -295,36 +207,187 @@ class SetPortfolio:
             raise ValidationError("direction must be a 2-vector")
         if np.any(u < -TOL) or np.all(u == 0):
             raise ValidationError("direction must be non-zero with u >= 0")
-        x = self.ensemble.gains
-        base = x @ u
-        if self.kind == CONE_DET:
-            if dual_cone(self.cone).contains(_unit(u)):
-                return base
-            return np.full(self.ensemble.n, np.inf)
-        if self.kind == CONE_HALFPLANE_RANDOM:
-            pi = self.ensemble.rates
-            # u must be parallel to the scenario's dual ray (pi, 1).
-            misalign = np.abs(u[0] - pi * u[1])
-            ok = misalign <= TOL * np.maximum(1.0, np.abs(pi)) * max(
-                1.0, float(np.max(np.abs(u)))
+        return self.definition.support(self, u, self.ensemble.gains @ u)
+
+
+def tail_slope_cone(rate_sample, alpha):
+    """Cone spanned by the tail-expectation slopes (1, ES(pi)) and
+    (ES(1/pi), 1) of a random exchange rate pi at level ``alpha``."""
+    es_rate = es_empirical(rate_sample, alpha)
+    inv = WeightedSample(1.0 / rate_sample.values, rate_sample.weights)
+    es_inv = es_empirical(inv, alpha)
+    return ConvexCone2D(_unit((1.0, es_rate)), _unit((es_inv, 1.0)))
+
+
+class PortfolioKind:
+    """Everything that sets one kind of set-valued portfolio apart.
+
+    Each kind is a subclass that also defines ``support(p, u, base)``, the
+    per-scenario support values at u given ``base = gains @ u``, and
+    ``parse(block, ensemble)``, which builds a portfolio from a config block
+    and pops the keys it reads.  ``outer`` names the outer-cut method in
+    ``bounds``.  ``strategies`` is the default strategy set; apart from
+    "explicit", only the strategies it names apply to the kind.
+    """
+
+    outer = "support-grid"
+    strategies = ()
+    # Kinds that exchange at the scenario's rate need rates, and the audit
+    # checks that no selection creates wealth at that rate.
+    trades_at_rate = False
+
+    def validate(self, p):
+        """Check and normalise the kind's fields of a new portfolio."""
+        if self.trades_at_rate:
+            p.ensemble.require_rates()
+
+    def recession(self, p, risk_spec):
+        """Recession cone that the inner region may add for free."""
+        return ConvexCone2D.nonneg_orthant()
+
+    def risk_rule(self, risk_spec):
+        """Raise for risk functionals the kind's bounds do not hold for."""
+
+    def exact_dirs(self, p):
+        """Unit directions of exact support, which the audit and the outer
+        support grid probe besides their direction fans."""
+        return []
+
+
+_IDENTITY = {"strategy": "identity"}
+
+
+class _ConeDet(PortfolioKind):
+    outer = "dual-generators"
+    strategies = (
+        _IDENTITY,
+        {"strategy": "quantile-shift", "side": "both"},
+        {"strategy": "quantile-shift", "side": "ray1"},
+        {"strategy": "quantile-shift", "side": "ray2"},
+        {"strategy": "corner-selections"},
+    )
+
+    def validate(self, p):
+        if p.cone is None:
+            raise ValidationError("cone-det portfolios need an exchange cone")
+
+    def support(self, p, u, base):
+        if dual_cone(p.cone).contains(_unit(u)):
+            return base
+        return np.full(p.ensemble.n, np.inf)
+
+    def parse(self, block, ensemble):
+        if "frictionless_rate" in block:
+            cone = ExchangeCone2D.frictionless(block.pop("frictionless_rate"))
+        elif block.pop("no_exchange", False):
+            cone = ExchangeCone2D.no_exchange()
+        else:
+            cone = ExchangeCone2D(block.pop("pi12"), block.pop("pi21"))
+        return SetPortfolio.cone_det(ensemble, cone)
+
+    def recession(self, p, risk_spec):
+        return solvency_cone(p.cone)
+
+    def exact_dirs(self, p):
+        return [_unit(p.cone.a1), _unit(p.cone.a2)]
+
+
+class _RandomHalfplane(PortfolioKind):
+    outer = "certificates"
+    strategies = (_IDENTITY, {"strategy": "frictionless"}, {"strategy": "axis-transfer"})
+    trades_at_rate = True
+
+    def support(self, p, u, base):
+        pi = p.ensemble.rates
+        # u must be parallel to the scenario's dual ray (pi, 1).
+        misalign = np.abs(u[0] - pi * u[1])
+        ok = misalign <= TOL * np.maximum(1.0, np.abs(pi)) * max(
+            1.0, float(np.max(np.abs(u)))
+        )
+        return np.where(ok, base, np.inf)
+
+    def parse(self, block, ensemble):
+        return SetPortfolio.random_halfplane(ensemble)
+
+    def recession(self, p, risk_spec):
+        rates = WeightedSample(p.ensemble.require_rates(), p.ensemble.weights)
+        return tail_slope_cone(rates, risk_spec.level)
+
+    def risk_rule(self, risk_spec):
+        if risk_spec.kind != ES or risk_spec.level is None or risk_spec.level > 0.5:
+            raise ValidationError(
+                "random exchange-line portfolios need expected-shortfall "
+                "risk at a level in (0, 1/2]"
             )
-            out = np.where(ok, base, np.inf)
-            return out
-        if self.kind == BALL:
-            return base + self.radius * float(np.hypot(u[0], u[1]))
-        if self.kind == SEGMENT_HULL:
-            cand = [base] + [g @ u for g in self.extra_gains]
-            return np.max(np.stack(cand), axis=0)
-        pi = self.ensemble.rates
+
+
+class _LiquidityCapped(PortfolioKind):
+    strategies = (_IDENTITY, {"strategy": "liquidity-family"})
+    trades_at_rate = True
+
+    def validate(self, p):
+        super().validate(p)
+        cap = np.asarray(p.cap if p.cap is not None else (1.0, 1.0), dtype=float)
+        if cap.shape != (2,) or np.any(cap <= 0):
+            raise ValidationError("liquidity cap must be a positive 2-vector")
+        object.__setattr__(p, "cap", cap)
+        cap.setflags(write=False)
+
+    def support(self, p, u, base):
+        pi = p.ensemble.rates
         bonus = np.maximum(
-            self.cap[0] * (u[0] - pi * u[1]), self.cap[1] * (u[1] - u[0] / pi)
+            p.cap[0] * (u[0] - pi * u[1]), p.cap[1] * (u[1] - u[0] / pi)
         )
         return base + bonus
 
+    def parse(self, block, ensemble):
+        return SetPortfolio.liquidity_capped(ensemble, cap=block.pop("cap", (1.0, 1.0)))
 
-def support_function(portfolio, i, u):
-    """Support function of scenario ``i`` of the portfolio at direction u."""
-    vals = portfolio.support_values(u)
-    if not (0 <= int(i) < portfolio.ensemble.n):
-        raise ValidationError("scenario index out of range")
-    return float(vals[int(i)])
+
+class _Ball(PortfolioKind):
+    strategies = (_IDENTITY, {"strategy": "ball-boost"})
+
+    def validate(self, p):
+        if p.radius is None or not (float(p.radius) > 0):
+            raise ValidationError("ball portfolios need a positive radius")
+        object.__setattr__(p, "radius", float(p.radius))
+
+    def support(self, p, u, base):
+        return base + p.radius * float(np.hypot(u[0], u[1]))
+
+    def parse(self, block, ensemble):
+        return SetPortfolio.ball(ensemble, radius=block.pop("radius"))
+
+
+class _SegmentHull(PortfolioKind):
+    strategies = (_IDENTITY, {"strategy": "segment-vertices"})
+
+    def validate(self, p):
+        extras = tuple(np.asarray(g, dtype=float) for g in p.extra_gains)
+        if not extras:
+            raise ValidationError("segment-hull portfolios need extra vertices")
+        for g in extras:
+            if g.shape != p.ensemble.gains.shape:
+                raise ValidationError("extra gain matrices must match gains")
+            g.setflags(write=False)
+        object.__setattr__(p, "extra_gains", extras)
+
+    def support(self, p, u, base):
+        cand = [base] + [g @ u for g in p.extra_gains]
+        return np.max(np.stack(cand), axis=0)
+
+    def parse(self, block, ensemble):
+        if block.pop("extra", None) == "mirror":
+            extra_gains = [ensemble.gains[:, ::-1]]
+        else:
+            extra_gains = block.pop("extra_gains")
+        return SetPortfolio.segment_hull(ensemble, extra_gains)
+
+
+KINDS = {
+    CONE_DET: _ConeDet(),
+    CONE_HALFPLANE_RANDOM: _RandomHalfplane(),
+    LIQUIDITY_CAPPED: _LiquidityCapped(),
+    BALL: _Ball(),
+    SEGMENT_HULL: _SegmentHull(),
+}

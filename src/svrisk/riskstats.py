@@ -10,12 +10,14 @@ is the negated lower a-quantile (left-continuous inverse of the cdf).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import NamedTuple
 
 import numpy as np
-from scipy.stats import norm
 
 from .errors import ValidationError
+
+_STD_NORMAL = NormalDist()
 
 # A weight-sum drift up to this value is accepted verbatim.
 WEIGHT_SUM_NOISE = 1e-12
@@ -41,6 +43,17 @@ def _as_float_vector(x, name):
     return arr
 
 
+def _settle_weight_sum(weights):
+    """Apply the weight-sum policy to non-negative weights."""
+    total = float(np.sum(weights))
+    drift = abs(total - 1.0)
+    if drift > WEIGHT_SUM_SLACK:
+        raise ValidationError(f"weights sum to {total!r}, expected 1")
+    if drift > WEIGHT_SUM_NOISE:
+        return weights / total
+    return weights
+
+
 @dataclass(frozen=True)
 class WeightedSample:
     """Finite scenario sample with probability weights summing to one."""
@@ -55,12 +68,7 @@ class WeightedSample:
             raise ValidationError("values and weights must have equal length")
         if np.any(weights < 0):
             raise ValidationError("weights must be non-negative")
-        total = float(np.sum(weights))
-        drift = abs(total - 1.0)
-        if drift > WEIGHT_SUM_SLACK:
-            raise ValidationError(f"weights sum to {total!r}, expected 1")
-        if drift > WEIGHT_SUM_NOISE:
-            weights = weights / total
+        weights = _settle_weight_sum(weights)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "weights", weights)
         self.values.setflags(write=False)
@@ -90,6 +98,7 @@ class RiskSpec:
         if self.kind in _LEVEL_KINDS:
             if self.level is None or not (0.0 < float(self.level) < 1.0):
                 raise ValidationError(f"{self.kind} needs a level in (0, 1)")
+            object.__setattr__(self, "level", float(self.level))
         elif self.level is not None:
             raise ValidationError(f"{self.kind} takes no level")
 
@@ -156,8 +165,8 @@ def es_normal(mu, sigma, alpha):
     sigma = float(sigma)
     if sigma < 0:
         raise ValidationError("sigma must be non-negative")
-    z = norm.ppf(alpha)
-    return float(-mu + sigma * norm.pdf(z) / alpha)
+    z = _STD_NORMAL.inv_cdf(alpha)
+    return float(-mu + sigma * _STD_NORMAL.pdf(z) / alpha)
 
 
 class LognormalTailStats(NamedTuple):
@@ -179,10 +188,10 @@ def es_var_lognormal_mean_one(sigma, alpha):
     sigma = float(sigma)
     if sigma < 0:
         raise ValidationError("sigma must be non-negative")
-    z_lo = norm.ppf(alpha)
-    z_hi = norm.ppf(1.0 - alpha)
-    es_rate = -norm.cdf(z_lo - sigma) / alpha
-    es_inv_rate = -np.exp(sigma**2) * (1.0 - norm.cdf(z_hi + sigma)) / alpha
+    z_lo = _STD_NORMAL.inv_cdf(alpha)
+    z_hi = _STD_NORMAL.inv_cdf(1.0 - alpha)
+    es_rate = -_STD_NORMAL.cdf(z_lo - sigma) / alpha
+    es_inv_rate = -np.exp(sigma**2) * (1.0 - _STD_NORMAL.cdf(z_hi + sigma)) / alpha
     var_low = -np.exp(-0.5 * sigma**2 + sigma * z_lo)
     var_high = -np.exp(-0.5 * sigma**2 + sigma * z_hi)
     return LognormalTailStats(

@@ -14,15 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .geom2d import TOL, _unit
-from .markets import (
-    CONE_DET,
-    CONE_HALFPLANE_RANDOM,
-    LIQUIDITY_CAPPED,
-    BALL,
-    SEGMENT_HULL,
-    dual_cone,
-)
+from .geom2d import _unit
+from .markets import dual_cone
 from .riskstats import WeightedSample, es_empirical, var_empirical
 
 
@@ -50,35 +43,6 @@ def default_t_grid(scale, count=33, span=4.0):
         raise ValidationError("grid needs count >= 2 and positive span")
     geo = np.geomspace(0.05 * scale, span * scale, int(count))
     return np.unique(np.concatenate([[0.0, 1.0], geo]))
-
-
-def default_lambda_grid(count=21):
-    return np.linspace(0.0, 1.0, int(count))
-
-
-@dataclass(frozen=True)
-class StrategyGrid:
-    """Sweep parameters shared by the scaling strategies."""
-
-    t_values: np.ndarray
-    lambda_values: np.ndarray
-
-    def __post_init__(self):
-        t = np.asarray(self.t_values, dtype=float)
-        lam = np.asarray(self.lambda_values, dtype=float)
-        if t.ndim != 1 or t.size == 0 or np.any(t < 0) or not np.all(np.isfinite(t)):
-            raise ValidationError("t grid must be non-negative and finite")
-        if lam.ndim != 1 or np.any(lam < 0) or np.any(lam > 1):
-            raise ValidationError("lambda grid must lie inside [0, 1]")
-        object.__setattr__(self, "t_values", t)
-        object.__setattr__(self, "lambda_values", lam)
-        t.setflags(write=False)
-        lam.setflags(write=False)
-
-    @classmethod
-    def for_direction(cls, eta, count=33, span=4.0, lambda_count=21):
-        scale = float(np.max(np.hypot(eta[:, 0], eta[:, 1]), initial=0.0))
-        return cls(default_t_grid(scale, count, span), default_lambda_grid(lambda_count))
 
 
 def _essinf(values, weights):
@@ -167,7 +131,7 @@ def scaled_family(ensemble, eta, grid, ray=None, cone=None, label="shift"):
     eta = np.asarray(eta, dtype=float)
     if eta.shape != ensemble.gains.shape:
         raise ValidationError("eta must match the gains matrix")
-    t_values = np.asarray(grid.t_values if isinstance(grid, StrategyGrid) else grid)
+    t_values = np.asarray(grid)
     if np.any(t_values < 0):
         raise ValidationError("scale grid must be non-negative")
     if cone is not None:
@@ -200,21 +164,14 @@ def liquidity_capped_projection(ensemble, cap=(1.0, 1.0)):
     Uses the full cap on the crowded side when the unrestricted projection
     would exceed it, otherwise the unrestricted projection itself.
     """
+    corner1, corner2 = liquidity_corners(ensemble, cap)
     cap = np.asarray(cap, dtype=float)
-    if cap.shape != (2,) or np.any(cap <= 0):
-        raise ValidationError("cap must be a positive 2-vector")
-    pi = ensemble.require_rates()
-    x = ensemble.gains
-    denom = 1.0 + pi**2
-    r1 = (x[:, 0] - pi * x[:, 1]) / denom
-    r2 = (pi**2 * x[:, 1] - pi * x[:, 0]) / denom
-
-    case1 = r1 <= -cap[0]
-    case2 = r2 <= -cap[1]
-    xi = x - np.column_stack([r1, r2])
-    corner1 = x + np.column_stack([np.full_like(pi, cap[0]), -cap[0] * pi])
-    corner2 = x + np.column_stack([-cap[1] / pi, np.full_like(pi, cap[1])])
-    xi = np.where(case1[:, None], corner1, np.where(case2[:, None], corner2, xi))
+    step = frictionless_direction(ensemble)
+    xi = np.where(
+        (step[:, 0] >= cap[0])[:, None],
+        corner1.gains,
+        np.where((step[:, 1] >= cap[1])[:, None], corner2.gains, ensemble.gains + step),
+    )
     return SelectionMatrix(xi, "liquidity-projection")
 
 
@@ -300,19 +257,24 @@ def convex_mix(first, second, lambda_values):
     ]
 
 
-def audit_selection(portfolio, selection, n_dirs=64, tol=TOL):
+# Directions of the first-quadrant fan that audit_selection probes.
+_AUDIT_DIRS = 64
+
+
+def audit_selection(portfolio, selection):
     """Largest support-function violation of the selection (<= 0 is valid).
 
-    Probes a direction grid over the first quadrant (plus the exact dual
-    rays for deterministic cones and the scenario rays for random ones).
+    Probes a direction grid over the first quadrant plus the kind's exact
+    directions, and for kinds that trade at the scenario rate also checks
+    that no wealth is created at that rate.
     """
     E = portfolio.ensemble
+    definition = portfolio.definition
     if selection.gains.shape != E.gains.shape:
         raise ValidationError("selection does not match the ensemble")
-    angles = np.linspace(0.0, np.pi / 2.0, int(n_dirs))
+    angles = np.linspace(0.0, np.pi / 2.0, _AUDIT_DIRS)
     dirs = [np.array([np.cos(a), np.sin(a)]) for a in angles]
-    if portfolio.kind == CONE_DET:
-        dirs += [_unit(portfolio.cone.a1), _unit(portfolio.cone.a2)]
+    dirs += definition.exact_dirs(portfolio)
     worst = -math.inf
     for u in dirs:
         h = portfolio.support_values(u)
@@ -320,7 +282,7 @@ def audit_selection(portfolio, selection, n_dirs=64, tol=TOL):
         finite = np.isfinite(h)
         if np.any(finite):
             worst = max(worst, float(np.max(s[finite] - h[finite])))
-    if portfolio.kind in (CONE_HALFPLANE_RANDOM, LIQUIDITY_CAPPED):
+    if definition.trades_at_rate:
         pi = E.rates
         norm = np.hypot(pi, 1.0)
         gap = ((selection.gains[:, 0] - E.gains[:, 0]) * pi
@@ -347,90 +309,97 @@ def _lambda_from_config(cfg):
     lam_cfg = cfg.get("lambda_grid", {})
     if "values" in lam_cfg:
         return np.asarray(lam_cfg["values"], dtype=float)
-    return default_lambda_grid(lam_cfg.get("count", 21))
+    return np.linspace(0.0, 1.0, int(lam_cfg.get("count", 21)))
+
+
+def _explicit(portfolio, cfg, risk_spec):
+    if "gains" not in cfg:
+        raise ValidationError('"gains" is required')
+    gains = np.asarray(cfg["gains"], dtype=float)
+    return [SelectionMatrix(gains, str(cfg.get("label", "explicit")))]
+
+
+def _quantile_shift(portfolio, cfg, risk_spec):
+    E = portfolio.ensemble
+    side = cfg.get("side", "both")
+    level = cfg.get("level", risk_spec.level if risk_spec.level else 0.5)
+    eta, ray = quantile_shift_projection(E, portfolio.cone, level, side=side)
+    t_values = _grid_from_config(cfg, eta)
+    return scaled_family(
+        E, eta, t_values, ray=ray if side == "both" else None,
+        cone=portfolio.cone, label=f"quantile-shift[{side}]",
+    )
+
+
+def _frictionless(portfolio, cfg, risk_spec):
+    E = portfolio.ensemble
+    eta = frictionless_direction(E)
+    t_values = _grid_from_config(cfg, eta)
+    return scaled_family(E, eta, t_values, label="frictionless")
+
+
+def _liquidity_family(portfolio, cfg, risk_spec):
+    E = portfolio.ensemble
+    lam = _lambda_from_config(cfg)
+    xi = liquidity_capped_projection(E, portfolio.cap)
+    c1, c2 = liquidity_corners(E, portfolio.cap)
+    out = [xi, c1, c2]
+    out += convex_mix(xi, c1, lam)
+    out += convex_mix(xi, c2, lam)
+    return out
+
+
+def _segment_vertices(portfolio, cfg, risk_spec):
+    lam = _lambda_from_config(cfg)
+    base = SelectionMatrix(portfolio.ensemble.gains, "segment-vertex-0")
+    out = [base]
+    for k, g in enumerate(portfolio.extra_gains, start=1):
+        other = SelectionMatrix(g, f"segment-vertex-{k}")
+        out.append(other)
+        out += convex_mix(base, other, lam)
+    return out
+
+
+# Strategy name -> (builder(portfolio, config, risk spec), config keys it
+# reads).  Which kinds a strategy applies to is in the kinds' records.
+_STRATEGIES = {
+    "identity": (lambda p, cfg, spec: [SelectionMatrix(p.ensemble.gains, "identity")], ()),
+    "explicit": (_explicit, ("gains", "label")),
+    "quantile-shift": (_quantile_shift, ("side", "level", "t_grid")),
+    "corner-selections": (
+        lambda p, cfg, spec: list(comonotone_corner_selections(p.ensemble, p.cone)), ()
+    ),
+    "frictionless": (_frictionless, ("t_grid",)),
+    "axis-transfer": (lambda p, cfg, spec: list(axis_transfer_selections(p.ensemble)), ()),
+    "liquidity-family": (_liquidity_family, ("lambda_grid",)),
+    "ball-boost": (lambda p, cfg, spec: [boost_worst_coordinate(p.ensemble, p.radius)], ()),
+    "segment-vertices": (_segment_vertices, ("lambda_grid",)),
+}
 
 
 def build_family(portfolio, config, risk_spec):
     """Expand one strategy configuration into selection matrices."""
+    if not isinstance(config, dict):
+        raise ValidationError(f"a strategy must be an object, got {config!r}")
     cfg = dict(config)
     name = cfg.pop("strategy", None)
-    E = portfolio.ensemble
-
-    def need(kind):
-        if portfolio.kind != kind:
-            raise ValidationError(
-                f"strategy {name!r} applies to {kind} portfolios, not {portfolio.kind}"
-            )
-
-    if name == "identity":
-        return [SelectionMatrix(E.gains, "identity")]
-    if name == "explicit":
-        gains = np.asarray(cfg["gains"], dtype=float)
-        return [SelectionMatrix(gains, str(cfg.get("label", "explicit")))]
-    if name == "quantile-shift":
-        need(CONE_DET)
-        side = cfg.get("side", "both")
-        level = cfg.get("level", risk_spec.level if risk_spec.level else 0.5)
-        eta, ray = quantile_shift_projection(E, portfolio.cone, level, side=side)
-        t_values = _grid_from_config(cfg, eta)
-        return scaled_family(
-            E, eta, t_values, ray=ray if side == "both" else None,
-            cone=portfolio.cone, label=f"quantile-shift[{side}]",
+    if not isinstance(name, str) or name not in _STRATEGIES:
+        raise ValidationError(f"unknown strategy {name!r}")
+    build, keys = _STRATEGIES[name]
+    unknown = sorted(set(cfg) - set(keys))
+    if unknown:
+        raise ValidationError(f"unknown keys for strategy {name!r}: {unknown}")
+    applies = {c["strategy"] for c in portfolio.definition.strategies}
+    if name != "explicit" and name not in applies:
+        raise ValidationError(
+            f"strategy {name!r} does not apply to {portfolio.kind} portfolios"
         )
-    if name == "corner-selections":
-        need(CONE_DET)
-        return list(comonotone_corner_selections(E, portfolio.cone))
-    if name == "frictionless":
-        need(CONE_HALFPLANE_RANDOM)
-        eta = frictionless_direction(E)
-        t_values = _grid_from_config(cfg, eta)
-        return scaled_family(E, eta, t_values, label="frictionless")
-    if name == "axis-transfer":
-        need(CONE_HALFPLANE_RANDOM)
-        return list(axis_transfer_selections(E))
-    if name == "liquidity-family":
-        need(LIQUIDITY_CAPPED)
-        lam = _lambda_from_config(cfg)
-        xi = liquidity_capped_projection(E, portfolio.cap)
-        c1, c2 = liquidity_corners(E, portfolio.cap)
-        out = [xi, c1, c2]
-        out += convex_mix(xi, c1, lam)
-        out += convex_mix(xi, c2, lam)
-        return out
-    if name == "ball-boost":
-        need(BALL)
-        return [boost_worst_coordinate(E, portfolio.radius)]
-    if name == "segment-vertices":
-        need(SEGMENT_HULL)
-        lam = _lambda_from_config(cfg)
-        base = SelectionMatrix(E.gains, "segment-vertex-0")
-        out = [base]
-        for k, g in enumerate(portfolio.extra_gains, start=1):
-            other = SelectionMatrix(g, f"segment-vertex-{k}")
-            out.append(other)
-            out += convex_mix(base, other, lam)
-        return out
-    raise ValidationError(f"unknown strategy {name!r}")
+    try:
+        return build(portfolio, cfg, risk_spec)
+    except (TypeError, ValueError) as exc:  # config values of the wrong type
+        raise ValidationError(f"strategy {name!r}: {exc}") from exc
 
 
 def default_strategy_configs(portfolio):
     """Strategy set used when a run configuration does not name one."""
-    if portfolio.kind == CONE_DET:
-        return [
-            {"strategy": "identity"},
-            {"strategy": "quantile-shift", "side": "both"},
-            {"strategy": "quantile-shift", "side": "ray1"},
-            {"strategy": "quantile-shift", "side": "ray2"},
-            {"strategy": "corner-selections"},
-        ]
-    if portfolio.kind == CONE_HALFPLANE_RANDOM:
-        return [
-            {"strategy": "identity"},
-            {"strategy": "frictionless"},
-            {"strategy": "axis-transfer"},
-        ]
-    if portfolio.kind == LIQUIDITY_CAPPED:
-        return [{"strategy": "identity"}, {"strategy": "liquidity-family"}]
-    if portfolio.kind == BALL:
-        return [{"strategy": "identity"}, {"strategy": "ball-boost"}]
-    return [{"strategy": "identity"}, {"strategy": "segment-vertices"}]
+    return [dict(cfg) for cfg in portfolio.definition.strategies]

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -16,13 +17,18 @@ from svrisk.bounds import (
     outer_region,
     outer_region_det_cone,
     outer_region_support_grid,
-    regulator_region,
     risk_point,
     sandwich_violation,
     scalarize_bundle,
 )
 from svrisk.errors import ValidationError, WholePlaneError
-from svrisk.geom2d import ConvexCone2D, hausdorff_on_window
+from svrisk.geom2d import (
+    ConvexCone2D,
+    RiskRegion2D,
+    canonical_json,
+    hausdorff_on_window,
+    region_from_points_plus_cone,
+)
 from svrisk.markets import (
     ExchangeCone2D,
     ScenarioEnsemble,
@@ -83,8 +89,11 @@ class TestBasics:
         assert np.allclose(p, [0.0, 0.0], atol=1e-12)
 
     def test_regulator_region(self):
-        r = regulator_region((1.0, -2.0))
-        assert np.allclose(r.vertices, [[1.0, -2.0]])
+        # without exchange the regulator's region is the risk point plus the
+        # non-negative quadrant
+        p = SetPortfolio.ball(ScenarioEnsemble(NONMARGIN_GAINS), radius=1.0)
+        r = marginal_region(p, NONMARGIN_SPEC)
+        assert np.allclose(r.vertices, [[0.0, 0.0]], atol=1e-12)
         assert r.recession.approx_equal(ConvexCone2D.nonneg_orthant())
 
     def test_direction_grid(self):
@@ -350,11 +359,18 @@ class TestBundleSerialization:
         bundle = compute_bundle(
             nonmargin_portfolio(), NONMARGIN_SPEC, strategies=nonmargin_strategies()
         )
-        back = RiskBundle.from_dict(
-            __import__("json").loads(bundle.to_json())
-        )
+        text = bundle.to_json()
+        back = RiskBundle.from_dict(json.loads(text))
         assert back.meta["portfolio"] == "cone-det"
         assert np.allclose(back.inner.vertices, bundle.inner.vertices, atol=1e-11)
+        assert back.to_json() == text
+        # reloading must not normalise the written recession rays again
+        region = region_from_points_plus_cone(
+            [[0.0, 0.0]], solvency_cone(ExchangeCone2D(1.8, 1.7))
+        )
+        text = canonical_json(region.to_dict())
+        again = RiskRegion2D.from_dict(json.loads(text))
+        assert canonical_json(again.to_dict()) == text
 
     @pytest.mark.parametrize("kind", sorted(ALL_KIND_BUILDERS))
     def test_law_invariance_bit_identical(self, kind):

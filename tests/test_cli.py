@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+
+import svrisk
 
 import svrisk.cli as cli
 from svrisk.cli import entrypoint
@@ -169,6 +174,37 @@ class TestRisk:
         cfg = nonmargin_config(tmp_path)
         assert entrypoint(["risk", "--config", cfg, "--window", "1,2,3"]) == 2
 
+    @pytest.mark.parametrize(
+        "env, patch",
+        [
+            ({"SVRISK_THREADS": "abc"}, {}),
+            ({}, {"strategies": [{"strategy": "explicit"}]}),
+            ({}, {"directions": "abc"}),
+            ({}, {"strategies": "identity"}),
+            ({}, {"portfolio": {"kind": "ball", "radius": "x"}}),
+            ({}, {"portfolio": {"kind": "cone-det", "pi12": "x", "pi21": 5.0}}),
+            ({}, {"risk": {"kind": "expected-shortfall", "level": "x"}}),
+            ({}, {"window": [1, 2, 3]}),
+            ({}, {"window": [3, 3, -3, -3]}),
+            ({}, {"strategies": [{"strategy": "quantile-shift", "sdie": "ray1"}]}),
+            ({}, {"audit": "no"}),
+            ({}, {"strategies": [{"strategy": "quantile-shift", "t_grid": {"count": "x"}}]}),
+        ],
+        ids=[
+            "threads", "explicit-without-gains", "directions", "strategies-string",
+            "radius", "pi12", "level", "window", "empty-window", "unknown-strategy-key",
+            "audit-string", "t-grid-count",
+        ],
+    )
+    def test_malformed_input_exits_two(self, tmp_path, monkeypatch, capsys, env, patch):
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        cfg = nonmargin_config(tmp_path, **patch)
+        assert entrypoint(["risk", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert not (tmp_path / "o" / "bundle.json").exists()
+
     def test_whole_plane_exit_code(self, tmp_path, capsys):
         path = tmp_path / "skew.csv"
         path.write_text(
@@ -266,3 +302,16 @@ class TestRepro:
         monkeypatch.setattr(cli, "run_repro", lambda example: (rows, {}))
         assert entrypoint(["repro", "nonmargin"]) == 1
         assert "MISMATCH" in capsys.readouterr().out
+
+
+def test_import_loads_no_scipy():
+    code = (
+        "import sys, svrisk.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    root = os.path.dirname(os.path.dirname(svrisk.__file__))
+    env = dict(os.environ, PYTHONPATH=root)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

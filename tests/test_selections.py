@@ -10,7 +10,6 @@ from svrisk.markets import (
 from svrisk.riskstats import ES, RiskSpec
 from svrisk.selections import (
     SelectionMatrix,
-    StrategyGrid,
     audit_selection,
     axis_transfer_selections,
     boost_worst_coordinate,
@@ -57,16 +56,12 @@ class TestGrids:
         assert np.all(np.diff(grid) > 0)
         assert grid.max() == pytest.approx(8.0)
 
-    def test_strategy_grid_validation(self):
-        with pytest.raises(ValidationError):
-            StrategyGrid(np.array([-1.0]), np.array([0.5]))
-        with pytest.raises(ValidationError):
-            StrategyGrid(np.array([1.0]), np.array([1.5]))
-
     def test_for_direction_scales_with_eta(self):
-        eta = np.array([[3.0, 4.0], [0.0, 0.0]])
-        grid = StrategyGrid.for_direction(eta)
-        assert grid.t_values.max() == pytest.approx(20.0)  # 4 * |(3,4)|
+        # the default frictionless sweep reaches 4 * max |eta| = 4 * |(3, 4)|
+        e = rate_ensemble([[6.25, 0.0], [0.0, 0.0]], [0.75, 1.0])  # eta = (-4, 3)
+        p = SetPortfolio.random_halfplane(e)
+        fam = build_family(p, {"strategy": "frictionless"}, RiskSpec(ES, 0.25))
+        assert fam[-1].label == "frictionless(t=20)"
 
 
 class TestFrictionless:
