@@ -8,9 +8,8 @@ to support values.  Between them sits the coordinatewise marginal bound.
 
 from __future__ import annotations
 
+import itertools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,26 +30,31 @@ from .riskstats import (
     es_var_lognormal_mean_one,
     neg_expectation,
     risk_eval,
+    risk_rows,
     var_empirical,
 )
-from .selections import SelectionMatrix, audit_selection, build_family, default_strategy_configs
+from .selections import (
+    SelectionMatrix,
+    _family_stream,
+    audit_selection,
+    default_strategy_configs,
+)
 
-_THREAD_ENV = "SVRISK_THREADS"
 # Largest support violation a selection may show when bundles are audited.
 _AUDIT_TOL = 1e-7
+# Scenario values per column that one call of the row-wise risk kernel gets:
+# selections and support rows are evaluated in blocks of _BLOCK_VALUES // n
+# rows (at least one), so memory stays bounded however many there are.
+# Callers drop each block before asking for the next, so one is alive at a
+# time.
+_BLOCK_VALUES = 2**18
 
 
-def _map_ordered(fn, items):
-    # order-preserving map so thread count never changes results
-    raw = os.environ.get(_THREAD_ENV, "").strip()
-    try:
-        workers = int(raw) if raw else 1
-    except ValueError:
-        raise ValidationError(f"{_THREAD_ENV} must be an integer, got {raw!r}") from None
-    if workers > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
+def _blocks(items, n):
+    """Consecutive lists of the items, each as large as the budget allows."""
+    size = max(1, _BLOCK_VALUES // n)
+    items = iter(items)
+    return iter(lambda: list(itertools.islice(items, size)), [])
 
 
 def risk_point(gains, weights, risk_spec):
@@ -110,39 +114,50 @@ def inner_recession(portfolio, risk_spec):
     return portfolio.definition.recession(portfolio, risk_spec)
 
 
-def gather_selections(portfolio, risk_spec, strategies=None):
-    """Expand strategy configs into selections; identity is always present."""
+def _selection_stream(portfolio, risk_spec, strategies):
+    """Identity, then each strategy's selections as they are made.  Every
+    configuration is checked and parsed before the first one is made."""
     configs = (
         default_strategy_configs(portfolio) if strategies is None else list(strategies)
     )
-    selections = [SelectionMatrix(portfolio.ensemble.gains, "identity")]
-    for cfg in configs:
-        for sel in build_family(portfolio, cfg, risk_spec):
-            if sel.label != "identity":
-                selections.append(sel)
-    return selections
+    families = [_family_stream(portfolio, cfg, risk_spec) for cfg in configs]
+    made = itertools.chain.from_iterable(families)
+    return itertools.chain(
+        [SelectionMatrix(portfolio.ensemble.gains, "identity")],
+        (sel for sel in made if sel.label != "identity"),
+    )
+
+
+def gather_selections(portfolio, risk_spec, strategies=None):
+    """Expand strategy configs into selections; identity is always present."""
+    return list(_selection_stream(portfolio, risk_spec, strategies))
 
 
 def _selection_hull(portfolio, risk_spec, strategies, audit):
-    """Gather selections, audit them if asked, evaluate their risk points and
-    hull them with the inner recession; returns (selections, region)."""
-    selections = gather_selections(portfolio, risk_spec, strategies)
-    if audit:
-        for sel in selections:
-            gap = audit_selection(portfolio, sel)
-            if gap > _AUDIT_TOL:
-                raise ValidationError(
-                    f"selection {sel.label!r} leaves the portfolio "
-                    f"(support violation {gap:.3e})"
-                )
+    """Stream the selections in blocks: audit each if asked, evaluate a
+    block's risk points with one kernel call per column, and hull all points
+    with the inner recession; returns (number of selections, region)."""
     weights = portfolio.ensemble.weights
-    points = _map_ordered(
-        lambda sel: risk_of_selection(sel, weights, risk_spec), selections
-    )
-    region = region_from_points_plus_cone(
-        np.vstack(points), inner_recession(portfolio, risk_spec)
-    )
-    return selections, region
+    stream = _selection_stream(portfolio, risk_spec, strategies)
+    points = []
+    for block in _blocks(stream, portfolio.ensemble.n):
+        if audit:
+            for sel in block:
+                gap = audit_selection(portfolio, sel)
+                if gap > _AUDIT_TOL:
+                    raise ValidationError(
+                        f"selection {sel.label!r} leaves the portfolio "
+                        f"(support violation {gap:.3e})"
+                    )
+        gains = np.stack([sel.gains for sel in block])
+        del block
+        points.append(
+            np.column_stack([risk_rows(risk_spec, gains[..., j], weights) for j in (0, 1)])
+        )
+        del gains
+    points = np.vstack(points)
+    region = region_from_points_plus_cone(points, inner_recession(portfolio, risk_spec))
+    return len(points), region
 
 
 def inner_region(portfolio, risk_spec, strategies=None, audit=False):
@@ -151,24 +166,40 @@ def inner_region(portfolio, risk_spec, strategies=None, audit=False):
     return _selection_hull(portfolio, risk_spec, strategies, audit)[1]
 
 
-def _support_halfspace(portfolio, risk_spec, u):
-    h = portfolio.support_values(u)
-    live = portfolio.ensemble.weights > 0
-    if not np.all(np.isfinite(h[live])):
-        return None
-    return risk_eval(risk_spec, WeightedSample(h, portfolio.ensemble.weights))
+def _support_cuts(portfolio, risk_spec, candidates):
+    """The candidate directions whose support is finite on every live
+    scenario, and the risks of their support values (the cut offsets),
+    evaluated in blocks."""
+    weights = portfolio.ensemble.weights
+    live = weights > 0
+
+    def finite_supports():
+        for u in candidates:
+            h = portfolio.support_values(u)
+            if np.all(np.isfinite(h[live])):
+                if not np.all(np.isfinite(h)):
+                    raise ValidationError(
+                        "support values are not finite on a zero-weight scenario"
+                    )
+                yield u, h
+
+    dirs, offsets = [], []
+    for block in _blocks(finite_supports(), portfolio.ensemble.n):
+        dirs += [u for u, _ in block]
+        rows = np.stack([h for _, h in block])
+        del block
+        offsets += risk_rows(risk_spec, rows, weights).tolist()
+        del rows
+    return dirs, offsets
 
 
 def outer_region_det_cone(portfolio, risk_spec):
     """Exact pair of dual cuts along the exchange-cone dual generators."""
     cone = portfolio.cone
     dirs = np.array([cone.a1, cone.a2], dtype=float)
-    offsets = []
-    for u in dirs:
-        c = _support_halfspace(portfolio, risk_spec, u)
-        if c is None:
-            raise WholePlaneError("support values are unbounded on the dual cone")
-        offsets.append(c)
+    kept, offsets = _support_cuts(portfolio, risk_spec, dirs)
+    if len(kept) < len(dirs):
+        raise WholePlaneError("support values are unbounded on the dual cone")
     return region_from_halfspaces(HalfSpaceSet(dirs, offsets))
 
 
@@ -178,12 +209,7 @@ def outer_region_support_grid(portfolio, risk_spec, n_dirs=181):
     dual generators, where the support stays finite."""
     candidates = list(direction_grid(n_dirs))
     candidates += portfolio.definition.exact_dirs(portfolio)
-    dirs, offsets = [], []
-    for u in candidates:
-        c = _support_halfspace(portfolio, risk_spec, u)
-        if c is not None:
-            dirs.append(u)
-            offsets.append(c)
+    dirs, offsets = _support_cuts(portfolio, risk_spec, candidates)
     if not dirs:
         raise WholePlaneError("every probed direction has unbounded support")
     return region_from_halfspaces(HalfSpaceSet(np.asarray(dirs), offsets))
@@ -290,14 +316,14 @@ def compute_bundle(portfolio, risk_spec, strategies=None, n_dirs=181, audit=Fals
     """Assemble the full sandwich for a portfolio."""
     definition = portfolio.definition
     definition.risk_rule(risk_spec)
-    selections, inner = _selection_hull(portfolio, risk_spec, strategies, audit)
+    count, inner = _selection_hull(portfolio, risk_spec, strategies, audit)
     outer = _OUTER_CUTS[definition.outer](portfolio, risk_spec, n_dirs)
     marginal = _marginal(portfolio, risk_spec, inner.recession)
     meta = {
         "portfolio": portfolio.kind,
         "risk": {"kind": risk_spec.kind, "level": risk_spec.level},
         "scenarios": portfolio.ensemble.n,
-        "selections": len(selections),
+        "selections": count,
         "directions": int(n_dirs),
     }
     return RiskBundle(inner=inner, outer=outer, marginal=marginal, meta=meta)

@@ -218,7 +218,6 @@ def build_parser():
             "Set-valued portfolio risk: inner approximations from selection "
             "strategies, outer approximations from dual half-space bounds."
         ),
-        epilog="Set SVRISK_THREADS to evaluate selection risks in parallel.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

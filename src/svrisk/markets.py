@@ -87,12 +87,12 @@ class ExchangeCone2D:
         return np.array([1.0, self.pi12])
 
     def contains(self, x, tol=TOL):
-        """Membership via sign tests against the dual generators."""
+        """Membership via sign tests against the dual generators; an (n, 2)
+        array gets one answer per row."""
         x = np.asarray(x, dtype=float)
-        eps = tol * max(1.0, float(np.max(np.abs(x))))
-        return (
-            float(_unit(self.a1) @ x) <= eps and float(_unit(self.a2) @ x) <= eps
-        )
+        eps = tol * np.maximum(1.0, np.max(np.abs(x), axis=-1))
+        inside = (x @ _unit(self.a1) <= eps) & (x @ _unit(self.a2) <= eps)
+        return inside if inside.ndim else bool(inside)
 
 
 def dual_cone(cone):
@@ -227,7 +227,8 @@ class PortfolioKind:
     ``parse(block, ensemble)``, which builds a portfolio from a config block
     and pops the keys it reads.  ``outer`` names the outer-cut method in
     ``bounds``.  ``strategies`` is the default strategy set; apart from
-    "explicit", only the strategies it names apply to the kind.
+    "explicit", only the strategies it names apply to the kind.  A kind may
+    leave some of them out of the defaults for a given portfolio.
     """
 
     outer = "support-grid"
@@ -247,6 +248,10 @@ class PortfolioKind:
 
     def risk_rule(self, risk_spec):
         """Raise for risk functionals the kind's bounds do not hold for."""
+
+    def defaults(self, p):
+        """Strategy set used for ``p`` when a run names none."""
+        return self.strategies
 
     def exact_dirs(self, p):
         """Unit directions of exact support, which the audit and the outer
@@ -270,6 +275,12 @@ class _ConeDet(PortfolioKind):
     def validate(self, p):
         if p.cone is None:
             raise ValidationError("cone-det portfolios need an exchange cone")
+
+    def defaults(self, p):
+        # The corner freezes exchange along both generators.
+        if math.isfinite(p.cone.pi12) and math.isfinite(p.cone.pi21):
+            return self.strategies
+        return tuple(c for c in self.strategies if c["strategy"] != "corner-selections")
 
     def support(self, p, u, base):
         if dual_cone(p.cone).contains(_unit(u)):

@@ -110,53 +110,68 @@ def _check_level(alpha):
     return alpha
 
 
-def _sorted_pairs(sample):
-    # Sorting by (value, weight) makes every downstream reduction invariant
-    # under permutations of the scenario order, bit for bit.
-    order = np.lexsort((sample.weights, sample.values))
-    return sample.values[order], sample.weights[order]
+def _sorted_rows(values, weights):
+    """Sort each row by (value, weight), which makes every downstream
+    reduction invariant under permutations of the scenario order, bit for
+    bit; returns the sorted values and the weights in matching order."""
+    if weights.min() == weights.max():
+        # Tied values carry equal weights, so a value sort gives lexsort's
+        # pairs up to the order of tied zeros of opposite sign, which sums
+        # ignore and only the VaR pick below has to restore.
+        return np.sort(values, axis=-1), weights
+    order = np.lexsort((np.broadcast_to(weights, values.shape), values), axis=-1)
+    return np.take_along_axis(values, order, axis=-1), weights[order]
 
 
-def es_empirical(sample, alpha):
-    """Expected shortfall of a weighted sample at tail level ``alpha``."""
-    alpha = _check_level(alpha)
-    v, w = _sorted_pairs(sample)
-    cw = np.cumsum(w)
-    taken = np.clip(alpha - (cw - w), 0.0, w)
-    return float(-(v * taken).sum() / alpha)
-
-
-def var_empirical(sample, alpha):
-    """Value at risk: negated lower ``alpha``-quantile of the sample."""
-    alpha = _check_level(alpha)
-    v, w = _sorted_pairs(sample)
-    cw = np.cumsum(w)
-    idx = int(np.searchsorted(cw, alpha - 1e-12, side="left"))
-    idx = min(idx, v.size - 1)
-    return float(-v[idx])
-
-
-def neg_expectation(sample):
-    v, w = _sorted_pairs(sample)
-    return float(-(v * w).sum())
-
-
-def neg_essinf(sample):
-    live = sample.values[sample.weights > 0]
-    if live.size == 0:
-        raise ValidationError("sample has no positive-weight scenario")
-    return float(-np.min(live))
+def risk_rows(spec, values, weights):
+    """Risk of every row of a (k, n) array of scenario values under shared
+    probability weights (n,); the functional is described by ``spec``."""
+    values = np.asarray(values, dtype=float)
+    if spec.kind == NEG_ESSINF:
+        live = weights > 0
+        if not np.any(live):
+            raise ValidationError("sample has no positive-weight scenario")
+        return -np.min(values[:, live], axis=-1)
+    v, w = _sorted_rows(values, weights)
+    if spec.kind == NEG_EXPECTATION:
+        return -(v * w).sum(axis=-1)
+    alpha = spec.level
+    cw = np.cumsum(w, axis=-1)
+    if spec.kind == ES:
+        taken = np.clip(alpha - (cw - w), 0.0, w)
+        return -(v * taken).sum(axis=-1) / alpha
+    k, n = v.shape
+    idx = np.broadcast_to(np.minimum(np.sum(cw < alpha - 1e-12, axis=-1), n - 1), (k,))
+    picked = v[np.arange(k), idx]
+    if w is weights:
+        # lexsort keeps tied zeros in input order; pick the zero it would.
+        for r in np.flatnonzero(picked == 0.0):
+            zeros = values[r][values[r] == 0.0]
+            picked[r] = zeros[idx[r] - np.searchsorted(v[r], 0.0)]
+    return -picked
 
 
 def risk_eval(spec, sample):
     """Evaluate the functional described by ``spec`` on ``sample``."""
-    if spec.kind == ES:
-        return es_empirical(sample, spec.level)
-    if spec.kind == VAR:
-        return var_empirical(sample, spec.level)
-    if spec.kind == NEG_EXPECTATION:
-        return neg_expectation(sample)
-    return neg_essinf(sample)
+    return float(risk_rows(spec, sample.values[None, :], sample.weights)[0])
+
+
+def es_empirical(sample, alpha):
+    """Expected shortfall of a weighted sample at tail level ``alpha``."""
+    return risk_eval(RiskSpec(ES, _check_level(alpha)), sample)
+
+
+def var_empirical(sample, alpha):
+    """Value at risk: negated lower ``alpha``-quantile of the sample."""
+    return risk_eval(RiskSpec(VAR, _check_level(alpha)), sample)
+
+
+def neg_expectation(sample):
+    return risk_eval(RiskSpec(NEG_EXPECTATION), sample)
+
+
+def neg_essinf(sample):
+    return risk_eval(RiskSpec(NEG_ESSINF), sample)
 
 
 def es_normal(mu, sigma, alpha):

@@ -8,6 +8,7 @@ which ``audit_selection`` verifies through support-function inequalities.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -125,9 +126,8 @@ def quantile_shift_projection(ensemble, cone, alpha, side="both"):
     return eta, ray
 
 
-def scaled_family(ensemble, eta, grid, ray=None, cone=None, label="shift"):
-    """Selections X + t * eta over the grid; with a ray partition the two
-    ray groups are scaled independently over the full (t, s) product."""
+def _scaled(ensemble, eta, grid, ray=None, cone=None, label="shift"):
+    # Checks the family at once and returns a generator of its selections.
     eta = np.asarray(eta, dtype=float)
     if eta.shape != ensemble.gains.shape:
         raise ValidationError("eta must match the gains matrix")
@@ -135,27 +135,26 @@ def scaled_family(ensemble, eta, grid, ray=None, cone=None, label="shift"):
     if np.any(t_values < 0):
         raise ValidationError("scale grid must be non-negative")
     if cone is not None:
-        bad = [i for i in range(ensemble.n) if not cone.contains(eta[i])]
-        if bad:
+        bad = np.flatnonzero(~cone.contains(eta))
+        if bad.size:
             raise ValidationError(f"eta leaves the exchange cone at row {bad[0]}")
     x = ensemble.gains
-    out = []
     if ray is not None:
         m1 = (np.asarray(ray) == 1)[:, None] * eta
         m2 = (np.asarray(ray) == 2)[:, None] * eta
-        two_sided = np.any(m1 != 0.0) and np.any(m2 != 0.0)
-        if two_sided:
-            for t in t_values:
-                for s in t_values:
-                    out.append(
-                        SelectionMatrix(
-                            x + t * m1 + s * m2, f"{label}(t={t:.6g},s={s:.6g})"
-                        )
-                    )
-            return out
-    for t in t_values:
-        out.append(SelectionMatrix(x + t * eta, f"{label}(t={t:.6g})"))
-    return out
+        if np.any(m1 != 0.0) and np.any(m2 != 0.0):
+            return (
+                SelectionMatrix(x + t * m1 + s * m2, f"{label}(t={t:.6g},s={s:.6g})")
+                for t in t_values
+                for s in t_values
+            )
+    return (SelectionMatrix(x + t * eta, f"{label}(t={t:.6g})") for t in t_values)
+
+
+def scaled_family(ensemble, eta, grid, ray=None, cone=None, label="shift"):
+    """Selections X + t * eta over the grid; with a ray partition the two
+    ray groups are scaled independently over the full (t, s) product."""
+    return list(_scaled(ensemble, eta, grid, ray, cone, label))
 
 
 def liquidity_capped_projection(ensemble, cap=(1.0, 1.0)):
@@ -241,20 +240,25 @@ def boost_worst_coordinate(ensemble, radius):
     return SelectionMatrix(x + boost, "boost-worst")
 
 
-def convex_mix(first, second, lambda_values):
-    """Convex combinations of two selections of the same convex portfolio."""
+def _mix(first, second, lambda_values):
+    # Checks the grid at once and returns a generator of the mixtures.
     if first.gains.shape != second.gains.shape:
         raise ValidationError("selections must share the scenario space")
     lam = np.asarray(lambda_values, dtype=float)
     if np.any(lam < 0) or np.any(lam > 1):
         raise ValidationError("lambda grid must lie inside [0, 1]")
-    return [
+    return (
         SelectionMatrix(
             l * first.gains + (1.0 - l) * second.gains,
             f"mix({first.label},{second.label},lam={l:.6g})",
         )
         for l in lam
-    ]
+    )
+
+
+def convex_mix(first, second, lambda_values):
+    """Convex combinations of two selections of the same convex portfolio."""
+    return list(_mix(first, second, lambda_values))
 
 
 # Directions of the first-quadrant fan that audit_selection probes.
@@ -291,8 +295,15 @@ def audit_selection(portfolio, selection):
     return worst
 
 
+def _grid_object(cfg, key):
+    grid = cfg.get(key, {})
+    if not isinstance(grid, dict):
+        raise ValidationError(f"{key!r} must be an object, got {grid!r}")
+    return grid
+
+
 def _grid_from_config(cfg, eta):
-    t_cfg = cfg.get("t_grid", {})
+    t_cfg = _grid_object(cfg, "t_grid")
     if "values" in t_cfg:
         t_values = np.asarray(t_cfg["values"], dtype=float)
     else:
@@ -306,7 +317,7 @@ def _grid_from_config(cfg, eta):
 
 
 def _lambda_from_config(cfg):
-    lam_cfg = cfg.get("lambda_grid", {})
+    lam_cfg = _grid_object(cfg, "lambda_grid")
     if "values" in lam_cfg:
         return np.asarray(lam_cfg["values"], dtype=float)
     return np.linspace(0.0, 1.0, int(lam_cfg.get("count", 21)))
@@ -316,6 +327,8 @@ def _explicit(portfolio, cfg, risk_spec):
     if "gains" not in cfg:
         raise ValidationError('"gains" is required')
     gains = np.asarray(cfg["gains"], dtype=float)
+    if gains.shape != portfolio.ensemble.gains.shape:
+        raise ValidationError('"gains" must match the (n, 2) shape of the scenarios')
     return [SelectionMatrix(gains, str(cfg.get("label", "explicit")))]
 
 
@@ -325,7 +338,7 @@ def _quantile_shift(portfolio, cfg, risk_spec):
     level = cfg.get("level", risk_spec.level if risk_spec.level else 0.5)
     eta, ray = quantile_shift_projection(E, portfolio.cone, level, side=side)
     t_values = _grid_from_config(cfg, eta)
-    return scaled_family(
+    return _scaled(
         E, eta, t_values, ray=ray if side == "both" else None,
         cone=portfolio.cone, label=f"quantile-shift[{side}]",
     )
@@ -335,7 +348,7 @@ def _frictionless(portfolio, cfg, risk_spec):
     E = portfolio.ensemble
     eta = frictionless_direction(E)
     t_values = _grid_from_config(cfg, eta)
-    return scaled_family(E, eta, t_values, label="frictionless")
+    return _scaled(E, eta, t_values, label="frictionless")
 
 
 def _liquidity_family(portfolio, cfg, risk_spec):
@@ -343,21 +356,17 @@ def _liquidity_family(portfolio, cfg, risk_spec):
     lam = _lambda_from_config(cfg)
     xi = liquidity_capped_projection(E, portfolio.cap)
     c1, c2 = liquidity_corners(E, portfolio.cap)
-    out = [xi, c1, c2]
-    out += convex_mix(xi, c1, lam)
-    out += convex_mix(xi, c2, lam)
-    return out
+    return itertools.chain((xi, c1, c2), _mix(xi, c1, lam), _mix(xi, c2, lam))
 
 
 def _segment_vertices(portfolio, cfg, risk_spec):
     lam = _lambda_from_config(cfg)
     base = SelectionMatrix(portfolio.ensemble.gains, "segment-vertex-0")
-    out = [base]
+    parts = [[base]]
     for k, g in enumerate(portfolio.extra_gains, start=1):
         other = SelectionMatrix(g, f"segment-vertex-{k}")
-        out.append(other)
-        out += convex_mix(base, other, lam)
-    return out
+        parts += [[other], _mix(base, other, lam)]
+    return itertools.chain.from_iterable(parts)
 
 
 # Strategy name -> (builder(portfolio, config, risk spec), config keys it
@@ -377,8 +386,20 @@ _STRATEGIES = {
 }
 
 
-def build_family(portfolio, config, risk_spec):
-    """Expand one strategy configuration into selection matrices."""
+def _strategy_error(name, exc):
+    return ValidationError(f"strategy {name!r}: {exc}")
+
+
+def _checked(name, selections):
+    try:
+        yield from selections
+    except (TypeError, ValueError) as exc:  # config values of the wrong type
+        raise _strategy_error(name, exc) from exc
+
+
+def _family_stream(portfolio, config, risk_spec):
+    """Check and parse one strategy configuration at once; return a
+    generator of its selection matrices, made one at a time."""
     if not isinstance(config, dict):
         raise ValidationError(f"a strategy must be an object, got {config!r}")
     cfg = dict(config)
@@ -395,11 +416,17 @@ def build_family(portfolio, config, risk_spec):
             f"strategy {name!r} does not apply to {portfolio.kind} portfolios"
         )
     try:
-        return build(portfolio, cfg, risk_spec)
+        selections = build(portfolio, cfg, risk_spec)
     except (TypeError, ValueError) as exc:  # config values of the wrong type
-        raise ValidationError(f"strategy {name!r}: {exc}") from exc
+        raise _strategy_error(name, exc) from exc
+    return _checked(name, selections)
+
+
+def build_family(portfolio, config, risk_spec):
+    """Expand one strategy configuration into selection matrices."""
+    return list(_family_stream(portfolio, config, risk_spec))
 
 
 def default_strategy_configs(portfolio):
     """Strategy set used when a run configuration does not name one."""
-    return [dict(cfg) for cfg in portfolio.definition.strategies]
+    return [dict(cfg) for cfg in portfolio.definition.defaults(portfolio)]

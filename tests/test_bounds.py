@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from svrisk import bounds
 from svrisk.bounds import (
     RiskBundle,
     compute_bundle,
@@ -183,6 +184,16 @@ class TestOuterRegion:
         v = exact.vertices[0]
         window = (v[0] - 3, v[1] - 3, v[0] + 3, v[1] + 3)
         assert hausdorff_on_window(exact, grid, window) <= 1e-9
+
+    def test_support_unbounded_only_on_dead_scenario_rejected(self):
+        # The support at (1, 1) is finite where the rate is 1 and infinite
+        # on the zero-weight scenario with rate 2.
+        e = ScenarioEnsemble(
+            np.zeros((3, 2)), rates=np.array([1.0, 1.0, 2.0]), weights=[0.5, 0.5, 0.0]
+        )
+        p = SetPortfolio.random_halfplane(e)
+        with pytest.raises(ValidationError, match="zero-weight"):
+            outer_region_support_grid(p, RiskSpec(ES, 0.5), n_dirs=3)
 
     def test_ball_at_origin_carves_arc(self):
         e = ScenarioEnsemble(np.zeros((3, 2)))
@@ -387,11 +398,17 @@ class TestBundleSerialization:
         jb = compute_bundle(ALL_KIND_BUILDERS[kind](b), ES05).to_json()
         assert ja == jb
 
-    def test_thread_count_does_not_change_results(self, monkeypatch):
+    def test_block_size_does_not_change_results(self, monkeypatch):
+        # One row per risk-kernel call against every row in one call, with
+        # uniform and with uneven weights (the two sorting paths).
         e = ensemble_for_kinds(seed=9)
-        p = ALL_KIND_BUILDERS["cone-det"](e)
-        monkeypatch.delenv("SVRISK_THREADS", raising=False)
-        serial = compute_bundle(p, ES05).to_json()
-        monkeypatch.setenv("SVRISK_THREADS", "4")
-        threaded = compute_bundle(p, ES05).to_json()
-        assert serial == threaded
+        w = np.random.default_rng(9).random(e.n)
+        uneven = ScenarioEnsemble(e.gains, rates=e.rates, weights=w / w.sum())
+        for ensemble in (e, uneven):
+            for kind, build in ALL_KIND_BUILDERS.items():
+                p = build(ensemble)
+                monkeypatch.setattr(bounds, "_BLOCK_VALUES", 1)
+                one_row = compute_bundle(p, ES05).to_json()
+                monkeypatch.setattr(bounds, "_BLOCK_VALUES", 2**30)
+                one_block = compute_bundle(p, ES05).to_json()
+                assert one_row == one_block, kind

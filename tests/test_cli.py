@@ -38,6 +38,14 @@ def nonmargin_config(tmp_path, **extra):
     return write_json(tmp_path / "config.json", payload)
 
 
+GEN_WITH_RATES = {"n": 30, "seed": 3, "rate": {"mean": 1.5, "vol": 0.3}}
+# Config patch for a liquidity-capped portfolio on generated scenarios.
+LIQUIDITY = {
+    "scenarios": {"generate": GEN_WITH_RATES},
+    "portfolio": {"kind": "liquidity-capped", "cap": [1.0, 1.0]},
+}
+
+
 def gen_config(tmp_path, n=50, seed=7):
     return write_json(
         tmp_path / "gen.json",
@@ -175,35 +183,59 @@ class TestRisk:
         assert entrypoint(["risk", "--config", cfg, "--window", "1,2,3"]) == 2
 
     @pytest.mark.parametrize(
-        "env, patch",
+        "patch",
         [
-            ({"SVRISK_THREADS": "abc"}, {}),
-            ({}, {"strategies": [{"strategy": "explicit"}]}),
-            ({}, {"directions": "abc"}),
-            ({}, {"strategies": "identity"}),
-            ({}, {"portfolio": {"kind": "ball", "radius": "x"}}),
-            ({}, {"portfolio": {"kind": "cone-det", "pi12": "x", "pi21": 5.0}}),
-            ({}, {"risk": {"kind": "expected-shortfall", "level": "x"}}),
-            ({}, {"window": [1, 2, 3]}),
-            ({}, {"window": [3, 3, -3, -3]}),
-            ({}, {"strategies": [{"strategy": "quantile-shift", "sdie": "ray1"}]}),
-            ({}, {"audit": "no"}),
-            ({}, {"strategies": [{"strategy": "quantile-shift", "t_grid": {"count": "x"}}]}),
+            {"strategies": [{"strategy": "explicit"}]},
+            {"strategies": [{"strategy": "explicit", "gains": [[0.0, 0.0]]}]},
+            {"directions": "abc"},
+            {"strategies": "identity"},
+            {"portfolio": {"kind": "ball", "radius": "x"}},
+            {"portfolio": {"kind": "cone-det", "pi12": "x", "pi21": 5.0}},
+            {"risk": {"kind": "expected-shortfall", "level": "x"}},
+            {"window": [1, 2, 3]},
+            {"window": [3, 3, -3, -3]},
+            {"strategies": [{"strategy": "quantile-shift", "sdie": "ray1"}]},
+            {"audit": "no"},
+            {"strategies": [{"strategy": "quantile-shift", "t_grid": {"count": "x"}}]},
+            {"strategies": [{"strategy": "quantile-shift", "t_grid": "abc"}]},
+            {**LIQUIDITY,
+             "strategies": [{"strategy": "liquidity-family", "lambda_grid": [0.5]}]},
+            {**LIQUIDITY,
+             "strategies": [{"strategy": "liquidity-family", "lambda_grid": {"count": "x"}}]},
         ],
         ids=[
-            "threads", "explicit-without-gains", "directions", "strategies-string",
-            "radius", "pi12", "level", "window", "empty-window", "unknown-strategy-key",
-            "audit-string", "t-grid-count",
+            "explicit-without-gains", "explicit-wrong-shape", "directions",
+            "strategies-string", "radius", "pi12", "level", "window", "empty-window",
+            "unknown-strategy-key", "audit-string", "t-grid-count", "t-grid-string",
+            "lambda-grid-list", "lambda-grid-count",
         ],
     )
-    def test_malformed_input_exits_two(self, tmp_path, monkeypatch, capsys, env, patch):
-        for name, value in env.items():
-            monkeypatch.setenv(name, value)
+    def test_malformed_input_exits_two(self, tmp_path, capsys, patch):
         cfg = nonmargin_config(tmp_path, **patch)
         assert entrypoint(["risk", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert not (tmp_path / "o" / "bundle.json").exists()
+
+    def test_no_exchange_cone_runs_default_strategies(self, tmp_path, capsys):
+        cfg = write_json(
+            tmp_path / "ne.json",
+            {
+                "scenarios": {"generate": GEN_WITH_RATES},
+                "portfolio": {"kind": "cone-det", "no_exchange": True},
+                "risk": {"kind": "expected-shortfall", "level": 0.25},
+            },
+        )
+        assert entrypoint(["risk", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        bundle = json.loads((tmp_path / "o" / "bundle.json").read_text())
+        # Without exchange no selection beats the position itself.
+        point = bundle["marginal"]["vertices"]
+        assert bundle["inner"]["vertices"] == point == bundle["outer"]["vertices"]
+        explicit = json.loads((tmp_path / "ne.json").read_text())
+        explicit["strategies"] = [{"strategy": "corner-selections"}]
+        cfg = write_json(tmp_path / "ne.json", explicit)
+        assert entrypoint(["risk", "--config", cfg, "--out", str(tmp_path / "o2")]) == 2
+        assert "finite exchange rates" in capsys.readouterr().err
 
     def test_whole_plane_exit_code(self, tmp_path, capsys):
         path = tmp_path / "skew.csv"

@@ -15,6 +15,7 @@ from svrisk.riskstats import (
     neg_essinf,
     neg_expectation,
     risk_eval,
+    risk_rows,
     var_empirical,
 )
 
@@ -283,3 +284,70 @@ class TestAxioms:
         rng = np.random.default_rng(17)
         s = _random_sample(rng)
         assert neg_expectation(s) == pytest.approx(-np.dot(s.values, s.weights))
+
+
+def _lexsort_reference(spec, values, weights):
+    # The per-sample definition: sort by (value, weight), then reduce.
+    order = np.lexsort((weights, values))
+    v, w = values[order], weights[order]
+    cw = np.cumsum(w)
+    if spec.kind == ES:
+        taken = np.clip(spec.level - (cw - w), 0.0, w)
+        return float(-(v * taken).sum() / spec.level)
+    if spec.kind == VAR:
+        idx = min(int(np.searchsorted(cw, spec.level - 1e-12, side="left")), v.size - 1)
+        return float(-v[idx])
+    return float(-(v * w).sum())
+
+
+def _weights(mode, n, rng):
+    if mode == "uniform":
+        return np.full(n, 1.0 / n)
+    w = rng.random(n) + 0.05
+    if mode == "zero":
+        w[1::3] = 0.0
+    return WeightedSample(np.zeros(n), w / w.sum()).weights
+
+
+class TestRiskRows:
+    @pytest.mark.parametrize("mode", ["uniform", "uneven", "zero"])
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: f"{s.kind}-{s.level}")
+    def test_rows_equal_per_row_eval(self, spec, mode):
+        rng = np.random.default_rng(17)
+        for n in (1, 2, 9, 130, 1001):
+            values = np.round(rng.standard_normal((4, n)), 1)  # many ties
+            w = _weights(mode, n, rng)
+            if mode == "zero" and n > 1:
+                values[:, 1] = -1e3  # dead scenario below every live one
+            rows = risk_rows(spec, values, w)
+            assert rows.shape == (4,)
+            for r in range(4):
+                assert rows[r] == risk_eval(spec, WeightedSample(values[r], w))
+
+    @pytest.mark.parametrize("spec", ALL_SPECS[:-1], ids=lambda s: f"{s.kind}-{s.level}")
+    def test_uniform_weights_match_lexsort_bit_for_bit(self, spec):
+        rng = np.random.default_rng(23)
+        for n in (3, 64, 257, 4000):
+            values = np.round(rng.standard_normal((3, n)), 2)
+            values[:, rng.random(n) < 0.3] = 0.0
+            values[:, rng.random(n) < 0.3] = -0.0
+            w = np.full(n, 1.0 / n)
+            for r, got in enumerate(risk_rows(spec, values, w)):
+                want = _lexsort_reference(spec, values[r], w)
+                assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    def test_var_picks_the_zero_lexsort_picks(self):
+        # Only zeros near the quantile: the sign of the answer depends on
+        # which of the tied zeros the sort puts there.
+        rng = np.random.default_rng(29)
+        spec = RiskSpec(VAR, 0.5)
+        for _ in range(50):
+            values = np.where(rng.random((2, 40)) < 0.5, 0.0, -0.0)
+            w = np.full(40, 1.0 / 40)
+            for r, got in enumerate(risk_rows(spec, values, w)):
+                want = _lexsort_reference(spec, values[r], w)
+                assert np.signbit(got) == np.signbit(want)
+
+    def test_no_live_scenario_rejected(self):
+        with pytest.raises(ValidationError):
+            risk_rows(RiskSpec(NEG_ESSINF), np.ones((2, 2)), np.zeros(2))
