@@ -24,11 +24,11 @@ from .riskstats import ES, RiskSpec, WeightedSample, es_normal
 from .scenarios import GenSpec, generate
 from .errors import ValidationError
 from .selections import (
-    audit_selection,
     axis_transfer_selections,
     build_family,
     frictionless_projection,
     liquidity_capped_projection,
+    selection_auditor,
 )
 
 REPRO_IDS = ("intro", "nonmargin", "normcone", "frictionless", "liquidity")
@@ -191,10 +191,12 @@ def run_liquidity():
     bundle = compute_bundle(portfolio, _ES05)
 
     rows = [_row("sandwich-slack", max(sandwich_violation(bundle), 0.0), 0.0, 1e-9)]
-    worst = -np.inf
-    for cfg in ({"strategy": "identity"}, {"strategy": "liquidity-family"}):
-        for sel in build_family(portfolio, cfg, _ES05):
-            worst = max(worst, audit_selection(portfolio, sel))
+    sels = [
+        sel
+        for cfg in ({"strategy": "identity"}, {"strategy": "liquidity-family"})
+        for sel in build_family(portfolio, cfg, _ES05)
+    ]
+    worst = np.max(selection_auditor(portfolio)(np.stack([sel.gains for sel in sels])))
     rows.append(_row("selection-audit", max(worst, 0.0), 0.0, 1e-9))
     return rows, {"bundle": bundle}
 

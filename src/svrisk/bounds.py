@@ -36,8 +36,8 @@ from .riskstats import (
 from .selections import (
     SelectionMatrix,
     _family_stream,
-    audit_selection,
     default_strategy_configs,
+    selection_auditor,
 )
 
 # Largest support violation a selection may show when bundles are audited.
@@ -134,23 +134,25 @@ def gather_selections(portfolio, risk_spec, strategies=None):
 
 
 def _selection_hull(portfolio, risk_spec, strategies, audit):
-    """Stream the selections in blocks: audit each if asked, evaluate a
-    block's risk points with one kernel call per column, and hull all points
+    """Stream the selections in blocks: audit each block if asked, evaluate
+    its risk points with one kernel call per column, and hull all points
     with the inner recession; returns (number of selections, region)."""
     weights = portfolio.ensemble.weights
     stream = _selection_stream(portfolio, risk_spec, strategies)
+    auditor = selection_auditor(portfolio) if audit else None
     points = []
     for block in _blocks(stream, portfolio.ensemble.n):
-        if audit:
-            for sel in block:
-                gap = audit_selection(portfolio, sel)
-                if gap > _AUDIT_TOL:
-                    raise ValidationError(
-                        f"selection {sel.label!r} leaves the portfolio "
-                        f"(support violation {gap:.3e})"
-                    )
         gains = np.stack([sel.gains for sel in block])
+        labels = [sel.label for sel in block]
         del block
+        if auditor is not None:
+            gaps = auditor(gains)
+            bad = np.flatnonzero(gaps > _AUDIT_TOL)
+            if bad.size:
+                raise ValidationError(
+                    f"selection {labels[bad[0]]!r} leaves the portfolio "
+                    f"(support violation {gaps[bad[0]]:.3e})"
+                )
         points.append(
             np.column_stack([risk_rows(risk_spec, gains[..., j], weights) for j in (0, 1)])
         )
@@ -304,11 +306,16 @@ class RiskBundle:
 
     @classmethod
     def from_dict(cls, data):
+        try:
+            regions = {name: data[name] for name in ("inner", "outer", "marginal")}
+            meta = dict(data.get("meta", {}))
+        except KeyError as exc:
+            raise ValidationError(f"malformed bundle payload: missing {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"malformed bundle payload: {exc}") from None
         return cls(
-            inner=RiskRegion2D.from_dict(data["inner"]),
-            outer=RiskRegion2D.from_dict(data["outer"]),
-            marginal=RiskRegion2D.from_dict(data["marginal"]),
-            meta=dict(data.get("meta", {})),
+            meta=meta,
+            **{name: RiskRegion2D.from_dict(r) for name, r in regions.items()},
         )
 
 

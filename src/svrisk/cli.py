@@ -23,13 +23,17 @@ from .scenarios import GenSpec, generate, read_csv, write_csv
 
 
 def _load_json(path):
+    """The JSON object in the file; configs and bundles are both objects."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path} is not valid JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise ValidationError(f"{path} must hold a JSON object, got {type(data).__name__}")
+    return data
 
 
 def _risk_spec(config):
@@ -51,13 +55,22 @@ def _ensemble(config, seed=None, n=None):
     if "csv" in block:
         if seed is not None or n is not None:
             raise ValidationError("--seed/--n only apply to generated scenarios")
+        # A number would be taken for an open file descriptor.
+        if not isinstance(block["csv"], str):
+            raise ValidationError('"csv" must be a path string')
         return read_csv(block["csv"])
-    gen_cfg = dict(block["generate"])
-    if seed is not None:
-        gen_cfg["seed"] = seed
-    if n is not None:
-        gen_cfg["n"] = n
-    return generate(GenSpec.from_dict(gen_cfg))
+    try:
+        gen_cfg = dict(block["generate"])
+        if seed is not None:
+            gen_cfg["seed"] = seed
+        if n is not None:
+            gen_cfg["n"] = n
+        spec = GenSpec.from_dict(gen_cfg)
+    except KeyError as exc:
+        raise ValidationError(f"generate block is missing {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"generate block: {exc}") from None
+    return generate(spec)
 
 
 def _portfolio(config, ensemble):
@@ -89,38 +102,33 @@ def _parse_window(value):
     return box
 
 
-def _write_boundary_csv(region, path, window=None):
-    if window is not None:
-        pts = _clip_to_window(region, window)
-    else:
-        pts = region.vertices
-    with open(path, "w") as fh:
-        fh.write("x,y\n")
-        for p in pts:
-            fh.write(f"{p[0]:.12g},{p[1]:.12g}\n")
-
-
 def _emit_bundle(bundle, out_dir, window=None):
+    # Clip every region first: a window that misses one writes no file.
+    boundaries = {
+        name: region.vertices if window is None else _clip_to_window(region, window)
+        for name, region in (
+            ("marginal", bundle.marginal),
+            ("inner", bundle.inner),
+            ("outer", bundle.outer),
+        )
+    }
     os.makedirs(out_dir, exist_ok=True)
     bundle_path = os.path.join(out_dir, "bundle.json")
     with open(bundle_path, "w") as fh:
         fh.write(bundle.to_json())
         fh.write("\n")
-    for name, region in (
-        ("marginal", bundle.marginal),
-        ("inner", bundle.inner),
-        ("outer", bundle.outer),
-    ):
-        _write_boundary_csv(
-            region, os.path.join(out_dir, f"boundary_{name}.csv"), window
-        )
+    for name, pts in boundaries.items():
+        with open(os.path.join(out_dir, f"boundary_{name}.csv"), "w") as fh:
+            fh.write("x,y\n")
+            for p in pts:
+                fh.write(f"{p[0]:.12g},{p[1]:.12g}\n")
     return bundle_path
 
 
 def cmd_gen(args):
     config = _load_json(args.config)
     block = config.get("scenarios", {})
-    if "generate" not in block:
+    if not isinstance(block, dict) or "generate" not in block:
         raise ValidationError('gen needs a "scenarios" block with "generate"')
     ensemble = _ensemble(config, seed=args.seed, n=args.n)
     out_dir = args.out or "."

@@ -69,6 +69,8 @@ class GenSpec:
         if d:
             raise ValidationError(f"unknown generator keys: {sorted(d)}")
         if rate is not None:
+            if not isinstance(rate, dict):
+                raise ValidationError(f"rate must be an object, got {rate!r}")
             extra = set(rate) - {"mean", "vol"}
             if extra:
                 raise ValidationError(f"unknown rate keys: {sorted(extra)}")

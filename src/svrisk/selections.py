@@ -3,7 +3,10 @@
 Each strategy emits one or more selection matrices; the risk of a selection
 is evaluated coordinatewise and its point enters the inner approximation
 hull.  Every emitted row must stay inside the scenario's attainable set,
-which ``audit_selection`` verifies through support-function inequalities.
+which the audit verifies through support-function inequalities:
+``selection_auditor`` computes the support rows of its directions once per
+portfolio and checks whole blocks of selections against them, and
+``audit_selection`` is its one-selection call.
 """
 
 from __future__ import annotations
@@ -261,38 +264,55 @@ def convex_mix(first, second, lambda_values):
     return list(_mix(first, second, lambda_values))
 
 
-# Directions of the first-quadrant fan that audit_selection probes.
+# Directions of the first-quadrant fan that the audit probes.
 _AUDIT_DIRS = 64
 
 
-def audit_selection(portfolio, selection):
-    """Largest support-function violation of the selection (<= 0 is valid).
+def selection_auditor(portfolio):
+    """Audit function for blocks of selections of ``portfolio``.
 
-    Probes a direction grid over the first quadrant plus the kind's exact
-    directions, and for kinds that trade at the scenario rate also checks
-    that no wealth is created at that rate.
+    Computes the support rows of the audit directions once: a fan over the
+    first quadrant plus the kind's exact directions, skipping those where
+    the support is infinite on every scenario.  The returned function maps a
+    (b, n, 2) block of selection gains to each selection's largest
+    support-function violation (<= 0 is valid); for kinds that trade at the
+    scenario rate it also checks that no wealth is created at that rate.
     """
     E = portfolio.ensemble
-    definition = portfolio.definition
-    if selection.gains.shape != E.gains.shape:
-        raise ValidationError("selection does not match the ensemble")
     angles = np.linspace(0.0, np.pi / 2.0, _AUDIT_DIRS)
     dirs = [np.array([np.cos(a), np.sin(a)]) for a in angles]
-    dirs += definition.exact_dirs(portfolio)
-    worst = -math.inf
+    dirs += portfolio.definition.exact_dirs(portfolio)
+    rows = []
     for u in dirs:
         h = portfolio.support_values(u)
-        s = selection.gains @ u
-        finite = np.isfinite(h)
-        if np.any(finite):
-            worst = max(worst, float(np.max(s[finite] - h[finite])))
-    if definition.trades_at_rate:
-        pi = E.rates
-        norm = np.hypot(pi, 1.0)
-        gap = ((selection.gains[:, 0] - E.gains[:, 0]) * pi
-               + (selection.gains[:, 1] - E.gains[:, 1])) / norm
-        worst = max(worst, float(np.max(gap)))
-    return worst
+        if np.any(np.isfinite(h)):
+            rows.append((u, h))
+    pi = E.rates if portfolio.definition.trades_at_rate else None
+
+    def audit(gains):
+        gains = np.asarray(gains, dtype=float)
+        if gains.shape[1:] != E.gains.shape:
+            raise ValidationError("selection does not match the ensemble")
+        worst = np.full(len(gains), -math.inf)
+        for u, h in rows:
+            # Gains are finite, so a scenario with infinite support gives
+            # -inf here and never binds.
+            s = gains @ u
+            s -= h
+            np.maximum(worst, np.max(s, axis=1), out=worst)
+        if pi is not None:
+            gap = ((gains[..., 0] - E.gains[:, 0]) * pi
+                   + (gains[..., 1] - E.gains[:, 1])) / np.hypot(pi, 1.0)
+            np.maximum(worst, np.max(gap, axis=1), out=worst)
+        return worst
+
+    return audit
+
+
+def audit_selection(portfolio, selection):
+    """Largest support-function violation of the selection (<= 0 is valid);
+    see ``selection_auditor``, which audits many selections at once."""
+    return float(selection_auditor(portfolio)(np.stack([selection.gains]))[0])
 
 
 def _grid_object(cfg, key):

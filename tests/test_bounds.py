@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from svrisk import bounds
+from svrisk import bounds, selections
 from svrisk.bounds import (
     RiskBundle,
     compute_bundle,
@@ -37,6 +37,7 @@ from svrisk.markets import (
     solvency_cone,
 )
 from svrisk.riskstats import ES, NEG_EXPECTATION, VAR, RiskSpec, WeightedSample
+from svrisk.selections import SelectionMatrix, audit_selection
 
 NONMARGIN_GAINS = np.array([[-2.0, 4.0], [4.0, -2.0]])
 NONMARGIN_CONE = ExchangeCone2D(5.0, 5.0)
@@ -407,8 +408,43 @@ class TestBundleSerialization:
         for ensemble in (e, uneven):
             for kind, build in ALL_KIND_BUILDERS.items():
                 p = build(ensemble)
-                monkeypatch.setattr(bounds, "_BLOCK_VALUES", 1)
-                one_row = compute_bundle(p, ES05).to_json()
-                monkeypatch.setattr(bounds, "_BLOCK_VALUES", 2**30)
-                one_block = compute_bundle(p, ES05).to_json()
-                assert one_row == one_block, kind
+                for audit in (False, True):
+                    monkeypatch.setattr(bounds, "_BLOCK_VALUES", 1)
+                    one_row = compute_bundle(p, ES05, audit=audit).to_json()
+                    monkeypatch.setattr(bounds, "_BLOCK_VALUES", 2**30)
+                    one_block = compute_bundle(p, ES05, audit=audit).to_json()
+                    assert one_row == one_block, (kind, audit)
+
+    @pytest.mark.parametrize("block_values", [1, 2**30])
+    def test_audit_names_first_cheating_selection(self, monkeypatch, block_values):
+        monkeypatch.setattr(bounds, "_BLOCK_VALUES", block_values)
+        p = nonmargin_portfolio()
+        cheats = [
+            {"strategy": "explicit", "gains": (NONMARGIN_GAINS + 1.0).tolist(),
+             "label": "cheat-a"},
+            {"strategy": "explicit", "gains": (NONMARGIN_GAINS + 2.0).tolist(),
+             "label": "cheat-b"},
+        ]
+        gap = audit_selection(p, SelectionMatrix(NONMARGIN_GAINS + 1.0, "cheat-a"))
+        message = f"selection 'cheat-a' leaves the portfolio (support violation {gap:.3e})"
+        with pytest.raises(ValidationError) as info:
+            inner_region(p, NONMARGIN_SPEC, strategies=cheats, audit=True)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("kind", sorted(ALL_KIND_BUILDERS))
+    def test_audit_computes_support_rows_once(self, monkeypatch, kind):
+        p = ALL_KIND_BUILDERS[kind](ensemble_for_kinds(seed=10))
+        calls = []
+        support_values = SetPortfolio.support_values
+
+        def counted(self, u):
+            calls.append(u)
+            return support_values(self, u)
+
+        monkeypatch.setattr(SetPortfolio, "support_values", counted)
+        compute_bundle(p, ES05)
+        unaudited = len(calls)
+        calls.clear()
+        compute_bundle(p, ES05, audit=True)
+        audit_dirs = selections._AUDIT_DIRS + len(p.definition.exact_dirs(p))
+        assert len(calls) == unaudited + audit_dirs

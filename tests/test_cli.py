@@ -202,16 +202,25 @@ class TestRisk:
              "strategies": [{"strategy": "liquidity-family", "lambda_grid": [0.5]}]},
             {**LIQUIDITY,
              "strategies": [{"strategy": "liquidity-family", "lambda_grid": {"count": "x"}}]},
+            [],  # a whole config that is not an object
+            {"scenarios": {"generate": {"seed": 1}}},
+            {"scenarios": {"generate": {"n": 10, "seed": 1, "rate": 1.5}}},
+            {"scenarios": {"csv": ["scenarios.csv"]}},
+            {"window": [-101, -101, -100, -100]},
         ],
         ids=[
             "explicit-without-gains", "explicit-wrong-shape", "directions",
             "strategies-string", "radius", "pi12", "level", "window", "empty-window",
             "unknown-strategy-key", "audit-string", "t-grid-count", "t-grid-string",
-            "lambda-grid-list", "lambda-grid-count",
+            "lambda-grid-list", "lambda-grid-count", "config-list", "generate-without-n",
+            "generate-rate-number", "csv-not-string", "window-misses-region",
         ],
     )
     def test_malformed_input_exits_two(self, tmp_path, capsys, patch):
-        cfg = nonmargin_config(tmp_path, **patch)
+        if isinstance(patch, dict):
+            cfg = nonmargin_config(tmp_path, **patch)
+        else:
+            cfg = write_json(tmp_path / "config.json", patch)
         assert entrypoint(["risk", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
@@ -292,6 +301,18 @@ class TestScalarize:
         path = str(out / "bundle.json")
         assert entrypoint(["scalarize", "--bundle", path, "--direction", "1"]) == 2
         assert entrypoint(["scalarize", "--bundle", path, "--direction", "a,b"]) == 2
+
+    def test_bundle_without_inner(self, tmp_path, capsys):
+        cfg = nonmargin_config(tmp_path)
+        out = tmp_path / "run"
+        entrypoint(["risk", "--config", cfg, "--out", str(out)])
+        capsys.readouterr()
+        bundle = json.loads((out / "bundle.json").read_text())
+        del bundle["inner"]
+        path = write_json(out / "bundle.json", bundle)
+        assert entrypoint(["scalarize", "--bundle", path, "--direction", "1,1"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: malformed bundle payload: missing 'inner'\n"
 
     def test_missing_bundle(self, tmp_path):
         assert (

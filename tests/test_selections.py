@@ -24,6 +24,7 @@ from svrisk.selections import (
     liquidity_corners,
     quantile_shift_projection,
     scaled_family,
+    selection_auditor,
 )
 
 NONMARGIN_GAINS = np.array([[-2.0, 4.0], [4.0, -2.0]])
@@ -303,9 +304,12 @@ class TestAudit:
             SetPortfolio.segment_hull(e, [gains + np.array([1.0, -0.5])]),
         ]
         for p in portfolios:
+            audit = selection_auditor(p)
             for cfg in default_strategy_configs(p):
-                for sel in build_family(p, cfg, spec):
-                    assert audit_selection(p, sel) <= 1e-9, (p.kind, sel.label)
+                family = build_family(p, cfg, spec)
+                gaps = audit(np.stack([sel.gains for sel in family]))
+                for sel, gap in zip(family, gaps):
+                    assert gap <= 1e-9, (p.kind, sel.label)
 
     def test_invalid_selection_flagged(self):
         e = ScenarioEnsemble(np.zeros((3, 2)))
@@ -332,6 +336,45 @@ class TestAudit:
         p = SetPortfolio.ball(e, radius=1.0)
         with pytest.raises(ValidationError):
             audit_selection(p, SelectionMatrix(np.zeros((3, 2)), "bad"))
+        with pytest.raises(ValidationError):
+            selection_auditor(p)(np.zeros((4, 3, 2)))
+        with pytest.raises(ValidationError):
+            selection_auditor(p)(np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("weights", ["uniform", "uneven"])
+    def test_auditor_matches_one_selection_calls(self, weights):
+        rng = np.random.default_rng(38)
+        n = 24
+        gains = rng.standard_normal((n, 2))
+        rates = rng.uniform(0.5, 2.0, n)
+        # Rates whose dual ray lies on the audit fan, so the random kind's
+        # support is finite on only some scenarios in those directions.
+        rates[:3] = 1.0 / np.tan(np.linspace(0.0, np.pi / 2.0, 64)[[10, 32, 50]])
+        w = rng.random(n) if weights == "uneven" else np.ones(n)
+        e = ScenarioEnsemble(gains, rates=rates, weights=w / w.sum())
+        spec = RiskSpec(ES, 0.25)
+        portfolios = [
+            SetPortfolio.cone_det(e, ExchangeCone2D(2.0, 3.0)),
+            SetPortfolio.random_halfplane(e),
+            SetPortfolio.liquidity_capped(e, cap=(0.8, 1.2)),
+            SetPortfolio.ball(e, radius=0.6),
+            SetPortfolio.segment_hull(e, [gains[:, ::-1]]),
+        ]
+        for p in portfolios:
+            sels = [
+                sel
+                for cfg in default_strategy_configs(p)
+                for sel in build_family(p, cfg, spec)
+            ]
+            sels.append(SelectionMatrix(gains + np.array([0.7, 0.2]), "cheat"))
+            gaps = selection_auditor(p)(np.stack([sel.gains for sel in sels]))
+            # Each one-selection call computes every support row again, so
+            # compare a spread of rows plus the last three.
+            picks = sorted(set(range(0, len(sels), max(1, len(sels) // 30)))
+                           | {len(sels) - 3, len(sels) - 2, len(sels) - 1})
+            expected = [audit_selection(p, sels[i]) for i in picks]
+            assert gaps[picks].tolist() == expected, p.kind
+            assert gaps[-1] > 0.05, p.kind
 
 
 class TestBuildFamily:
