@@ -42,6 +42,9 @@ from .selections import (
 
 # Largest support violation a selection may show when bundles are audited.
 _AUDIT_TOL = 1e-7
+# Largest slack sandwich_violation may show before compute_bundle refuses
+# to return a bundle.
+_SANDWICH_TOL = 1e-9
 # Scenario values per column that one call of the row-wise risk kernel gets:
 # selections and support rows are evaluated in blocks of _BLOCK_VALUES // n
 # rows (at least one), so memory stays bounded however many there are.
@@ -141,8 +144,14 @@ def _selection_hull(portfolio, risk_spec, strategies, audit):
     stream = _selection_stream(portfolio, risk_spec, strategies)
     auditor = selection_auditor(portfolio) if audit else None
     points = []
+    buf = None
     for block in _blocks(stream, portfolio.ensemble.n):
-        gains = np.stack([sel.gains for sel in block])
+        # The first block is the largest; refilling its buffer keeps the
+        # allocator from handing the block's pages back and faulting them
+        # in again for every block.
+        if buf is None:
+            buf = np.empty((len(block), portfolio.ensemble.n, 2))
+        gains = np.stack([sel.gains for sel in block], out=buf[: len(block)])
         labels = [sel.label for sel in block]
         del block
         if auditor is not None:
@@ -333,7 +342,11 @@ def compute_bundle(portfolio, risk_spec, strategies=None, n_dirs=181, audit=Fals
         "selections": count,
         "directions": int(n_dirs),
     }
-    return RiskBundle(inner=inner, outer=outer, marginal=marginal, meta=meta)
+    bundle = RiskBundle(inner=inner, outer=outer, marginal=marginal, meta=meta)
+    violation = sandwich_violation(bundle)
+    if not violation <= _SANDWICH_TOL:
+        raise ValidationError(f"regions do not nest (sandwich violation {violation:.3e})")
+    return bundle
 
 
 def scalarize_bundle(bundle, direction):
@@ -355,9 +368,13 @@ def sandwich_violation(bundle):
     worst = -math.inf
     for small, big in ((bundle.marginal, bundle.inner), (bundle.inner, bundle.outer)):
         hs = big.halfspaces()
-        for u, c in zip(hs.directions, hs.offsets):
-            s = small.scalarize(u)
-            if not math.isfinite(s):
-                return math.inf
-            worst = max(worst, c - s)
+        u = hs.directions
+        # small.scalarize at every direction: -inf outside the dual of its
+        # recession, else the least vertex value (one product per direction,
+        # so the values match scalarize bit for bit).
+        units = u / np.hypot(u[:, 0], u[:, 1])[:, None]
+        if not np.all(small.recession.positive_dual().contains_many(units)):
+            return math.inf
+        least = [np.min(small.vertices @ d) for d in u]
+        worst = max(worst, float(np.max(hs.offsets - least)))
     return worst

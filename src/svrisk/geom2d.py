@@ -269,11 +269,86 @@ class HalfSpaceSet:
         offs.setflags(write=False)
 
 
+# Point pairs per block of the pairwise dominance test: its temporaries stay
+# near a megabyte however many points reach it.
+_PAIR_BLOCK = 2**16
+
+
+def _cone_coords(pts, recession):
+    """Coordinates a = <lo x p> and b = <p x hi> of each point, in which the
+    recession is the quadrant (b = a for a half-plane)."""
+    lo, hi = recession.lo, recession.hi
+    a = lo[0] * pts[:, 1] - lo[1] * pts[:, 0]
+    b = a if recession.is_halfplane else pts[:, 0] * hi[1] - pts[:, 1] * hi[0]
+    return a, b
+
+
+def _clearly_dominated(pts, recession):
+    """Mask of the points that another point dominates by a wide margin in
+    both cone coordinates, found with one sort by a and a prefix minimum
+    of b.
+
+    The margin delta = 4 TOL max(1, 2 max|p|) exceeds every pair tolerance
+    TOL max(1, |p_i - p_j|) of the pairwise test by more than rounding, so a
+    point dropped here is strictly dominated there as well.  Dominance by
+    delta is transitive, so every dropped point, and every point that one
+    dominates or ties with, is strictly dominated by a point kept here: the
+    pairwise test on the kept points marks exactly the points it would mark
+    on all of them.
+    """
+    a, b = _cone_coords(pts, recession)
+    delta = 4.0 * TOL * max(1.0, 2.0 * float(np.max(np.abs(pts))))
+    order = np.argsort(a, kind="stable")
+    best_b = np.minimum.accumulate(b[order])
+    # Points whose a is at least delta below a_i form a prefix of the order.
+    below = np.searchsorted(a[order], a - delta, side="right")
+    return (below > 0) & (best_b[below - 1] <= b - delta)
+
+
+def _pairwise_dominated(pts, recession):
+    """Mask of the points that another point strictly dominates, or that
+    dominate each other with an earlier point (in the given order), up to
+    the pair tolerance.  Works through blocks of rows."""
+    m = pts.shape[0]
+    dominated = np.zeros(m, dtype=bool)
+    rows = max(1, _PAIR_BLOCK // m)
+    for r0 in range(0, m, rows):
+        diffs = (pts[r0 : r0 + rows, None, :] - pts[None, :, :]).reshape(-1, 2)
+        inside = recession.contains_many(diffs).reshape(-1, m)
+        covers = recession.contains_many(-diffs).reshape(-1, m)
+        earlier = np.arange(m) < np.arange(r0, r0 + inside.shape[0])[:, None]
+        dominated[r0 : r0 + rows] = (inside & (~covers | earlier)).any(axis=1)
+    return dominated
+
+
+def _greedy_cover(pts, recession):
+    """Points that cover all of pts up to the pair tolerance: in order of
+    a + b, each point that no kept point dominates.  A later point that
+    dominated a kept one without being dominated by it would have the
+    smaller a + b, so no kept point dominates another."""
+    a, b = _cone_coords(pts, recession)
+    kept = []
+    for i in np.argsort(a + b, kind="stable"):
+        if not recession.contains_many(pts[i] - pts[kept]).any():
+            kept.append(i)
+    return pts[kept]
+
+
 def region_from_points_plus_cone(points, recession):
     """Canonical region conv(points) + recession.
 
     Drops every point lying in the convex hull of the others plus the cone,
-    then orders the survivors along the lower-left boundary.
+    then orders the survivors along the lower-left boundary.  A point is
+    dropped when another one strictly dominates it up to the tolerance, or
+    when it and an earlier one (in lexicographic order) dominate each other.
+    A margin prefilter first drops the points that others clearly dominate,
+    so the pairwise test sees few points: time is O(m log m) plus that test
+    on the survivors, which runs in blocks, so memory is O(m).
+
+    Tolerant dominance is not transitive, so those rules can drop every
+    point.  Then the kept points are a greedy cover instead: each input point
+    lies within the tolerance of the region, and every vertex is an input
+    point.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
@@ -284,20 +359,12 @@ def region_from_points_plus_cone(points, recession):
         raise ValidationError("points contain non-finite entries")
     _check_upper_cone(recession)
 
+    # np.unique sorts the rows, which fixes the mutual rule's order.
     pts = np.unique(pts, axis=0)
-    m = pts.shape[0]
-    if m > 1:
-        diffs = pts[:, None, :] - pts[None, :, :]
-        inside = recession.contains_many(diffs.reshape(-1, 2)).reshape(m, m)
-        np.fill_diagonal(inside, False)
-        mutual = inside & inside.T
-        strict = inside & ~mutual
-        dominated = strict.any(axis=1)
-        # Mutually dominating near-duplicates: keep the lexicographically
-        # first representative (np.unique already sorted the rows).
-        ii, jj = np.nonzero(mutual)
-        dominated |= np.bincount(ii[ii > jj], minlength=m).astype(bool)
-        pts = pts[~dominated]
+    if pts.shape[0] > 1:
+        pts = pts[~_clearly_dominated(pts, recession)]
+        dominated = _pairwise_dominated(pts, recession)
+        pts = _greedy_cover(pts, recession) if dominated.all() else pts[~dominated]
 
     order = np.lexsort((pts[:, 1], -pts[:, 0]))
     pts = pts[order]
@@ -370,6 +437,8 @@ def region_from_halfspaces(halfspaces):
 
 def _window_halfspaces(window):
     x0, y0, x1, y1 = (float(v) for v in window)
+    if not np.all(np.isfinite([x0, y0, x1, y1])):
+        raise ValidationError("window bounds must be finite")
     if not (x0 < x1 and y0 < y1):
         raise ValidationError("window must satisfy x0 < x1 and y0 < y1")
     dirs = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .geom2d import TOL, ConvexCone2D, _cross, _unit
-from .riskstats import ES, WeightedSample, _settle_weight_sum, es_empirical
+from .riskstats import ES, VAR, WeightedSample, _settle_weight_sum, es_empirical
 
 CONE_DET = "cone-det"
 CONE_HALFPLANE_RANDOM = "cone-halfplane-random"
@@ -247,7 +247,16 @@ class PortfolioKind:
         return ConvexCone2D.nonneg_orthant()
 
     def risk_rule(self, risk_spec):
-        """Raise for risk functionals the kind's bounds do not hold for."""
+        """Raise for risk functionals the kind's bounds do not hold for.
+
+        The sandwich needs a coherent functional: value at risk is not
+        subadditive, so its dual cuts need not bound the selection hull.
+        """
+        if risk_spec.kind == VAR:
+            raise ValidationError(
+                "value-at-risk is not subadditive, so its bundles need not nest; "
+                "use expected-shortfall"
+            )
 
     def defaults(self, p):
         """Strategy set used for ``p`` when a run names none."""

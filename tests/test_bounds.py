@@ -319,6 +319,21 @@ class TestSandwich:
         bundle = compute_bundle(ALL_KIND_BUILDERS[kind](e), ES05)
         assert sandwich_violation(bundle) <= 1e-9
 
+    def test_bundle_that_does_not_nest_is_refused(self, monkeypatch):
+        # An outer cut that slices into the inner region breaks the sandwich.
+        p = ALL_KIND_BUILDERS["ball"](ensemble_for_kinds(seed=5))
+        far = region_from_points_plus_cone(np.array([[10.0, 10.0]]), ConvexCone2D.nonneg_orthant())
+        monkeypatch.setitem(bounds._OUTER_CUTS, "support-grid", lambda p, spec, n_dirs: far)
+        with pytest.raises(ValidationError, match="do not nest"):
+            compute_bundle(p, ES05)
+
+    @pytest.mark.parametrize("kind", sorted(ALL_KIND_BUILDERS))
+    def test_value_at_risk_refused(self, kind):
+        p = ALL_KIND_BUILDERS[kind](ensemble_for_kinds(seed=5))
+        for compute in (compute_bundle, inner_region, outer_region, marginal_region):
+            with pytest.raises(ValidationError):
+                compute(p, RiskSpec(VAR, 0.2))
+
     def test_violation_positive_when_swapped(self):
         e = ensemble_for_kinds(seed=6)
         b = compute_bundle(ALL_KIND_BUILDERS["ball"](e), ES05)
@@ -414,6 +429,15 @@ class TestBundleSerialization:
                     monkeypatch.setattr(bounds, "_BLOCK_VALUES", 2**30)
                     one_block = compute_bundle(p, ES05, audit=audit).to_json()
                     assert one_row == one_block, (kind, audit)
+                    # Two blocks, the second shorter, so the reused block
+                    # buffer holds stale rows past its end (a ball bundle has
+                    # two selections, which split only into equal blocks).
+                    count = json.loads(one_block)["meta"]["selections"]
+                    if count >= 3:
+                        rows = count // 2 + 1
+                        monkeypatch.setattr(bounds, "_BLOCK_VALUES", rows * ensemble.n)
+                        two_blocks = compute_bundle(p, ES05, audit=audit).to_json()
+                        assert two_blocks == one_block, (kind, audit)
 
     @pytest.mark.parametrize("block_values", [1, 2**30])
     def test_audit_names_first_cheating_selection(self, monkeypatch, block_values):

@@ -9,6 +9,7 @@ import pytest
 import svrisk
 
 import svrisk.cli as cli
+from svrisk.bounds import RiskBundle, sandwich_violation
 from svrisk.cli import entrypoint
 
 
@@ -207,6 +208,11 @@ class TestRisk:
             {"scenarios": {"generate": {"n": 10, "seed": 1, "rate": 1.5}}},
             {"scenarios": {"csv": ["scenarios.csv"]}},
             {"window": [-101, -101, -100, -100]},
+            {"window": "-inf,-inf,inf,inf"},
+            {"window": "-inf,0,5,5"},
+            {"scenarios": {"generate": {"n": 300, "seed": 31, "correlation": -0.5}},
+             "portfolio": {"kind": "segment-hull", "extra": "mirror"},
+             "risk": {"kind": "value-at-risk", "level": 0.2}},
         ],
         ids=[
             "explicit-without-gains", "explicit-wrong-shape", "directions",
@@ -214,6 +220,7 @@ class TestRisk:
             "unknown-strategy-key", "audit-string", "t-grid-count", "t-grid-string",
             "lambda-grid-list", "lambda-grid-count", "config-list", "generate-without-n",
             "generate-rate-number", "csv-not-string", "window-misses-region",
+            "window-infinite", "window-half-infinite", "value-at-risk",
         ],
     )
     def test_malformed_input_exits_two(self, tmp_path, capsys, patch):
@@ -225,6 +232,25 @@ class TestRisk:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert not (tmp_path / "o" / "bundle.json").exists()
+
+    def test_tolerance_cycle_of_selection_risks(self, tmp_path):
+        # Three selection risk points, each within the hull tolerance of the
+        # next in one coordinate, so tolerant dominance among them cycles.
+        csv = tmp_path / "one.csv"
+        csv.write_text("x1,x2\n0,0\n")
+        gains = [[[8e-10, 0.0]], [[4e-10, 8e-10]], [[1.2e-9, -8e-10]]]
+        cfg = write_json(
+            tmp_path / "cycle.json",
+            {
+                "scenarios": {"csv": str(csv)},
+                "portfolio": {"kind": "ball", "radius": 1.0},
+                "risk": {"kind": "expected-shortfall", "level": 0.5},
+                "strategies": [{"strategy": "explicit", "gains": g} for g in gains],
+            },
+        )
+        assert entrypoint(["risk", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        bundle = RiskBundle.from_dict(json.loads((tmp_path / "o" / "bundle.json").read_text()))
+        assert sandwich_violation(bundle) <= 1e-9
 
     def test_no_exchange_cone_runs_default_strategies(self, tmp_path, capsys):
         cfg = write_json(

@@ -9,6 +9,7 @@ from svrisk.geom2d import (
     ConvexCone2D,
     HalfSpaceSet,
     RiskRegion2D,
+    _cross,
     canonical_json,
     hausdorff_on_window,
     region_from_halfspaces,
@@ -131,6 +132,136 @@ class TestRegionConstruction:
     def test_recession_must_cover_orthant(self):
         with pytest.raises(ValidationError):
             RiskRegion2D(np.array([[0.0, 0.0]]), ConvexCone2D((1.0, 0.0), (1.0, 1.0)))
+
+
+def pairwise_reference_hull(points, recession):
+    """The all-pairs dominance filter and chain that the sorted prefilter
+    must reproduce bit for bit (m x m arrays; small inputs only)."""
+    pts = np.unique(np.asarray(points, dtype=float).reshape(-1, 2), axis=0)
+    m = pts.shape[0]
+    if m > 1:
+        diffs = pts[:, None, :] - pts[None, :, :]
+        inside = recession.contains_many(diffs.reshape(-1, 2)).reshape(m, m)
+        np.fill_diagonal(inside, False)
+        mutual = inside & inside.T
+        dominated = (inside & ~mutual).any(axis=1)
+        ii, jj = np.nonzero(mutual)
+        dominated |= np.bincount(ii[ii > jj], minlength=m).astype(bool)
+        pts = pts[~dominated]
+    pts = pts[np.lexsort((pts[:, 1], -pts[:, 0]))]
+    eps = 1e-9 * max(1.0, float(np.max(np.abs(pts))))
+    kept = [pts[0]]
+    for p in pts[1:]:
+        while len(kept) >= 2 and _cross(kept[-1] - kept[-2], p - kept[-1]) >= -eps:
+            kept.pop()
+        kept.append(p)
+    return RiskRegion2D(np.array(kept), recession)
+
+
+def fuzz_cones(rng):
+    r1, r2 = rng.uniform(1.0, 5.0, 2)
+    near = rng.uniform(1e-11, 1e-8, 2)
+    return [
+        ORTHANT,
+        ConvexCone2D((1.0, -1.0 / r2), (-1.0 / r1, 1.0)),
+        ConvexCone2D.halfplane((1.0, -rng.uniform(0.2, 5.0))),
+        ConvexCone2D((1.0, -near[0]), (-near[1], 1.0)),
+    ]
+
+
+def fuzz_points(rng, family):
+    m = int(rng.integers(1, 60))
+    if family == "cloud":
+        pts = rng.standard_normal((m, 2))
+    elif family == "ties":
+        pts = rng.integers(-3, 4, (m, 2)) / 2.0
+    elif family == "near-duplicates":
+        base = rng.standard_normal((max(1, m // 4), 2))
+        pts = base[rng.integers(0, len(base), m)] + 1e-11 * rng.standard_normal((m, 2))
+    elif family == "collinear":
+        d = rng.choice([(1.0, 0.0), (0.0, 1.0), (1.0, -rng.uniform(0.2, 5.0))])
+        d = rng.standard_normal(2) if rng.random() < 0.4 else np.asarray(d)
+        pts = rng.standard_normal(2) + rng.uniform(-2.0, 2.0, (m, 1)) * d
+    else:  # convex front, exact or with noise
+        t = rng.uniform(np.pi, 1.5 * np.pi, m)
+        noise = rng.choice([0.0, 1e-11, 1e-3])
+        pts = np.column_stack([np.cos(t), np.sin(t)]) + noise * rng.standard_normal((m, 2))
+    return pts * 10.0 ** rng.uniform(-3.0, 6.0)
+
+
+def hull_outcome(build, pts, cone):
+    try:
+        return build(pts, cone).vertices.tobytes()
+    except ValueError as exc:  # ValidationError included
+        return type(exc), str(exc)
+
+
+# What the pairwise rules raise when they drop every point.
+TOLERANCE_CYCLE = (ValueError, "zero-size array to reduction operation maximum which has no identity")
+
+
+class TestSortedHull:
+    def test_matches_pairwise_reference(self):
+        rng = np.random.default_rng(20261018)
+        compared = 0
+        for _ in range(300):
+            family = rng.choice(["cloud", "ties", "near-duplicates", "collinear", "front"])
+            pts = fuzz_points(rng, family)
+            for cone in fuzz_cones(rng):
+                ref = hull_outcome(pairwise_reference_hull, pts, cone)
+                if ref == TOLERANCE_CYCLE:
+                    continue  # TestToleranceCycle covers these
+                got = hull_outcome(region_from_points_plus_cone, pts, cone)
+                assert got == ref, (family, pts, cone)
+                compared += 1
+        assert compared > 1100
+
+    def test_large_input_stays_small(self):
+        import tracemalloc
+
+        rng = np.random.default_rng(5)
+        t = rng.uniform(np.pi, 1.5 * np.pi, 1000)
+        front = np.column_stack([np.cos(t), np.sin(t)])
+        cloud = rng.uniform(-0.7, 1.0, (19000, 2))  # each dominated by the front
+        tracemalloc.start()
+        try:
+            region = region_from_points_plus_cone(np.vstack([cloud, front]), ORTHANT)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # All pairs of 20,000 points would take 6.4 GB of differences alone.
+        assert peak < 32 * 2**20
+        assert region.vertices.tobytes() == pairwise_reference_hull(front, ORTHANT).vertices.tobytes()
+
+
+class TestToleranceCycle:
+    # Each pair here lies within the tolerance in one coordinate, so
+    # tolerant dominance cycles: the pairwise rules alone drop every point.
+    POINTS = np.array([[-8e-10, 0.0], [-4e-10, -8e-10], [-1.2e-9, 8e-10]])
+
+    def check_cover(self, pts, region):
+        assert len(region.vertices) >= 1
+        for v in region.vertices:
+            assert any(np.array_equal(v, p) for p in pts)
+        assert all(region.contains(p) for p in pts), pts
+
+    def test_region_covers_every_point(self):
+        assert hull_outcome(pairwise_reference_hull, self.POINTS, ORTHANT) == TOLERANCE_CYCLE
+        self.check_cover(self.POINTS, region_from_points_plus_cone(self.POINTS, ORTHANT))
+
+    def test_random_cycles_cover_every_point(self):
+        rng = np.random.default_rng(7)
+        cycles = 0
+        for _ in range(400):
+            pts = rng.uniform(-1.5e-9, 1.5e-9, (int(rng.integers(2, 7)), 2))
+            for cone in fuzz_cones(rng):
+                ref = hull_outcome(pairwise_reference_hull, pts, cone)
+                if ref == TOLERANCE_CYCLE:
+                    cycles += 1
+                    self.check_cover(pts, region_from_points_plus_cone(pts, cone))
+                else:
+                    assert hull_outcome(region_from_points_plus_cone, pts, cone) == ref
+        assert cycles > 0
 
 
 class TestRegionFromHalfspaces:
