@@ -19,6 +19,7 @@ from .geom2d import (
     ConvexCone2D,
     HalfSpaceSet,
     RiskRegion2D,
+    _scale_of,
     _unit,
     canonical_json,
     region_from_halfspaces,
@@ -43,7 +44,9 @@ from .selections import (
 # Largest support violation a selection may show when bundles are audited.
 _AUDIT_TOL = 1e-7
 # Largest slack sandwich_violation may show before compute_bundle refuses
-# to return a bundle.
+# to return a bundle, relative to the largest vertex coordinate of the three
+# regions (at least 1): the hull and the cuts carry rounding and tolerances
+# that grow with the data.
 _SANDWICH_TOL = 1e-9
 # Scenario values per column that one call of the row-wise risk kernel gets:
 # selections and support rows are evaluated in blocks of _BLOCK_VALUES // n
@@ -344,7 +347,8 @@ def compute_bundle(portfolio, risk_spec, strategies=None, n_dirs=181, audit=Fals
     }
     bundle = RiskBundle(inner=inner, outer=outer, marginal=marginal, meta=meta)
     violation = sandwich_violation(bundle)
-    if not violation <= _SANDWICH_TOL:
+    scale = max(_scale_of(r.vertices) for r in (inner, outer, marginal))
+    if not violation <= _SANDWICH_TOL * scale:
         raise ValidationError(f"regions do not nest (sandwich violation {violation:.3e})")
     return bundle
 

@@ -323,9 +323,10 @@ def _pairwise_dominated(pts, recession):
 
 def _greedy_cover(pts, recession):
     """Points that cover all of pts up to the pair tolerance: in order of
-    a + b, each point that no kept point dominates.  A later point that
-    dominated a kept one without being dominated by it would have the
-    smaller a + b, so no kept point dominates another."""
+    a + b, each point that no kept point dominates.  Every input point is
+    within the tolerance of a kept point, and every kept point is an input
+    point.  Kept points may still dominate each other, but only within the
+    tolerance."""
     a, b = _cone_coords(pts, recession)
     kept = []
     for i in np.argsort(a + b, kind="stable"):

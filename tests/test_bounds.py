@@ -319,6 +319,16 @@ class TestSandwich:
         bundle = compute_bundle(ALL_KIND_BUILDERS[kind](e), ES05)
         assert sandwich_violation(bundle) <= 1e-9
 
+    @pytest.mark.parametrize("scale", [1e6, 1e9])
+    @pytest.mark.parametrize("kind", sorted(ALL_KIND_BUILDERS))
+    def test_nested_for_every_kind_in_large_units(self, kind, scale):
+        # Gains in currency units: the rounding slack between the regions
+        # grows with the data, and a valid bundle must still be returned.
+        e = ensemble_for_kinds(seed=5)
+        large = ScenarioEnsemble(e.gains * scale, rates=e.rates)
+        bundle = compute_bundle(ALL_KIND_BUILDERS[kind](large), ES05)
+        assert sandwich_violation(bundle) <= 1e-9 * scale
+
     def test_bundle_that_does_not_nest_is_refused(self, monkeypatch):
         # An outer cut that slices into the inner region breaks the sandwich.
         p = ALL_KIND_BUILDERS["ball"](ensemble_for_kinds(seed=5))
