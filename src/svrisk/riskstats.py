@@ -110,14 +110,46 @@ def _check_level(alpha):
     return alpha
 
 
-def _sorted_rows(values, weights):
+# Equal-weight expected shortfall selects its tail with one O(n) partition
+# and sorts only the tail when the row has at least PARTITION_MIN_N scenarios
+# and the tail holds less than half of them; otherwise it sorts the whole
+# row.  Microseconds per row (one process on a 2-core x86-64 VM, numpy 2.4,
+# standard normal rows, np.sort / partition + tail sort):
+#
+#   n \ level     0.05          0.25          0.5           0.9
+#   100         0.35 / 0.49   0.32 / 0.54   0.32 / 0.61   0.36 / 0.69
+#   400         1.79 / 1.59   1.75 / 1.81   1.72 / 2.23   1.92 / 2.99
+#   1000        5.85 / 3.46   5.88 / 4.14   5.80 / 6.24   6.07 / 8.39
+#   2000        13.9 / 6.62   12.8 / 8.83   12.7 / 11.6   13.5 / 17.8
+#   50000       420 / 158     430 / 242     457 / 325     445 / 485
+PARTITION_MIN_N = 1000
+
+
+def _sorted_rows(values, weights, tail=None):
     """Sort each row by (value, weight), which makes every downstream
     reduction invariant under permutations of the scenario order, bit for
-    bit; returns the sorted values and the weights in matching order."""
+    bit; returns the sorted values and the weights in matching order.
+
+    ``tail`` is an expected-shortfall level.  With equal weights it lets
+    long rows be sorted only as far as the tail reaches: the m scenarios
+    that carry tail weight come first, in order, and the rest follow in no
+    particular order, which costs O(n) + O(m log m) instead of O(n log n).
+    Those scenarios enter the tail sum with weight exactly zero, so the sum
+    keeps its terms in the same places and its bits.
+    """
     if weights.min() == weights.max():
         # Tied values carry equal weights, so a value sort gives lexsort's
         # pairs up to the order of tied zeros of opposite sign, which sums
         # ignore and only the VaR pick below has to restore.
+        n = values.shape[-1]
+        if tail is not None and n >= PARTITION_MIN_N:
+            # The scenarios whose cumulative weight before them is below the
+            # level; the same float arithmetic as ``taken`` in risk_rows.
+            m = int(np.count_nonzero(np.cumsum(weights) - weights < tail))
+            if 2 * m < n:
+                v = np.partition(values, m - 1, axis=-1)
+                v[..., :m].sort(axis=-1)
+                return v, weights
         return np.sort(values, axis=-1), weights
     order = np.lexsort((np.broadcast_to(weights, values.shape), values), axis=-1)
     return np.take_along_axis(values, order, axis=-1), weights[order]
@@ -125,14 +157,19 @@ def _sorted_rows(values, weights):
 
 def risk_rows(spec, values, weights):
     """Risk of every row of a (k, n) array of scenario values under shared
-    probability weights (n,); the functional is described by ``spec``."""
+    probability weights (n,); the functional is described by ``spec``.
+
+    Equal-weight expected shortfall on long rows selects its tail instead of
+    sorting the whole row (see ``_sorted_rows``); every functional gives the
+    same bits as a full sort by (value, weight).  ``values`` is not modified.
+    """
     values = np.asarray(values, dtype=float)
     if spec.kind == NEG_ESSINF:
         live = weights > 0
         if not np.any(live):
             raise ValidationError("sample has no positive-weight scenario")
         return -np.min(values[:, live], axis=-1)
-    v, w = _sorted_rows(values, weights)
+    v, w = _sorted_rows(values, weights, tail=spec.level if spec.kind == ES else None)
     if spec.kind == NEG_EXPECTATION:
         return -(v * w).sum(axis=-1)
     alpha = spec.level

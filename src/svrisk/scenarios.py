@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 
@@ -117,51 +118,41 @@ _COLUMNS = ("x1", "x2", "pi", "w")
 def write_csv(ensemble, path):
     """Write scenarios with 12 significant digits per value."""
     cols = ["x1", "x2"]
+    data = [ensemble.gains[:, 0], ensemble.gains[:, 1]]
     if ensemble.rates is not None:
         cols.append("pi")
+        data.append(ensemble.rates)
     cols.append("w")
+    data.append(ensemble.weights)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(cols)
-        for i in range(ensemble.n):
-            row = [ensemble.gains[i, 0], ensemble.gains[i, 1]]
-            if ensemble.rates is not None:
-                row.append(ensemble.rates[i])
-            row.append(ensemble.weights[i])
-            writer.writerow([f"{v:.12g}" for v in row])
+        csv.writer(fh).writerow(cols)
+        # The bytes csv.writer gives for f"{v:.12g}" cells, in one call.
+        np.savetxt(fh, np.column_stack(data), fmt="%.12g", delimiter=",", newline="\r\n")
 
 
 def read_csv(path):
     """Read an ensemble written by ``write_csv`` (w and pi columns optional)."""
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = next(csv.reader(fh))
+            body = fh.read()
         except StopIteration:
             raise ValidationError(f"{path}: empty scenario file") from None
-        header = [h.strip() for h in header]
-        unknown = [h for h in header if h not in _COLUMNS]
-        if unknown or "x1" not in header or "x2" not in header:
-            raise ValidationError(
-                f"{path}: header must use columns x1,x2[,pi][,w], got {header}"
-            )
-        idx = {name: header.index(name) for name in header}
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != len(header):
-                raise ValidationError(
-                    f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
-                )
-            try:
-                rows.append([float(row[idx[name]]) for name in header])
-            except ValueError as exc:
-                raise ValidationError(f"{path}:{lineno}: {exc}") from None
-    if not rows:
-        raise ValidationError(f"{path}: no scenario rows")
-    data = np.asarray(rows, dtype=float)
-    cols = {name: data[:, header.index(name)] for name in header}
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{path}: {exc}") from None
+    header = [h.strip() for h in header]
+    unknown = [h for h in header if h not in _COLUMNS]
+    if unknown or "x1" not in header or "x2" not in header:
+        raise ValidationError(
+            f"{path}: header must use columns x1,x2[,pi][,w], got {header}"
+        )
+    for name in header:
+        if header.count(name) > 1:
+            raise ValidationError(f"{path}: column {name!r} appears twice in the header")
+    data = _parse_block(body, len(header))
+    if data is None:
+        data = _parse_rows(path, body, len(header))
+    cols = {name: data[:, i] for i, name in enumerate(header)}
     gains = np.column_stack([cols["x1"], cols["x2"]])
     rates = cols.get("pi")
     weights = cols.get("w")
@@ -169,3 +160,35 @@ def read_csv(path):
         return ScenarioEnsemble(gains, rates=rates, weights=weights)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from None
+
+
+def _parse_block(body, width):
+    """The rows after the header as one (rows, width) array parsed by numpy,
+    or None where numpy rejects them or finds another width.  Each cell it
+    accepts it converts as ``float()`` does, bit for bit."""
+    if not body.strip():
+        return None  # numpy would warn that the input has no data
+    try:
+        data = np.loadtxt(io.StringIO(body, newline=""), delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return data if data.shape[1] == width else None
+
+
+def _parse_rows(path, body, width):
+    """Parse the rows after the header one cell at a time.  This accepts
+    what numpy does not (quoted cells, rows of blank cells, ``1_0``) and
+    names the line of the first row it cannot read."""
+    rows = []
+    for lineno, row in enumerate(csv.reader(io.StringIO(body, newline="")), start=2):
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        if len(row) != width:
+            raise ValidationError(f"{path}:{lineno}: expected {width} fields, got {len(row)}")
+        try:
+            rows.append([float(cell) for cell in row])
+        except ValueError as exc:
+            raise ValidationError(f"{path}:{lineno}: {exc}") from None
+    if not rows:
+        raise ValidationError(f"{path}: no scenario rows")
+    return np.asarray(rows, dtype=float)

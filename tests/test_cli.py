@@ -39,6 +39,13 @@ def nonmargin_config(tmp_path, **extra):
     return write_json(tmp_path / "config.json", payload)
 
 
+def duplicate_column_csv(tmp_path):
+    """Config patch whose CSV names x1 twice; the second x1 holds no number."""
+    path = tmp_path / "dup.csv"
+    path.write_text("x1,x2,x1\n-2,4,nope\n4,-2,nope\n")
+    return {"scenarios": {"csv": str(path)}}
+
+
 GEN_WITH_RATES = {"n": 30, "seed": 3, "rate": {"mean": 1.5, "vol": 0.3}}
 # Config patch for a liquidity-capped portfolio on generated scenarios.
 LIQUIDITY = {
@@ -213,6 +220,7 @@ class TestRisk:
             {"scenarios": {"generate": {"n": 300, "seed": 31, "correlation": -0.5}},
              "portfolio": {"kind": "segment-hull", "extra": "mirror"},
              "risk": {"kind": "value-at-risk", "level": 0.2}},
+            duplicate_column_csv,
         ],
         ids=[
             "explicit-without-gains", "explicit-wrong-shape", "directions",
@@ -221,9 +229,12 @@ class TestRisk:
             "lambda-grid-list", "lambda-grid-count", "config-list", "generate-without-n",
             "generate-rate-number", "csv-not-string", "window-misses-region",
             "window-infinite", "window-half-infinite", "value-at-risk",
+            "duplicate-column",
         ],
     )
     def test_malformed_input_exits_two(self, tmp_path, capsys, patch):
+        if callable(patch):
+            patch = patch(tmp_path)
         if isinstance(patch, dict):
             cfg = nonmargin_config(tmp_path, **patch)
         else:

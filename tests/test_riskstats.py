@@ -6,6 +6,7 @@ from svrisk.riskstats import (
     ES,
     NEG_ESSINF,
     NEG_EXPECTATION,
+    PARTITION_MIN_N,
     VAR,
     RiskSpec,
     WeightedSample,
@@ -327,14 +328,26 @@ class TestRiskRows:
     @pytest.mark.parametrize("spec", ALL_SPECS[:-1], ids=lambda s: f"{s.kind}-{s.level}")
     def test_uniform_weights_match_lexsort_bit_for_bit(self, spec):
         rng = np.random.default_rng(23)
-        for n in (3, 64, 257, 4000):
+        for n in (1, 3, 64, 257, PARTITION_MIN_N - 1, PARTITION_MIN_N, 4000):
             values = np.round(rng.standard_normal((3, n)), 2)
             values[:, rng.random(n) < 0.3] = 0.0
             values[:, rng.random(n) < 0.3] = -0.0
+            # Sums of untied values change bits when their order does.
+            values = np.vstack([values, rng.standard_normal((8, n))])
             w = np.full(n, 1.0 / n)
-            for r, got in enumerate(risk_rows(spec, values, w)):
-                want = _lexsort_reference(spec, values[r], w)
-                assert np.float64(got).tobytes() == np.float64(want).tobytes()
+            specs = [spec]
+            if spec.level is not None:
+                # A tail of one scenario (level < 1/n), of all n (level near
+                # 1), and tails that end exactly on a scenario (k/n).
+                levels = (0.5 / n, 1 - 0.1 / n, 1 / n, (n // 10) / n, (n // 2 - 1) / n)
+                specs += [RiskSpec(spec.kind, a) for a in levels if 0 < a < 1]
+            for s in specs:
+                before = values.copy()
+                rows = risk_rows(s, values, w)
+                assert values.tobytes() == before.tobytes()
+                for r, got in enumerate(rows):
+                    want = _lexsort_reference(s, values[r], w)
+                    assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
     def test_var_picks_the_zero_lexsort_picks(self):
         # Only zeros near the quantile: the sign of the answer depends on

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -168,3 +170,74 @@ class TestCsvRoundtrip:
         write_csv(e, path)
         header = path.read_text().splitlines()[0]
         assert header == "x1,x2,w"
+
+    @pytest.mark.parametrize("header, column", [("x1,x2,x1", "x1"), ("x1,x2,w,w", "w")])
+    def test_duplicate_column_rejected_before_rows(self, tmp_path, header, column):
+        path = tmp_path / "s.csv"
+        path.write_text(f"{header}\n1.0,2.0,nope,0\n")
+        with pytest.raises(ValidationError, match=f"column '{column}' appears twice") as exc:
+            read_csv(path)
+        assert ":2:" not in str(exc.value)
+
+    @pytest.mark.parametrize("with_rates", [False, True])
+    def test_write_matches_csv_writer_bytes(self, tmp_path, with_rates):
+        gains = np.array([[-0.0, 5e-324], [1e300, -1e300], [0.1, 1 / 3]])
+        rates = np.array([1e300, 5e-324, 1.5]) if with_rates else None
+        e = ScenarioEnsemble(gains, rates=rates)
+        ref = tmp_path / "ref.csv"
+        with open(ref, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["x1", "x2", "pi", "w"] if with_rates else ["x1", "x2", "w"])
+            for i in range(e.n):
+                row = [*e.gains[i]] + ([e.rates[i]] if with_rates else []) + [e.weights[i]]
+                writer.writerow([f"{v:.12g}" for v in row])
+        path = tmp_path / "s.csv"
+        write_csv(e, path)
+        assert path.read_bytes() == ref.read_bytes()
+
+    def test_large_roundtrip_matches_float_per_cell(self, tmp_path):
+        e = generate(GenSpec(n=50_000, seed=19, rate_mean=1.2, rate_vol=0.3))
+        path = tmp_path / "s.csv"
+        write_csv(e, path)
+        with open(path, newline="") as fh:
+            cells = np.array([[float(c) for c in row] for row in list(csv.reader(fh))[1:]])
+        back = read_csv(path)
+        assert back.gains.tobytes() == cells[:, :2].tobytes()
+        assert back.rates.tobytes() == cells[:, 2].tobytes()
+        assert back.weights.tobytes() == cells[:, 3].tobytes()
+
+
+# Files the one-pass parse rejects or reads differently from a per-cell
+# parse: each gives the ensemble or the one-line message the row loop gives.
+ODD_FILES = {
+    "quoted": ('x1,x2\n"1.5","-2"\n3,4\n', [[1.5, -2.0], [3.0, 4.0]]),
+    "blank-cells": ("x1,x2\n1,2\n,\n3,4\n", [[1.0, 2.0], [3.0, 4.0]]),
+    "crlf": ("x1,x2\r\n1,2\r\n3,4\r\n", [[1.0, 2.0], [3.0, 4.0]]),
+    "underscore": ("x1,x2\n1_0,2\n", [[10.0, 2.0]]),
+    "trailing-comma": ("x1,x2\n1,2,\n3,4,\n", ":2: expected 2 fields, got 3"),
+    "ragged": ("x1,x2\n1,2\n3\n", ":3: expected 2 fields, got 1"),
+    "bad-cell": ("x1,x2\n1,2\nnope,4\n", ":3: could not convert string to float: 'nope'"),
+    "header-only": ("x1,x2\n", ": no scenario rows"),
+    "empty": ("", ": empty scenario file"),
+}
+
+
+@pytest.mark.parametrize("name", list(ODD_FILES))
+def test_odd_files_read_as_the_row_loop_does(tmp_path, capfd, name):
+    text, want = ODD_FILES[name]
+    path = tmp_path / "s.csv"
+    path.write_bytes(text.encode())
+    if isinstance(want, str):
+        with pytest.raises(ValidationError) as exc:
+            read_csv(path)
+        assert str(exc.value) == f"{path}{want}"
+    else:
+        assert read_csv(path).gains.tolist() == want
+    assert capfd.readouterr().err == ""
+
+
+def test_undecodable_file_reports_path(tmp_path):
+    path = tmp_path / "s.csv"
+    path.write_bytes(b"x1,x2\n1,\xff2\n")
+    with pytest.raises(ValidationError, match="s.csv: .*can't decode byte 0xff"):
+        read_csv(path)
