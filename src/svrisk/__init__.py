@@ -59,14 +59,12 @@ from .selections import (
     build_family,
     comonotone_corner_points,
     comonotone_corner_selections,
-    convex_mix,
     default_strategy_configs,
     frictionless_direction,
     frictionless_projection,
     liquidity_capped_projection,
     liquidity_corners,
     quantile_shift_projection,
-    scaled_family,
 )
 
 __version__ = "0.1.0"

@@ -8,7 +8,6 @@ to support values.  Between them sits the coordinatewise marginal bound.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -34,12 +33,8 @@ from .riskstats import (
     risk_rows,
     var_empirical,
 )
-from .selections import (
-    SelectionMatrix,
-    _family_stream,
-    default_strategy_configs,
-    selection_auditor,
-)
+from . import selections
+from .selections import _bundle_families, _matrices, selection_auditor
 
 # Largest support violation a selection may show when bundles are audited.
 _AUDIT_TOL = 1e-7
@@ -48,19 +43,6 @@ _AUDIT_TOL = 1e-7
 # regions (at least 1): the hull and the cuts carry rounding and tolerances
 # that grow with the data.
 _SANDWICH_TOL = 1e-9
-# Scenario values per column that one call of the row-wise risk kernel gets:
-# selections and support rows are evaluated in blocks of _BLOCK_VALUES // n
-# rows (at least one), so memory stays bounded however many there are.
-# Callers drop each block before asking for the next, so one is alive at a
-# time.
-_BLOCK_VALUES = 2**18
-
-
-def _blocks(items, n):
-    """Consecutive lists of the items, each as large as the budget allows."""
-    size = max(1, _BLOCK_VALUES // n)
-    items = iter(items)
-    return iter(lambda: list(itertools.islice(items, size)), [])
 
 
 def risk_point(gains, weights, risk_spec):
@@ -120,55 +102,64 @@ def inner_recession(portfolio, risk_spec):
     return portfolio.definition.recession(portfolio, risk_spec)
 
 
-def _selection_stream(portfolio, risk_spec, strategies):
-    """Identity, then each strategy's selections as they are made.  Every
-    configuration is checked and parsed before the first one is made."""
-    configs = (
-        default_strategy_configs(portfolio) if strategies is None else list(strategies)
-    )
-    families = [_family_stream(portfolio, cfg, risk_spec) for cfg in configs]
-    made = itertools.chain.from_iterable(families)
-    return itertools.chain(
-        [SelectionMatrix(portfolio.ensemble.gains, "identity")],
-        (sel for sel in made if sel.label != "identity"),
-    )
-
-
 def gather_selections(portfolio, risk_spec, strategies=None):
     """Expand strategy configs into selections; identity is always present."""
-    return list(_selection_stream(portfolio, risk_spec, strategies))
+    n = portfolio.ensemble.n
+    return [
+        sel
+        for family in _bundle_families(portfolio, risk_spec, strategies)
+        for sel in _matrices(family, n)
+    ]
+
+
+def _filled_blocks(families, buf):
+    """Fill ``buf`` with the families' selections in order, as many at a time
+    as it holds; yields the number of rows filled and, for each family part
+    in the block, its first row, the family and the part's first index."""
+    rows, parts = 0, []
+    for family in families:
+        lo = 0
+        while lo < family.count:
+            hi = min(family.count, lo + len(buf) - rows)
+            family.fill(buf[rows:], lo, hi)
+            parts.append((rows, family, lo))
+            rows += hi - lo
+            lo = hi
+            if rows == len(buf):
+                yield rows, parts
+                rows, parts = 0, []
+    if rows:
+        yield rows, parts
 
 
 def _selection_hull(portfolio, risk_spec, strategies, audit):
-    """Stream the selections in blocks: audit each block if asked, evaluate
-    its risk points with one kernel call per column, and hull all points
-    with the inner recession; returns (number of selections, region)."""
+    """Fill one block buffer with the selections, family by family: audit
+    each block if asked, evaluate its risk points with one kernel call per
+    column, and hull all points with the inner recession; returns (number of
+    selections, region)."""
+    n = portfolio.ensemble.n
     weights = portfolio.ensemble.weights
-    stream = _selection_stream(portfolio, risk_spec, strategies)
+    families = _bundle_families(portfolio, risk_spec, strategies)
     auditor = selection_auditor(portfolio) if audit else None
+    total = sum(family.count for family in families)
+    # One buffer for every block keeps the allocator from handing the
+    # block's pages back and faulting them in again for every block.
+    buf = np.empty((min(total, max(1, selections._BLOCK_VALUES // n)), n, 2))
     points = []
-    buf = None
-    for block in _blocks(stream, portfolio.ensemble.n):
-        # The first block is the largest; refilling its buffer keeps the
-        # allocator from handing the block's pages back and faulting them
-        # in again for every block.
-        if buf is None:
-            buf = np.empty((len(block), portfolio.ensemble.n, 2))
-        gains = np.stack([sel.gains for sel in block], out=buf[: len(block)])
-        labels = [sel.label for sel in block]
-        del block
+    for rows, parts in _filled_blocks(families, buf):
+        gains = buf[:rows]
         if auditor is not None:
             gaps = auditor(gains)
             bad = np.flatnonzero(gaps > _AUDIT_TOL)
             if bad.size:
+                first, family, lo = next(p for p in reversed(parts) if p[0] <= bad[0])
                 raise ValidationError(
-                    f"selection {labels[bad[0]]!r} leaves the portfolio "
-                    f"(support violation {gaps[bad[0]]:.3e})"
+                    f"selection {family.label(lo + bad[0] - first)!r} leaves the "
+                    f"portfolio (support violation {gaps[bad[0]]:.3e})"
                 )
         points.append(
             np.column_stack([risk_rows(risk_spec, gains[..., j], weights) for j in (0, 1)])
         )
-        del gains
     points = np.vstack(points)
     region = region_from_points_plus_cone(points, inner_recession(portfolio, risk_spec))
     return len(points), region
@@ -183,28 +174,26 @@ def inner_region(portfolio, risk_spec, strategies=None, audit=False):
 def _support_cuts(portfolio, risk_spec, candidates):
     """The candidate directions whose support is finite on every live
     scenario, and the risks of their support values (the cut offsets),
-    evaluated in blocks."""
+    evaluated in blocks of directions."""
+    candidates = np.asarray(candidates, dtype=float)
     weights = portfolio.ensemble.weights
     live = weights > 0
-
-    def finite_supports():
-        for u in candidates:
-            h = portfolio.support_values(u)
-            if np.all(np.isfinite(h[live])):
-                if not np.all(np.isfinite(h)):
-                    raise ValidationError(
-                        "support values are not finite on a zero-weight scenario"
-                    )
-                yield u, h
-
+    size = max(1, selections._BLOCK_VALUES // portfolio.ensemble.n)
     dirs, offsets = [], []
-    for block in _blocks(finite_supports(), portfolio.ensemble.n):
-        dirs += [u for u, _ in block]
-        rows = np.stack([h for _, h in block])
-        del block
+    for lo in range(0, len(candidates), size):
+        U = candidates[lo : lo + size]
+        rows = portfolio.support_values(U)
+        fin = np.isfinite(rows)
+        finite = fin.all(axis=1)
+        if not finite.all():
+            # Only directions with an infinite entry need the live mask.
+            if fin[~finite][:, live].all(axis=1).any():
+                raise ValidationError("support values are not finite on a zero-weight scenario")
+            U, rows = U[finite], rows[finite]
+        dirs.append(U)
         offsets += risk_rows(risk_spec, rows, weights).tolist()
         del rows
-    return dirs, offsets
+    return np.concatenate(dirs), offsets
 
 
 def outer_region_det_cone(portfolio, risk_spec):
@@ -221,12 +210,11 @@ def outer_region_support_grid(portfolio, risk_spec, n_dirs=181):
     """Dual cuts over a first-quadrant direction fan, skipping directions
     with unbounded support.  Exchange-cone portfolios also probe the exact
     dual generators, where the support stays finite."""
-    candidates = list(direction_grid(n_dirs))
-    candidates += portfolio.definition.exact_dirs(portfolio)
-    dirs, offsets = _support_cuts(portfolio, risk_spec, candidates)
-    if not dirs:
+    candidates = [direction_grid(n_dirs)] + portfolio.definition.exact_dirs(portfolio)
+    dirs, offsets = _support_cuts(portfolio, risk_spec, np.vstack(candidates))
+    if not len(dirs):
         raise WholePlaneError("every probed direction has unbounded support")
-    return region_from_halfspaces(HalfSpaceSet(np.asarray(dirs), offsets))
+    return region_from_halfspaces(HalfSpaceSet(dirs, offsets))
 
 
 _CERTIFICATE_BUILDERS = (

@@ -201,13 +201,28 @@ class SetPortfolio:
         return KINDS[self.kind]
 
     def support_values(self, u):
-        """Per-scenario support function at direction u (may contain +inf)."""
-        u = np.asarray(u, dtype=float)
-        if u.shape != (2,):
-            raise ValidationError("direction must be a 2-vector")
-        if np.any(u < -TOL) or np.all(u == 0):
+        """Per-scenario support function (may contain +inf): the (n,) row at a
+        direction u, or the (k, n) rows at each row of a (k, 2) block of
+        directions, which are checked once for the whole block."""
+        U = np.asarray(u, dtype=float)
+        one = U.ndim == 1
+        if one:
+            if U.shape != (2,):
+                raise ValidationError("direction must be a 2-vector")
+            U = U[None, :]
+        elif U.ndim != 2 or U.shape[1] != 2:
+            raise ValidationError("directions must be a 2-vector or a (k, 2) array")
+        U = np.ascontiguousarray(U)
+        if np.any(U < -TOL) or np.any(np.all(U == 0, axis=1)):
             raise ValidationError("direction must be non-zero with u >= 0")
-        return self.definition.support(self, u, self.ensemble.gains @ u)
+        gains = self.ensemble.gains
+        base = np.empty((len(U), self.ensemble.n))
+        for u, row in zip(U, base):
+            # One matrix-vector product per row, as gains @ u rounds it;
+            # gains @ U.T would round some entries differently.
+            np.matmul(gains, u, out=row)
+        rows = self.definition.support(self, U, base)
+        return rows[0] if one else rows
 
 
 def tail_slope_cone(rate_sample, alpha):
@@ -222,8 +237,10 @@ def tail_slope_cone(rate_sample, alpha):
 class PortfolioKind:
     """Everything that sets one kind of set-valued portfolio apart.
 
-    Each kind is a subclass that also defines ``support(p, u, base)``, the
-    per-scenario support values at u given ``base = gains @ u``, and
+    Each kind is a subclass that also defines ``support(p, U, base)``, the
+    per-scenario support values at each row u of a (k, 2) block of directions
+    ``U`` given the (k, n) array ``base`` of rows ``gains @ u``, which it may
+    overwrite and return, and
     ``parse(block, ensemble)``, which builds a portfolio from a config block
     and pops the keys it reads.  ``outer`` names the outer-cut method in
     ``bounds``.  ``strategies`` is the default strategy set; apart from
@@ -291,10 +308,10 @@ class _ConeDet(PortfolioKind):
             return self.strategies
         return tuple(c for c in self.strategies if c["strategy"] != "corner-selections")
 
-    def support(self, p, u, base):
-        if dual_cone(p.cone).contains(_unit(u)):
-            return base
-        return np.full(p.ensemble.n, np.inf)
+    def support(self, p, U, base):
+        units = U / np.hypot(U[:, 0], U[:, 1])[:, None]
+        base[~dual_cone(p.cone).contains_many(units)] = np.inf
+        return base
 
     def parse(self, block, ensemble):
         if "frictionless_rate" in block:
@@ -317,14 +334,14 @@ class _RandomHalfplane(PortfolioKind):
     strategies = (_IDENTITY, {"strategy": "frictionless"}, {"strategy": "axis-transfer"})
     trades_at_rate = True
 
-    def support(self, p, u, base):
+    def support(self, p, U, base):
         pi = p.ensemble.rates
         # u must be parallel to the scenario's dual ray (pi, 1).
-        misalign = np.abs(u[0] - pi * u[1])
-        ok = misalign <= TOL * np.maximum(1.0, np.abs(pi)) * max(
-            1.0, float(np.max(np.abs(u)))
-        )
-        return np.where(ok, base, np.inf)
+        misalign = np.abs(U[:, :1] - pi * U[:, 1:])
+        scale = np.maximum(1.0, np.max(np.abs(U), axis=1))
+        ok = misalign <= TOL * np.maximum(1.0, np.abs(pi)) * scale[:, None]
+        base[~ok] = np.inf
+        return base
 
     def parse(self, block, ensemble):
         return SetPortfolio.random_halfplane(ensemble)
@@ -353,12 +370,11 @@ class _LiquidityCapped(PortfolioKind):
         object.__setattr__(p, "cap", cap)
         cap.setflags(write=False)
 
-    def support(self, p, u, base):
+    def support(self, p, U, base):
         pi = p.ensemble.rates
-        bonus = np.maximum(
-            p.cap[0] * (u[0] - pi * u[1]), p.cap[1] * (u[1] - u[0] / pi)
-        )
-        return base + bonus
+        u0, u1 = U[:, :1], U[:, 1:]
+        base += np.maximum(p.cap[0] * (u0 - pi * u1), p.cap[1] * (u1 - u0 / pi))
+        return base
 
     def parse(self, block, ensemble):
         return SetPortfolio.liquidity_capped(ensemble, cap=block.pop("cap", (1.0, 1.0)))
@@ -372,8 +388,9 @@ class _Ball(PortfolioKind):
             raise ValidationError("ball portfolios need a positive radius")
         object.__setattr__(p, "radius", float(p.radius))
 
-    def support(self, p, u, base):
-        return base + p.radius * float(np.hypot(u[0], u[1]))
+    def support(self, p, U, base):
+        base += (p.radius * np.hypot(U[:, 0], U[:, 1]))[:, None]
+        return base
 
     def parse(self, block, ensemble):
         return SetPortfolio.ball(ensemble, radius=block.pop("radius"))
@@ -392,9 +409,12 @@ class _SegmentHull(PortfolioKind):
             g.setflags(write=False)
         object.__setattr__(p, "extra_gains", extras)
 
-    def support(self, p, u, base):
-        cand = [base] + [g @ u for g in p.extra_gains]
-        return np.max(np.stack(cand), axis=0)
+    def support(self, p, U, base):
+        other = np.empty(p.ensemble.n)
+        for u, row in zip(U, base):
+            for g in p.extra_gains:
+                np.maximum(row, np.matmul(g, u, out=other), out=row)
+        return base
 
     def parse(self, block, ensemble):
         if block.pop("extra", None) == "mirror":

@@ -135,7 +135,9 @@ def _sorted_rows(values, weights, tail=None):
     that carry tail weight come first, in order, and the rest follow in no
     particular order, which costs O(n) + O(m log m) instead of O(n log n).
     Those scenarios enter the tail sum with weight exactly zero, so the sum
-    keeps its terms in the same places and its bits.
+    keeps its terms in the same places and its bits.  The running sums of
+    the weights that this needs are returned as the third value (None when
+    they were not needed), so that ``risk_rows`` does not sum them again.
     """
     if weights.min() == weights.max():
         # Tied values carry equal weights, so a value sort gives lexsort's
@@ -145,14 +147,16 @@ def _sorted_rows(values, weights, tail=None):
         if tail is not None and n >= PARTITION_MIN_N:
             # The scenarios whose cumulative weight before them is below the
             # level; the same float arithmetic as ``taken`` in risk_rows.
-            m = int(np.count_nonzero(np.cumsum(weights) - weights < tail))
+            cw = np.cumsum(weights)
+            m = int(np.count_nonzero(cw - weights < tail))
             if 2 * m < n:
                 v = np.partition(values, m - 1, axis=-1)
                 v[..., :m].sort(axis=-1)
-                return v, weights
-        return np.sort(values, axis=-1), weights
+                return v, weights, cw
+            return np.sort(values, axis=-1), weights, cw
+        return np.sort(values, axis=-1), weights, None
     order = np.lexsort((np.broadcast_to(weights, values.shape), values), axis=-1)
-    return np.take_along_axis(values, order, axis=-1), weights[order]
+    return np.take_along_axis(values, order, axis=-1), weights[order], None
 
 
 def risk_rows(spec, values, weights):
@@ -169,11 +173,12 @@ def risk_rows(spec, values, weights):
         if not np.any(live):
             raise ValidationError("sample has no positive-weight scenario")
         return -np.min(values[:, live], axis=-1)
-    v, w = _sorted_rows(values, weights, tail=spec.level if spec.kind == ES else None)
+    v, w, cw = _sorted_rows(values, weights, tail=spec.level if spec.kind == ES else None)
     if spec.kind == NEG_EXPECTATION:
         return -(v * w).sum(axis=-1)
     alpha = spec.level
-    cw = np.cumsum(w, axis=-1)
+    if cw is None:
+        cw = np.cumsum(w, axis=-1)
     if spec.kind == ES:
         taken = np.clip(alpha - (cw - w), 0.0, w)
         return -(v * taken).sum(axis=-1) / alpha

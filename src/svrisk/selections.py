@@ -1,19 +1,24 @@
 """Selection strategies: scenario-wise compensated positions inside a portfolio.
 
-Each strategy emits one or more selection matrices; the risk of a selection
-is evaluated coordinatewise and its point enters the inner approximation
-hull.  Every emitted row must stay inside the scenario's attainable set,
-which the audit verifies through support-function inequalities:
-``selection_auditor`` computes the support rows of its directions once per
-portfolio and checks whole blocks of selections against them, and
-``audit_selection`` is its one-selection call.
+Each strategy expands into families of selections.  A family is a count,
+``label(i)`` and ``fill(out, lo, hi)``, which writes the gains of selections
+lo..hi-1 straight into a block buffer, so a grid of selections costs a few
+array operations per block instead of one object per selection; a selection
+that a strategy makes on its own is a one-row family.  ``build_family``
+turns families into ``SelectionMatrix`` lists.  The risk of a selection is
+evaluated coordinatewise and its point enters the inner approximation hull.
+Every emitted row must stay inside the scenario's attainable set, which the
+audit verifies through support-function inequalities: ``selection_auditor``
+computes the support rows of its directions once per portfolio and checks
+whole blocks of selections against them, and ``audit_selection`` is its
+one-selection call.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -21,6 +26,11 @@ from .errors import ValidationError
 from .geom2d import _unit
 from .markets import dual_cone
 from .riskstats import WeightedSample, es_empirical, var_empirical
+
+# Scenario values per column in one block: selections are filled and
+# evaluated, and support rows built, in blocks of _BLOCK_VALUES // n rows (at
+# least one), so memory stays bounded however many there are.
+_BLOCK_VALUES = 2**18
 
 
 @dataclass(frozen=True)
@@ -38,6 +48,45 @@ class SelectionMatrix:
             raise ValidationError("selection gains contain non-finite entries")
         object.__setattr__(self, "gains", g)
         g.setflags(write=False)
+
+
+class Family(NamedTuple):
+    """``count`` selections of one strategy, made on demand.
+
+    ``label(i)`` names selection i, and ``fill(out, lo, hi)`` writes the gains
+    of selections lo..hi-1 into ``out[:hi - lo]`` of a (b, n, 2) buffer.
+    """
+
+    count: int
+    label: Callable[[int], str]
+    fill: Callable[[np.ndarray, int, int], None]
+
+
+def _row(selection):
+    """One-row family of a selection made on its own."""
+
+    def fill(out, lo, hi):
+        out[0] = selection.gains
+
+    return Family(1, lambda i: selection.label, fill)
+
+
+def _rows(*selections):
+    return [_row(sel) for sel in selections]
+
+
+def _matrices(family, n):
+    """The family's selections as selection matrices, filled at once."""
+    out = np.empty((family.count, n, 2))
+    family.fill(out, 0, family.count)
+    return [SelectionMatrix(gains, family.label(i)) for i, gains in enumerate(out)]
+
+
+def _grid(values, name):
+    grid = np.asarray(values, dtype=float)
+    if grid.ndim != 1:
+        raise ValidationError(f"{name} must be a list of numbers")
+    return grid
 
 
 def default_t_grid(scale, count=33, span=4.0):
@@ -130,11 +179,13 @@ def quantile_shift_projection(ensemble, cone, alpha, side="both"):
 
 
 def _scaled(ensemble, eta, grid, ray=None, cone=None, label="shift"):
-    # Checks the family at once and returns a generator of its selections.
+    """Family X + t * eta over the grid.  With a ray partition whose two
+    groups both move, the groups are scaled independently over the full
+    (t, s) product, (X + t * m1) + s * m2 with s running fastest."""
     eta = np.asarray(eta, dtype=float)
     if eta.shape != ensemble.gains.shape:
         raise ValidationError("eta must match the gains matrix")
-    t_values = np.asarray(grid)
+    t_values = _grid(grid, "scale grid")
     if np.any(t_values < 0):
         raise ValidationError("scale grid must be non-negative")
     if cone is not None:
@@ -142,22 +193,35 @@ def _scaled(ensemble, eta, grid, ray=None, cone=None, label="shift"):
         if bad.size:
             raise ValidationError(f"eta leaves the exchange cone at row {bad[0]}")
     x = ensemble.gains
+    k = len(t_values)
     if ray is not None:
         m1 = (np.asarray(ray) == 1)[:, None] * eta
         m2 = (np.asarray(ray) == 2)[:, None] * eta
         if np.any(m1 != 0.0) and np.any(m2 != 0.0):
-            return (
-                SelectionMatrix(x + t * m1 + s * m2, f"{label}(t={t:.6g},s={s:.6g})")
-                for t in t_values
-                for s in t_values
+
+            def fill_product(out, lo, hi):
+                # One run of s values per t: the run's rows share X + t * m1.
+                first = lo
+                while first < hi:
+                    t, s = divmod(first, k)
+                    last = min(hi, first + k - s)
+                    rows = out[first - lo : last - lo]
+                    np.multiply(t_values[s : s + last - first, None, None], m2, out=rows)
+                    rows += x + t_values[t] * m1
+                    first = last
+
+            return Family(
+                k * k,
+                lambda i: f"{label}(t={t_values[i // k]:.6g},s={t_values[i % k]:.6g})",
+                fill_product,
             )
-    return (SelectionMatrix(x + t * eta, f"{label}(t={t:.6g})") for t in t_values)
 
+    def fill(out, lo, hi):
+        rows = out[: hi - lo]
+        np.multiply(t_values[lo:hi, None, None], eta, out=rows)
+        rows += x
 
-def scaled_family(ensemble, eta, grid, ray=None, cone=None, label="shift"):
-    """Selections X + t * eta over the grid; with a ray partition the two
-    ray groups are scaled independently over the full (t, s) product."""
-    return list(_scaled(ensemble, eta, grid, ray, cone, label))
+    return Family(k, lambda i: f"{label}(t={t_values[i]:.6g})", fill)
 
 
 def liquidity_capped_projection(ensemble, cap=(1.0, 1.0)):
@@ -244,24 +308,21 @@ def boost_worst_coordinate(ensemble, radius):
 
 
 def _mix(first, second, lambda_values):
-    # Checks the grid at once and returns a generator of the mixtures.
-    if first.gains.shape != second.gains.shape:
-        raise ValidationError("selections must share the scenario space")
-    lam = np.asarray(lambda_values, dtype=float)
+    """Family l * first + (1 - l) * second over the grid: convex combinations
+    of two selections of the same convex portfolio."""
+    lam = _grid(lambda_values, "lambda grid")
     if np.any(lam < 0) or np.any(lam > 1):
         raise ValidationError("lambda grid must lie inside [0, 1]")
-    return (
-        SelectionMatrix(
-            l * first.gains + (1.0 - l) * second.gains,
-            f"mix({first.label},{second.label},lam={l:.6g})",
-        )
-        for l in lam
+    a, b = first.gains, second.gains
+
+    def fill(out, lo, hi):
+        rows = out[: hi - lo]
+        np.multiply(lam[lo:hi, None, None], a, out=rows)
+        rows += (1.0 - lam[lo:hi, None, None]) * b
+
+    return Family(
+        len(lam), lambda i: f"mix({first.label},{second.label},lam={lam[i]:.6g})", fill
     )
-
-
-def convex_mix(first, second, lambda_values):
-    """Convex combinations of two selections of the same convex portfolio."""
-    return list(_mix(first, second, lambda_values))
 
 
 # Directions of the first-quadrant fan that the audit probes.
@@ -281,12 +342,16 @@ def selection_auditor(portfolio):
     E = portfolio.ensemble
     angles = np.linspace(0.0, np.pi / 2.0, _AUDIT_DIRS)
     dirs = [np.array([np.cos(a), np.sin(a)]) for a in angles]
-    dirs += portfolio.definition.exact_dirs(portfolio)
+    dirs = np.array(dirs + portfolio.definition.exact_dirs(portfolio))
+    size = max(1, _BLOCK_VALUES // E.n)
     rows = []
-    for u in dirs:
-        h = portfolio.support_values(u)
-        if np.any(np.isfinite(h)):
-            rows.append((u, h))
+    for lo in range(0, len(dirs), size):
+        U = dirs[lo : lo + size]
+        H = portfolio.support_values(U)
+        finite = np.isfinite(H).any(axis=1)
+        if not finite.all():
+            U, H = U[finite], H[finite]
+        rows += zip(U, H)
     pi = E.rates if portfolio.definition.trades_at_rate else None
 
     def audit(gains):
@@ -325,7 +390,7 @@ def _grid_object(cfg, key):
 def _grid_from_config(cfg, eta):
     t_cfg = _grid_object(cfg, "t_grid")
     if "values" in t_cfg:
-        t_values = np.asarray(t_cfg["values"], dtype=float)
+        t_values = _grid(t_cfg["values"], "scale grid")
     else:
         scale = float(np.max(np.hypot(eta[:, 0], eta[:, 1]), initial=0.0))
         t_values = default_t_grid(
@@ -339,7 +404,7 @@ def _grid_from_config(cfg, eta):
 def _lambda_from_config(cfg):
     lam_cfg = _grid_object(cfg, "lambda_grid")
     if "values" in lam_cfg:
-        return np.asarray(lam_cfg["values"], dtype=float)
+        return _grid(lam_cfg["values"], "lambda grid")
     return np.linspace(0.0, 1.0, int(lam_cfg.get("count", 21)))
 
 
@@ -349,7 +414,7 @@ def _explicit(portfolio, cfg, risk_spec):
     gains = np.asarray(cfg["gains"], dtype=float)
     if gains.shape != portfolio.ensemble.gains.shape:
         raise ValidationError('"gains" must match the (n, 2) shape of the scenarios')
-    return [SelectionMatrix(gains, str(cfg.get("label", "explicit")))]
+    return [_row(SelectionMatrix(gains, str(cfg.get("label", "explicit"))))]
 
 
 def _quantile_shift(portfolio, cfg, risk_spec):
@@ -358,17 +423,17 @@ def _quantile_shift(portfolio, cfg, risk_spec):
     level = cfg.get("level", risk_spec.level if risk_spec.level else 0.5)
     eta, ray = quantile_shift_projection(E, portfolio.cone, level, side=side)
     t_values = _grid_from_config(cfg, eta)
-    return _scaled(
+    return [_scaled(
         E, eta, t_values, ray=ray if side == "both" else None,
         cone=portfolio.cone, label=f"quantile-shift[{side}]",
-    )
+    )]
 
 
 def _frictionless(portfolio, cfg, risk_spec):
     E = portfolio.ensemble
     eta = frictionless_direction(E)
     t_values = _grid_from_config(cfg, eta)
-    return _scaled(E, eta, t_values, label="frictionless")
+    return [_scaled(E, eta, t_values, label="frictionless")]
 
 
 def _liquidity_family(portfolio, cfg, risk_spec):
@@ -376,32 +441,33 @@ def _liquidity_family(portfolio, cfg, risk_spec):
     lam = _lambda_from_config(cfg)
     xi = liquidity_capped_projection(E, portfolio.cap)
     c1, c2 = liquidity_corners(E, portfolio.cap)
-    return itertools.chain((xi, c1, c2), _mix(xi, c1, lam), _mix(xi, c2, lam))
+    return _rows(xi, c1, c2) + [_mix(xi, c1, lam), _mix(xi, c2, lam)]
 
 
 def _segment_vertices(portfolio, cfg, risk_spec):
     lam = _lambda_from_config(cfg)
     base = SelectionMatrix(portfolio.ensemble.gains, "segment-vertex-0")
-    parts = [[base]]
+    families = [_row(base)]
     for k, g in enumerate(portfolio.extra_gains, start=1):
         other = SelectionMatrix(g, f"segment-vertex-{k}")
-        parts += [[other], _mix(base, other, lam)]
-    return itertools.chain.from_iterable(parts)
+        families += [_row(other), _mix(base, other, lam)]
+    return families
 
 
-# Strategy name -> (builder(portfolio, config, risk spec), config keys it
-# reads).  Which kinds a strategy applies to is in the kinds' records.
+# Strategy name -> (builder(portfolio, config, risk spec) returning a list
+# of families, config keys it reads).  Which kinds a strategy applies to is
+# in the kinds' records.
 _STRATEGIES = {
-    "identity": (lambda p, cfg, spec: [SelectionMatrix(p.ensemble.gains, "identity")], ()),
+    "identity": (lambda p, cfg, spec: _rows(SelectionMatrix(p.ensemble.gains, "identity")), ()),
     "explicit": (_explicit, ("gains", "label")),
     "quantile-shift": (_quantile_shift, ("side", "level", "t_grid")),
     "corner-selections": (
-        lambda p, cfg, spec: list(comonotone_corner_selections(p.ensemble, p.cone)), ()
+        lambda p, cfg, spec: _rows(*comonotone_corner_selections(p.ensemble, p.cone)), ()
     ),
     "frictionless": (_frictionless, ("t_grid",)),
-    "axis-transfer": (lambda p, cfg, spec: list(axis_transfer_selections(p.ensemble)), ()),
+    "axis-transfer": (lambda p, cfg, spec: _rows(*axis_transfer_selections(p.ensemble)), ()),
     "liquidity-family": (_liquidity_family, ("lambda_grid",)),
-    "ball-boost": (lambda p, cfg, spec: [boost_worst_coordinate(p.ensemble, p.radius)], ()),
+    "ball-boost": (lambda p, cfg, spec: _rows(boost_worst_coordinate(p.ensemble, p.radius)), ()),
     "segment-vertices": (_segment_vertices, ("lambda_grid",)),
 }
 
@@ -410,16 +476,26 @@ def _strategy_error(name, exc):
     return ValidationError(f"strategy {name!r}: {exc}")
 
 
-def _checked(name, selections):
-    try:
-        yield from selections
-    except (TypeError, ValueError) as exc:  # config values of the wrong type
-        raise _strategy_error(name, exc) from exc
+def _checked(name, family):
+    """The family, with what goes wrong while it fills reported in the name
+    of its strategy: config values of the wrong type, and gains that are not
+    finite (a grid that overflows), found by one check of the filled rows."""
+
+    def fill(out, lo, hi):
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                family.fill(out, lo, hi)
+        except (TypeError, ValueError) as exc:  # config values of the wrong type
+            raise _strategy_error(name, exc) from exc
+        if not np.isfinite(out[: hi - lo]).all():
+            raise _strategy_error(name, "selection gains contain non-finite entries")
+
+    return family._replace(fill=fill)
 
 
-def _family_stream(portfolio, config, risk_spec):
-    """Check and parse one strategy configuration at once; return a
-    generator of its selection matrices, made one at a time."""
+def _families(portfolio, config, risk_spec):
+    """Check and parse one strategy configuration at once; return its
+    families, whose selections are made when they fill a block."""
     if not isinstance(config, dict):
         raise ValidationError(f"a strategy must be an object, got {config!r}")
     cfg = dict(config)
@@ -436,15 +512,34 @@ def _family_stream(portfolio, config, risk_spec):
             f"strategy {name!r} does not apply to {portfolio.kind} portfolios"
         )
     try:
-        selections = build(portfolio, cfg, risk_spec)
+        families = build(portfolio, cfg, risk_spec)
     except (TypeError, ValueError) as exc:  # config values of the wrong type
         raise _strategy_error(name, exc) from exc
-    return _checked(name, selections)
+    return [_checked(name, family) for family in families]
+
+
+def _bundle_families(portfolio, risk_spec, strategies):
+    """Identity, then each strategy's families, without any later selection
+    labelled identity.  Every configuration is checked and parsed before the
+    first selection is made."""
+    configs = (
+        default_strategy_configs(portfolio) if strategies is None else list(strategies)
+    )
+    made = [f for cfg in configs for f in _families(portfolio, cfg, risk_spec)]
+    # A selection made on its own is a one-row family, and a grid family's
+    # labels carry its parameters, so only one-row families can be identity.
+    return _rows(SelectionMatrix(portfolio.ensemble.gains, "identity")) + [
+        f for f in made if f.count != 1 or f.label(0) != "identity"
+    ]
 
 
 def build_family(portfolio, config, risk_spec):
     """Expand one strategy configuration into selection matrices."""
-    return list(_family_stream(portfolio, config, risk_spec))
+    return [
+        sel
+        for family in _families(portfolio, config, risk_spec)
+        for sel in _matrices(family, portfolio.ensemble.n)
+    ]
 
 
 def default_strategy_configs(portfolio):

@@ -36,7 +36,7 @@ from svrisk.markets import (
     SetPortfolio,
     solvency_cone,
 )
-from svrisk.riskstats import ES, NEG_EXPECTATION, VAR, RiskSpec, WeightedSample
+from svrisk.riskstats import ES, NEG_EXPECTATION, VAR, RiskSpec, WeightedSample, risk_rows
 from svrisk.selections import SelectionMatrix, audit_selection
 
 NONMARGIN_GAINS = np.array([[-2.0, 4.0], [4.0, -2.0]])
@@ -434,9 +434,9 @@ class TestBundleSerialization:
             for kind, build in ALL_KIND_BUILDERS.items():
                 p = build(ensemble)
                 for audit in (False, True):
-                    monkeypatch.setattr(bounds, "_BLOCK_VALUES", 1)
+                    monkeypatch.setattr(selections, "_BLOCK_VALUES", 1)
                     one_row = compute_bundle(p, ES05, audit=audit).to_json()
-                    monkeypatch.setattr(bounds, "_BLOCK_VALUES", 2**30)
+                    monkeypatch.setattr(selections, "_BLOCK_VALUES", 2**30)
                     one_block = compute_bundle(p, ES05, audit=audit).to_json()
                     assert one_row == one_block, (kind, audit)
                     # Two blocks, the second shorter, so the reused block
@@ -445,13 +445,13 @@ class TestBundleSerialization:
                     count = json.loads(one_block)["meta"]["selections"]
                     if count >= 3:
                         rows = count // 2 + 1
-                        monkeypatch.setattr(bounds, "_BLOCK_VALUES", rows * ensemble.n)
+                        monkeypatch.setattr(selections, "_BLOCK_VALUES", rows * ensemble.n)
                         two_blocks = compute_bundle(p, ES05, audit=audit).to_json()
                         assert two_blocks == one_block, (kind, audit)
 
     @pytest.mark.parametrize("block_values", [1, 2**30])
     def test_audit_names_first_cheating_selection(self, monkeypatch, block_values):
-        monkeypatch.setattr(bounds, "_BLOCK_VALUES", block_values)
+        monkeypatch.setattr(selections, "_BLOCK_VALUES", block_values)
         p = nonmargin_portfolio()
         cheats = [
             {"strategy": "explicit", "gains": (NONMARGIN_GAINS + 1.0).tolist(),
@@ -465,15 +465,49 @@ class TestBundleSerialization:
             inner_region(p, NONMARGIN_SPEC, strategies=cheats, audit=True)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("rows", [1, 4, 2**20])
+    @pytest.mark.parametrize("cheat", [0, 1, 5, 8])
+    def test_audit_names_cheat_inside_a_family(self, monkeypatch, rows, cheat):
+        # Identity, then the nine-row (t, s) product family of a three-value
+        # grid, whose row ``cheat`` leaves the portfolio.  Four-row blocks
+        # put rows 0-2 of the family after identity in the first block and
+        # rows 3-6 at the start of the next, so rows 1 and 5 sit inside a
+        # block and inside a family part.
+        p = nonmargin_portfolio()
+        config = {"strategy": "quantile-shift", "t_grid": {"values": [0.0, 1.0, 2.0]}}
+        family = selections.build_family(p, config, NONMARGIN_SPEC)
+        assert len(family) == 9
+        build, keys = selections._STRATEGIES["quantile-shift"]
+
+        def cheating(portfolio, cfg, spec):
+            (grid,) = build(portfolio, cfg, spec)
+
+            def fill(out, lo, hi):
+                grid.fill(out, lo, hi)
+                if lo <= cheat < hi:
+                    out[cheat - lo] += 1.0
+
+            return [grid._replace(fill=fill)]
+
+        monkeypatch.setitem(selections._STRATEGIES, "quantile-shift", (cheating, keys))
+        monkeypatch.setattr(selections, "_BLOCK_VALUES", rows * p.ensemble.n)
+        bad = family[cheat]
+        gap = audit_selection(p, SelectionMatrix(bad.gains + 1.0, bad.label))
+        message = f"selection {bad.label!r} leaves the portfolio (support violation {gap:.3e})"
+        with pytest.raises(ValidationError) as info:
+            inner_region(p, NONMARGIN_SPEC, strategies=[config], audit=True)
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("kind", sorted(ALL_KIND_BUILDERS))
     def test_audit_computes_support_rows_once(self, monkeypatch, kind):
+        # Counts the directions whose support rows are built.
         p = ALL_KIND_BUILDERS[kind](ensemble_for_kinds(seed=10))
         calls = []
         support_values = SetPortfolio.support_values
 
-        def counted(self, u):
-            calls.append(u)
-            return support_values(self, u)
+        def counted(self, U):
+            calls.extend(np.atleast_2d(U))
+            return support_values(self, U)
 
         monkeypatch.setattr(SetPortfolio, "support_values", counted)
         compute_bundle(p, ES05)
@@ -482,3 +516,27 @@ class TestBundleSerialization:
         compute_bundle(p, ES05, audit=True)
         audit_dirs = selections._AUDIT_DIRS + len(p.definition.exact_dirs(p))
         assert len(calls) == unaudited + audit_dirs
+
+    @pytest.mark.parametrize("block_values", [1, 2**30])
+    @pytest.mark.parametrize("kind", sorted(ALL_KIND_BUILDERS))
+    def test_support_cuts_match_per_direction_loop(self, monkeypatch, kind, block_values):
+        # The cuts of blocks of directions against one support row and one
+        # risk evaluation per direction, with a zero-weight scenario.
+        monkeypatch.setattr(selections, "_BLOCK_VALUES", block_values)
+        e = ensemble_for_kinds(seed=11)
+        w = np.random.default_rng(11).random(e.n)
+        w[3] = 0.0
+        p = ALL_KIND_BUILDERS[kind](ScenarioEnsemble(e.gains, rates=e.rates, weights=w / w.sum()))
+        live = p.ensemble.weights > 0
+        candidates = np.vstack([direction_grid(181)] + p.definition.exact_dirs(p))
+        dirs, offsets = bounds._support_cuts(p, ES05, candidates)
+        expected = [
+            (u, float(risk_rows(ES05, h[None, :], p.ensemble.weights)[0]))
+            for u, h in ((u, p.support_values(u)) for u in candidates)
+            if np.all(np.isfinite(h[live]))
+        ]
+        assert [tuple(u) for u in dirs] == [tuple(u) for u, _ in expected]
+        assert offsets == [offset for _, offset in expected]
+        # The random kind's support is finite only along each scenario's own
+        # dual ray, so no direction of the fan survives there.
+        assert bool(expected) == (kind != "cone-halfplane-random")

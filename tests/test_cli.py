@@ -221,6 +221,8 @@ class TestRisk:
              "portfolio": {"kind": "segment-hull", "extra": "mirror"},
              "risk": {"kind": "value-at-risk", "level": 0.2}},
             duplicate_column_csv,
+            {"strategies": [{"strategy": "quantile-shift", "level": 0.5,
+                             "t_grid": {"values": [0, 1e308]}}]},
         ],
         ids=[
             "explicit-without-gains", "explicit-wrong-shape", "directions",
@@ -229,7 +231,7 @@ class TestRisk:
             "lambda-grid-list", "lambda-grid-count", "config-list", "generate-without-n",
             "generate-rate-number", "csv-not-string", "window-misses-region",
             "window-infinite", "window-half-infinite", "value-at-risk",
-            "duplicate-column",
+            "duplicate-column", "t-grid-overflow",
         ],
     )
     def test_malformed_input_exits_two(self, tmp_path, capsys, patch):

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from svrisk.bounds import direction_grid
 from svrisk.errors import ValidationError
-from svrisk.geom2d import ConvexCone2D
+from svrisk.geom2d import TOL, ConvexCone2D, _unit
 from svrisk.markets import (
     BALL,
     CONE_DET,
@@ -176,6 +177,80 @@ class TestSetPortfolioValidation:
     def test_unknown_kind(self):
         with pytest.raises(ValidationError):
             SetPortfolio("swap", one_scenario(0.0, 0.0))
+
+
+def reference_support(p, u):
+    """Support values at one direction by the per-direction formulas."""
+    u = np.asarray(u, dtype=float)
+    base = p.ensemble.gains @ u
+    pi = p.ensemble.rates
+    if p.kind == CONE_DET:
+        if dual_cone(p.cone).contains(_unit(u)):
+            return base
+        return np.full(p.ensemble.n, np.inf)
+    if p.kind == CONE_HALFPLANE_RANDOM:
+        misalign = np.abs(u[0] - pi * u[1])
+        scale = max(1.0, float(np.max(np.abs(u))))
+        return np.where(misalign <= TOL * np.maximum(1.0, np.abs(pi)) * scale, base, np.inf)
+    if p.kind == LIQUIDITY_CAPPED:
+        return base + np.maximum(p.cap[0] * (u[0] - pi * u[1]), p.cap[1] * (u[1] - u[0] / pi))
+    if p.kind == BALL:
+        return base + p.radius * float(np.hypot(u[0], u[1]))
+    return np.max(np.stack([base] + [g @ u for g in p.extra_gains]), axis=0)
+
+
+def support_cases():
+    rng = np.random.default_rng(12)
+    n = 40
+    gains = rng.standard_normal((n, 2))
+    gains[:4] = [[0.0, -0.0], [-0.0, 0.0], [-0.0, -0.0], [1.0, -0.0]]
+    rates = rng.uniform(0.5, 2.0, n)
+    # Rates whose dual ray lies on the 181-direction fan, so the random
+    # kind's support is finite on some scenarios there.
+    rates[4:7] = 1.0 / np.tan(np.linspace(0.0, np.pi / 2.0, 181)[[30, 90, 150]])
+    weights = rng.random(n)
+    weights[7] = 0.0
+    e = ScenarioEnsemble(gains, rates=rates, weights=weights / weights.sum())
+    return {
+        "cone-det": SetPortfolio.cone_det(e, ExchangeCone2D(2.0, 3.0)),
+        "cone-det-frictionless": SetPortfolio.cone_det(e, ExchangeCone2D.frictionless(1.5)),
+        "cone-det-no-exchange": SetPortfolio.cone_det(e, ExchangeCone2D.no_exchange()),
+        "cone-halfplane-random": SetPortfolio.random_halfplane(e),
+        "liquidity-capped": SetPortfolio.liquidity_capped(e, cap=(0.8, 1.2)),
+        "ball": SetPortfolio.ball(e, radius=0.7),
+        "segment-hull": SetPortfolio.segment_hull(e, [gains[:, ::-1], -0.5 * gains]),
+    }
+
+
+class TestSupportRows:
+    @pytest.mark.parametrize("case", sorted(support_cases()))
+    def test_rows_match_per_direction_formulas_bit_for_bit(self, case):
+        p = support_cases()[case]
+        fan = direction_grid(181)
+        U = np.vstack([fan, 2.5 * fan[::7]] + p.definition.exact_dirs(p))
+        if p.cone is not None:
+            U = np.vstack([U, [p.cone.a1, p.cone.a2]])
+        rows = p.support_values(U)
+        expected = np.stack([reference_support(p, u) for u in U])
+        assert rows.shape == expected.shape
+        assert np.array_equal(rows.view(np.int64), expected.view(np.int64))
+        # Without exchange the dual cone is the whole first quadrant.
+        bounded = ("cone-det", "cone-det-frictionless", "cone-halfplane-random")
+        assert np.isinf(rows).any() == (case in bounded)
+        for k in (0, 90, len(U) - 1):
+            assert np.array_equal(p.support_values(U[k]).view(np.int64), rows[k].view(np.int64))
+
+    def test_block_of_directions_validated(self):
+        p = SetPortfolio.ball(one_scenario(0.0, 0.0), radius=1.0)
+        with pytest.raises(ValidationError, match="non-zero"):
+            p.support_values([[1.0, 0.0], [0.0, 0.0]])
+        with pytest.raises(ValidationError, match="u >= 0"):
+            p.support_values([[1.0, 0.0], [0.5, -0.5]])
+        with pytest.raises(ValidationError, match=r"\(k, 2\)"):
+            p.support_values([[1.0, 0.0, 0.0]])
+        with pytest.raises(ValidationError, match="2-vector"):
+            p.support_values([1.0, 0.0, 0.0])
+        assert p.support_values(np.zeros((0, 2))).shape == (0, 1)
 
 
 class TestSupportValues:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from svrisk import bounds, selections
 from svrisk.errors import ValidationError
 from svrisk.markets import (
     ExchangeCone2D,
@@ -16,19 +17,74 @@ from svrisk.selections import (
     build_family,
     comonotone_corner_points,
     comonotone_corner_selections,
-    convex_mix,
     default_strategy_configs,
     default_t_grid,
+    frictionless_direction,
     frictionless_projection,
     liquidity_capped_projection,
     liquidity_corners,
     quantile_shift_projection,
-    scaled_family,
     selection_auditor,
 )
 
 NONMARGIN_GAINS = np.array([[-2.0, 4.0], [4.0, -2.0]])
 NONMARGIN_CONE = ExchangeCone2D(5.0, 5.0)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def reference_selections(p, cfg, spec):
+    """(gains, label) of each selection of one strategy, made one at a time
+    by the expressions of the one-object-per-selection pipeline."""
+    E, x = p.ensemble, p.ensemble.gains
+    name = cfg["strategy"]
+    if name in ("quantile-shift", "frictionless"):
+        if name == "frictionless":
+            eta, ray, label = frictionless_direction(E), None, "frictionless"
+        else:
+            side = cfg.get("side", "both")
+            level = cfg.get("level", spec.level)
+            eta, ray = quantile_shift_projection(E, p.cone, level, side=side)
+            ray, label = (ray if side == "both" else None), f"quantile-shift[{side}]"
+        if "t_grid" in cfg:
+            grid = np.asarray(cfg["t_grid"]["values"], dtype=float)
+        else:
+            grid = default_t_grid(float(np.max(np.hypot(eta[:, 0], eta[:, 1]), initial=0.0)))
+        if ray is not None:
+            m1 = (ray == 1)[:, None] * eta
+            m2 = (ray == 2)[:, None] * eta
+            if np.any(m1 != 0.0) and np.any(m2 != 0.0):
+                return [(x + t * m1 + s * m2, f"{label}(t={t:.6g},s={s:.6g})")
+                        for t in grid for s in grid]
+        return [(x + t * eta, f"{label}(t={t:.6g})") for t in grid]
+    lam = (np.asarray(cfg["lambda_grid"]["values"], dtype=float)
+           if "lambda_grid" in cfg else np.linspace(0.0, 1.0, 21))
+
+    def mixes(a, b):
+        return [(l * a.gains + (1.0 - l) * b.gains, f"mix({a.label},{b.label},lam={l:.6g})")
+                for l in lam]
+
+    if name == "liquidity-family":
+        xi = liquidity_capped_projection(E, p.cap)
+        c1, c2 = liquidity_corners(E, p.cap)
+        return [(s.gains, s.label) for s in (xi, c1, c2)] + mixes(xi, c1) + mixes(xi, c2)
+    if name == "segment-vertices":
+        base = SelectionMatrix(x, "segment-vertex-0")
+        made = [(x, base.label)]
+        for k, g in enumerate(p.extra_gains, start=1):
+            other = SelectionMatrix(g, f"segment-vertex-{k}")
+            made += [(g, other.label)] + mixes(base, other)
+        return made
+    one_row = {
+        "identity": lambda: [SelectionMatrix(x, "identity")],
+        "corner-selections": lambda: comonotone_corner_selections(E, p.cone),
+        "axis-transfer": lambda: axis_transfer_selections(E),
+        "ball-boost": lambda: [boost_worst_coordinate(E, p.radius)],
+    }
+    return [(s.gains, s.label) for s in one_row[name]()]
 
 
 def rate_ensemble(gains, rates):
@@ -149,39 +205,57 @@ class TestQuantileShift:
 
 class TestScaledFamily:
     def test_zero_scale_is_identity(self):
-        e = ScenarioEnsemble(NONMARGIN_GAINS)
-        eta = np.array([[1.2, -6.0], [0.0, 0.0]])
-        fam = scaled_family(e, eta, np.array([0.0, 1.0]), cone=NONMARGIN_CONE)
+        p = SetPortfolio.cone_det(ScenarioEnsemble(NONMARGIN_GAINS), NONMARGIN_CONE)
+        cfg = {"strategy": "quantile-shift", "side": "ray1", "t_grid": {"values": [0.0, 1.0]}}
+        fam = build_family(p, cfg, RiskSpec(ES, 0.75))
+        eta, _ = quantile_shift_projection(p.ensemble, NONMARGIN_CONE, 0.75, side="ray1")
         assert np.array_equal(fam[0].gains, NONMARGIN_GAINS)
-        assert np.allclose(fam[1].gains, [[-0.8, -2.0], [4.0, -2.0]])
+        assert np.array_equal(fam[1].gains, NONMARGIN_GAINS + eta)
+        assert [s.label for s in fam] == [
+            "quantile-shift[ray1](t=0)", "quantile-shift[ray1](t=1)"
+        ]
 
     def test_two_sided_product_sweep(self):
         e = ScenarioEnsemble(np.array([[0.0, 0.0], [2.0, 1.0], [1.0, 2.0]]))
         eta, ray = quantile_shift_projection(e, NONMARGIN_CONE, 1.0 / 3.0)
         assert sorted(ray.tolist()) == [0, 1, 2]
-        t = np.array([0.0, 1.0, 2.0])
-        fam = scaled_family(e, eta, t, ray=ray, cone=NONMARGIN_CONE, label="qs")
+        p = SetPortfolio.cone_det(e, NONMARGIN_CONE)
+        cfg = {"strategy": "quantile-shift", "level": 1.0 / 3.0,
+               "t_grid": {"values": [0.0, 1.0, 2.0]}}
+        fam = build_family(p, cfg, RiskSpec(ES, 0.5))
         assert len(fam) == 9
         assert any(np.array_equal(s.gains, e.gains) for s in fam)
         labels = {s.label for s in fam}
-        assert "qs(t=1,s=2)" in labels
+        assert "quantile-shift[both](t=1,s=2)" in labels
 
     def test_one_sided_when_single_ray(self):
         e = ScenarioEnsemble(np.array([[0.0, 0.0], [2.0, 1.0]]))
-        eta, ray = quantile_shift_projection(e, NONMARGIN_CONE, 0.5)
-        fam = scaled_family(e, eta, np.array([0.0, 0.5, 1.0]), ray=ray)
-        assert len(fam) == 3
+        _, ray = quantile_shift_projection(e, NONMARGIN_CONE, 0.5)
+        assert sorted(ray.tolist()) == [0, 2]
+        p = SetPortfolio.cone_det(e, NONMARGIN_CONE)
+        cfg = {"strategy": "quantile-shift", "level": 0.5,
+               "t_grid": {"values": [0.0, 0.5, 1.0]}}
+        fam = build_family(p, cfg, RiskSpec(ES, 0.5))
+        assert [s.label for s in fam] == [
+            "quantile-shift[both](t=0)", "quantile-shift[both](t=0.5)",
+            "quantile-shift[both](t=1)",
+        ]
 
-    def test_eta_outside_cone_rejected(self):
-        e = ScenarioEnsemble(NONMARGIN_GAINS)
-        eta = np.ones((2, 2))
-        with pytest.raises(ValidationError):
-            scaled_family(e, eta, np.array([1.0]), cone=NONMARGIN_CONE)
+    def test_eta_outside_cone_rejected(self, monkeypatch):
+        p = SetPortfolio.cone_det(ScenarioEnsemble(NONMARGIN_GAINS), NONMARGIN_CONE)
+        monkeypatch.setattr(
+            selections, "quantile_shift_projection",
+            lambda *args, **kwargs: (np.ones((2, 2)), np.ones(2, dtype=int)),
+        )
+        with pytest.raises(ValidationError, match="leaves the exchange cone at row 0"):
+            build_family(p, {"strategy": "quantile-shift"}, RiskSpec(ES, 0.5))
 
     def test_negative_scale_rejected(self):
-        e = ScenarioEnsemble(NONMARGIN_GAINS)
-        with pytest.raises(ValidationError):
-            scaled_family(e, np.zeros((2, 2)), np.array([-0.1]))
+        e = rate_ensemble(NONMARGIN_GAINS, [1.0, 2.0])
+        p = SetPortfolio.random_halfplane(e)
+        cfg = {"strategy": "frictionless", "t_grid": {"values": [-0.1]}}
+        with pytest.raises(ValidationError, match="non-negative"):
+            build_family(p, cfg, RiskSpec(ES, 0.5))
 
 
 class TestLiquidity:
@@ -268,25 +342,43 @@ class TestBallAndMix:
             boost_worst_coordinate(e, radius=-1.0)
 
     def test_convex_mix_endpoints(self):
-        a = SelectionMatrix(np.array([[1.0, 0.0]]), "a")
-        b = SelectionMatrix(np.array([[0.0, 2.0]]), "b")
-        fam = convex_mix(a, b, [1.0, 0.5, 0.0])
-        assert np.allclose(fam[0].gains, a.gains)
-        assert np.allclose(fam[1].gains, [[0.5, 1.0]])
-        assert np.allclose(fam[2].gains, b.gains)
-        assert fam[1].label == "mix(a,b,lam=0.5)"
+        e = ScenarioEnsemble(np.array([[1.0, 0.0]]))
+        p = SetPortfolio.segment_hull(e, [np.array([[0.0, 2.0]])])
+        cfg = {"strategy": "segment-vertices", "lambda_grid": {"values": [1.0, 0.5, 0.0]}}
+        fam = build_family(p, cfg, RiskSpec(ES, 0.5))
+        a, b, mixes = fam[0], fam[1], fam[2:]
+        assert np.array_equal(mixes[0].gains, a.gains)
+        assert np.array_equal(mixes[1].gains, [[0.5, 1.0]])
+        assert np.array_equal(mixes[2].gains, b.gains)
+        assert mixes[1].label == "mix(segment-vertex-0,segment-vertex-1,lam=0.5)"
 
     def test_mix_of_liquidity_corners(self):
+        # At rate 1 the projection of (0, 0) is itself, so the half mixes
+        # with the corners are the half corners.
         e = rate_ensemble([[0.0, 0.0]], [1.0])
+        p = SetPortfolio.liquidity_capped(e)
+        cfg = {"strategy": "liquidity-family", "lambda_grid": {"values": [0.5]}}
+        fam = build_family(p, cfg, RiskSpec(ES, 0.5))
         c1, c2 = liquidity_corners(e)
-        mid = convex_mix(c1, c2, [0.5])[0]
-        assert np.allclose(mid.gains, [[0.0, 0.0]])
+        assert [s.label for s in fam[3:]] == [
+            "mix(liquidity-projection,liquidity-corner-1,lam=0.5)",
+            "mix(liquidity-projection,liquidity-corner-2,lam=0.5)",
+        ]
+        assert np.array_equal(fam[3].gains, 0.5 * c1.gains)
+        assert np.array_equal(fam[4].gains, 0.5 * c2.gains)
 
     def test_mix_shape_mismatch(self):
-        a = SelectionMatrix(np.zeros((1, 2)), "a")
-        b = SelectionMatrix(np.zeros((2, 2)), "b")
+        # Mixes combine selections of one portfolio, so a vertex of another
+        # scenario space is refused before any mix is made.
+        e = ScenarioEnsemble(np.zeros((1, 2)))
         with pytest.raises(ValidationError):
-            convex_mix(a, b, [0.5])
+            SetPortfolio.segment_hull(e, [np.zeros((2, 2))])
+        with pytest.raises(ValidationError, match="lambda grid"):
+            build_family(
+                SetPortfolio.segment_hull(e, [np.ones((1, 2))]),
+                {"strategy": "segment-vertices", "lambda_grid": {"values": [[0.5]]}},
+                RiskSpec(ES, 0.5),
+            )
 
 
 class TestAudit:
@@ -375,6 +467,84 @@ class TestAudit:
             expected = [audit_selection(p, sels[i]) for i in picks]
             assert gaps[picks].tolist() == expected, p.kind
             assert gaps[-1] > 0.05, p.kind
+
+
+def family_cases():
+    rng = np.random.default_rng(39)
+    n = 30
+    gains = rng.standard_normal((n, 2))
+    gains[:3] = [[0.0, -0.0], [-0.0, 1.5], [2.5, 0.0]]
+    e = ScenarioEnsemble(gains, rates=rng.uniform(0.5, 2.0, n))
+    t_values = {"values": [0.0, 1.0] + rng.uniform(0.0, 3.0, 6).tolist()}
+    lam = {"values": [0.0, 1.0] + rng.uniform(0.0, 1.0, 5).tolist()}
+    cone_det = SetPortfolio.cone_det(e, ExchangeCone2D(2.0, 3.0))
+    random = SetPortfolio.random_halfplane(e)
+    liquidity = SetPortfolio.liquidity_capped(e, cap=(0.8, 1.2))
+    segment = SetPortfolio.segment_hull(e, [gains[:, ::-1], gains * 0.5 + 0.3])
+    return [
+        (cone_det, [{"strategy": "quantile-shift", "side": "both"},
+                    {"strategy": "quantile-shift", "side": "ray1", "level": 0.3},
+                    {"strategy": "quantile-shift", "side": "ray2"},
+                    {"strategy": "quantile-shift", "level": 0.4, "t_grid": t_values},
+                    {"strategy": "corner-selections"}]),
+        (random, [{"strategy": "frictionless"},
+                  {"strategy": "frictionless", "t_grid": t_values},
+                  {"strategy": "axis-transfer"}]),
+        (liquidity, [{"strategy": "liquidity-family"},
+                     {"strategy": "liquidity-family", "lambda_grid": lam}]),
+        (SetPortfolio.ball(e, radius=0.6), [{"strategy": "ball-boost"}]),
+        (segment, [{"strategy": "segment-vertices"},
+                   {"strategy": "segment-vertices", "lambda_grid": lam}]),
+    ]
+
+
+class TestFamilies:
+    """Families fill the bits and labels that one object per selection had."""
+
+    @pytest.mark.parametrize("case", range(5))
+    def test_build_family_matches_per_selection_expressions(self, case):
+        p, configs = family_cases()[case]
+        spec = RiskSpec(ES, 0.25)
+        for cfg in configs:
+            made = build_family(p, cfg, spec)
+            expected = reference_selections(p, cfg, spec)
+            assert [s.label for s in made] == [label for _, label in expected], cfg
+            for sel, (gains, label) in zip(made, expected):
+                assert same_bits(sel.gains, gains), (cfg, label)
+
+    @pytest.mark.parametrize("case", range(5))
+    def test_blocks_match_per_selection_expressions(self, case):
+        # Blocks of every size split families and (t, s) runs at any row.
+        p, configs = family_cases()[case]
+        spec = RiskSpec(ES, 0.25)
+        expected = [(p.ensemble.gains, "identity")] + [
+            made for cfg in configs for made in reference_selections(p, cfg, spec)
+            if made[1] != "identity"
+        ]
+        families = selections._bundle_families(p, spec, configs)
+        assert sum(f.count for f in families) == len(expected)
+        for size in (1, 2, 5, 34, 35, 36, len(expected)):
+            buf = np.full((size, p.ensemble.n, 2), np.nan)
+            gains, labels = [], []
+            for rows, parts in bounds._filled_blocks(families, buf):
+                gains.append(buf[:rows].copy())
+                ends = [first for first, _, _ in parts[1:]] + [rows]
+                for (first, family, lo), end in zip(parts, ends):
+                    labels += [family.label(lo + r) for r in range(end - first)]
+            assert labels == [label for _, label in expected], size
+            assert same_bits(np.concatenate(gains), np.stack([g for g, _ in expected])), size
+
+    def test_identity_dropped_from_later_families(self):
+        e = ScenarioEnsemble(NONMARGIN_GAINS)
+        p = SetPortfolio.cone_det(e, NONMARGIN_CONE)
+        configs = [
+            {"strategy": "identity"},
+            {"strategy": "explicit", "gains": (NONMARGIN_GAINS + 1.0).tolist(),
+             "label": "identity"},
+            {"strategy": "explicit", "gains": NONMARGIN_GAINS.tolist(), "label": "kept"},
+        ]
+        families = selections._bundle_families(p, RiskSpec(ES, 0.75), configs)
+        assert [f.label(0) for f in families] == ["identity", "kept"]
 
 
 class TestBuildFamily:
