@@ -362,11 +362,11 @@ def sandwich_violation(bundle):
         hs = big.halfspaces()
         u = hs.directions
         # small.scalarize at every direction: -inf outside the dual of its
-        # recession, else the least vertex value (one product per direction,
-        # so the values match scalarize bit for bit).
+        # recession, else the least vertex value (one matrix-vector product
+        # per direction, so the values match scalarize bit for bit).
         units = u / np.hypot(u[:, 0], u[:, 1])[:, None]
         if not np.all(small.recession.positive_dual().contains_many(units)):
             return math.inf
-        least = [np.min(small.vertices @ d) for d in u]
+        least = np.matmul(small.vertices[None], u[:, :, None])[..., 0].min(axis=1)
         worst = max(worst, float(np.max(hs.offsets - least)))
     return worst

@@ -178,23 +178,22 @@ class RiskRegion2D:
         verts.setflags(write=False)
 
         dual = self.recession.positive_dual()
-        normals = []
-        offsets = []
         if dual.is_ray:
-            normals.append(dual.lo)
-            offsets.append(float(verts[-1] @ dual.lo))
+            normals, anchors = dual.lo[None], verts[-1:]
         else:
-            normals.append(dual.lo)
-            offsets.append(float(verts[-1] @ dual.lo))
-            for j in range(verts.shape[0] - 2, -1, -1):
-                edge = verts[j + 1] - verts[j]
-                n = _unit(_rot_cw(edge))
-                normals.append(n)
-                offsets.append(float(verts[j] @ n))
-            normals.append(dual.hi)
-            offsets.append(float(verts[0] @ dual.hi))
-        object.__setattr__(self, "_normals", np.array(normals))
-        object.__setattr__(self, "_offsets", np.array(offsets))
+            # Edge normals from the last vertex back to the first, between
+            # the two recession normals.
+            edges = (verts[1:] - verts[:-1])[::-1]
+            rot = np.column_stack([edges[:, 1], -edges[:, 0]])
+            norms = np.hypot(rot[:, 0], rot[:, 1])
+            if np.any(norms == 0.0) or not np.all(np.isfinite(norms)):
+                raise ValidationError("zero or non-finite direction")
+            normals = np.vstack([dual.lo, rot / norms[:, None], dual.hi])
+            anchors = np.vstack([verts[-1:], verts[-2::-1], verts[:1]])
+        # One 2-vector dot per row, rounded as `vertex @ normal` is.
+        offsets = np.matmul(anchors[:, None, :], normals[:, :, None]).reshape(-1)
+        object.__setattr__(self, "_normals", normals)
+        object.__setattr__(self, "_offsets", offsets)
         object.__setattr__(self, "_dual", dual)
         self._normals.setflags(write=False)
         self._offsets.setflags(write=False)
@@ -263,6 +262,8 @@ class HalfSpaceSet:
             raise ValidationError("directions must be componentwise non-negative")
         dirs = dirs / norms[:, None]
         offs = offs / norms
+        if not np.all(np.isfinite(offs)):
+            raise ValidationError("offsets must be finite")
         object.__setattr__(self, "directions", dirs)
         object.__setattr__(self, "offsets", offs)
         dirs.setflags(write=False)
@@ -283,6 +284,11 @@ def _cone_coords(pts, recession):
     return a, b
 
 
+def _margin(pts):
+    """Dominance margin delta = 4 TOL max(1, 2 max|p|) of a point set."""
+    return 4.0 * TOL * max(1.0, 2.0 * float(np.max(np.abs(pts))))
+
+
 def _clearly_dominated(pts, recession):
     """Mask of the points that another point dominates by a wide margin in
     both cone coordinates, found with one sort by a and a prefix minimum
@@ -297,7 +303,7 @@ def _clearly_dominated(pts, recession):
     on all of them.
     """
     a, b = _cone_coords(pts, recession)
-    delta = 4.0 * TOL * max(1.0, 2.0 * float(np.max(np.abs(pts))))
+    delta = _margin(pts)
     order = np.argsort(a, kind="stable")
     best_b = np.minimum.accumulate(b[order])
     # Points whose a is at least delta below a_i form a prefix of the order.
@@ -308,16 +314,36 @@ def _clearly_dominated(pts, recession):
 def _pairwise_dominated(pts, recession):
     """Mask of the points that another point strictly dominates, or that
     dominate each other with an earlier point (in the given order), up to
-    the pair tolerance.  Works through blocks of rows."""
+    the pair tolerance.
+
+    A point can be marked only if another lies within delta of it in both
+    cone coordinates: by the rounding argument of `_clearly_dominated`, a
+    pair further apart than delta in either coordinate fails the pair
+    tolerance there.  One sort by a, a prefix minimum of b over the points
+    sorted strictly before each one and a search for the points at most
+    delta above it in a find those rows; only they run the pairwise test,
+    in blocks, against all points.  A dense convex front sends none.
+    """
     m = pts.shape[0]
+    a, b = _cone_coords(pts, recession)
+    delta = _margin(pts)
+    order = np.argsort(a, kind="stable")
+    rank = np.empty(m, dtype=np.intp)
+    rank[order] = np.arange(m)
+    best_b = np.minimum.accumulate(b[order])
+    before = np.where(rank > 0, best_b[rank - 1], np.inf)
+    above = np.searchsorted(a[order], a + delta, side="right") > rank + 1
+    rows = np.flatnonzero((before <= b + delta) | above)
+
     dominated = np.zeros(m, dtype=bool)
-    rows = max(1, _PAIR_BLOCK // m)
-    for r0 in range(0, m, rows):
-        diffs = (pts[r0 : r0 + rows, None, :] - pts[None, :, :]).reshape(-1, 2)
+    step = max(1, _PAIR_BLOCK // m)
+    for r0 in range(0, rows.size, step):
+        idx = rows[r0 : r0 + step]
+        diffs = (pts[idx, None, :] - pts[None, :, :]).reshape(-1, 2)
         inside = recession.contains_many(diffs).reshape(-1, m)
         covers = recession.contains_many(-diffs).reshape(-1, m)
-        earlier = np.arange(m) < np.arange(r0, r0 + inside.shape[0])[:, None]
-        dominated[r0 : r0 + rows] = (inside & (~covers | earlier)).any(axis=1)
+        earlier = np.arange(m) < idx[:, None]
+        dominated[idx] = (inside & (~covers | earlier)).any(axis=1)
     return dominated
 
 
@@ -343,8 +369,9 @@ def region_from_points_plus_cone(points, recession):
     dropped when another one strictly dominates it up to the tolerance, or
     when it and an earlier one (in lexicographic order) dominate each other.
     A margin prefilter first drops the points that others clearly dominate,
-    so the pairwise test sees few points: time is O(m log m) plus that test
-    on the survivors, which runs in blocks, so memory is O(m).
+    and the pairwise test then runs, in blocks, only on the r survivors that
+    another survivor lies within that margin of: time is O(m log m) plus
+    O(r m), with r = 0 on a strictly convex front, and memory is O(m).
 
     Tolerant dominance is not transitive, so those rules can drop every
     point.  Then the kept points are a greedy cover instead: each input point
@@ -367,73 +394,95 @@ def region_from_points_plus_cone(points, recession):
         dominated = _pairwise_dominated(pts, recession)
         pts = _greedy_cover(pts, recession) if dominated.all() else pts[~dominated]
 
-    order = np.lexsort((pts[:, 1], -pts[:, 0]))
-    pts = pts[order]
+    pts = pts[np.lexsort((pts[:, 1], -pts[:, 0]))]
 
+    # Lower-left chain, on Python floats (the same operations as on arrays).
     eps = TOL * _scale_of(pts)
-    kept = [pts[0]]
-    for p in pts[1:]:
-        while len(kept) >= 2 and _cross(kept[-1] - kept[-2], p - kept[-1]) >= -eps:
+    xs, ys = pts[:, 0].tolist(), pts[:, 1].tolist()
+    kept = [0]
+    for i in range(1, len(xs)):
+        x, y = xs[i], ys[i]
+        while len(kept) >= 2:
+            j, k = kept[-2], kept[-1]
+            if not ((xs[k] - xs[j]) * (y - ys[k]) - (ys[k] - ys[j]) * (x - xs[k]) >= -eps):
+                break
             kept.pop()
-        kept.append(p)
-    return RiskRegion2D(np.array(kept), recession)
+        kept.append(i)
+    return RiskRegion2D(pts[kept], recession)
 
 
-def _line_intersect(u1, c1, u2, c2):
-    det = _cross(u1, u2)
-    if abs(det) <= _SNAP:
-        raise ValidationError("parallel constraint lines do not intersect")
-    x = (c1 * u2[1] - c2 * u1[1]) / det
-    y = (u1[0] * c2 - u2[0] * c1) / det
-    return np.array([x, y])
+def _meet_rows(u, c, v, d, det):
+    """Points where the lines <x, u_i> = c_i and <x, v_i> = d_i meet, given
+    their determinants det_i = u_i x v_i (none of them near zero)."""
+    x = (c * v[:, 1] - d * u[:, 1]) / det
+    y = (u[:, 0] * d - v[:, 0] * c) / det
+    return np.column_stack([x, y])
 
 
 def region_from_halfspaces(halfspaces):
     """Region cut out by a HalfSpaceSet in the plane.
 
     The directions all lie in the first quadrant, so the intersection is a
-    non-empty upper set; redundant constraints are dropped.
+    non-empty upper set; redundant constraints are dropped by one stack scan
+    in angle order.
     """
     dirs = halfspaces.directions
     offs = halfspaces.offsets
 
     angles = np.arctan2(dirs[:, 1], dirs[:, 0])
-    order = np.lexsort((offs, angles))
+    ang, off = angles.tolist(), offs.tolist()
+    # Of the constraints whose angles agree to 1e-12, keep the largest offset.
     cons = []
-    for idx in order:
-        u, c, ang = dirs[idx], float(offs[idx]), float(angles[idx])
-        if cons and abs(ang - cons[-1][2]) <= 1e-12:
-            if c > cons[-1][1]:
-                cons[-1] = (u, c, ang)
+    for k in np.lexsort((offs, angles)).tolist():
+        if cons and abs(ang[k] - ang[cons[-1]]) <= 1e-12:
+            if off[k] > off[cons[-1]]:
+                cons[-1] = k
         else:
-            cons.append((u, c, ang))
+            cons.append(k)
 
     if len(cons) == 1:
-        u, c, _ = cons[0]
+        u, c = dirs[cons[0]], offs[cons[0]]
         rec = ConvexCone2D.halfplane(_rot_cw(u))
         return RiskRegion2D((c * u).reshape(1, 2), rec)
 
-    span = ConvexCone2D.from_rays(cons[0][0], cons[-1][0])
+    span = ConvexCone2D.from_rays(dirs[cons[0]], dirs[cons[-1]])
     rec = span.positive_dual()
 
-    # A middle constraint is redundant when the intersection of its
+    # A middle constraint is redundant when the meeting point of its
     # neighbours already satisfies it; the first and last constraints own
-    # the two infinite edges and always bind.
+    # the two infinite edges and always bind.  The scan runs on Python
+    # floats, whose arithmetic matches numpy's elementwise operations.
+    ux, uy = dirs[:, 0].tolist(), dirs[:, 1].tolist()
     scale = _scale_of(offs)
-    i = 1
-    while 1 <= i <= len(cons) - 2:
-        p = _line_intersect(cons[i - 1][0], cons[i - 1][1], cons[i + 1][0], cons[i + 1][1])
-        if float(p @ cons[i][0]) >= cons[i][1] - TOL * max(scale, _scale_of(p)):
-            del cons[i]
-            i = max(1, i - 1)
-        else:
-            i += 1
+    stack = [cons[0]]
+    for k in cons[1:]:
+        while len(stack) >= 2:
+            i, h = stack[-2], stack[-1]
+            det = ux[i] * uy[k] - uy[i] * ux[k]
+            if abs(det) <= _SNAP:
+                raise ValidationError("parallel constraint lines do not intersect")
+            x = (off[i] * uy[k] - off[k] * uy[i]) / det
+            y = (ux[i] * off[k] - ux[k] * off[i]) / det
+            size = max(scale, abs(x), abs(y))
+            limit = off[h] - TOL * size
+            # A 2-vector `p @ u` rounds as fma(y, u1, x * u0); the plain sum
+            # differs from it by less than 2e-15 max(1, |x|, |y|), so only a
+            # sum that close to the limit needs the exact product.
+            value = x * ux[h] + y * uy[h]
+            if not abs(value - limit) > 2e-15 * size:
+                value = float(np.array([x, y]) @ dirs[h])
+            if not value >= limit:
+                break
+            stack.pop()
+        stack.append(k)
 
-    verts = [
-        _line_intersect(cons[j][0], cons[j][1], cons[j - 1][0], cons[j - 1][1])
-        for j in range(len(cons) - 1, 0, -1)
-    ]
-    return region_from_points_plus_cone(np.array(verts), rec)
+    # Vertices from the last constraint back to the first.
+    idx = stack[::-1]
+    u, c = dirs[idx], offs[idx]
+    det = u[:-1, 0] * u[1:, 1] - u[:-1, 1] * u[1:, 0]
+    if np.any(np.abs(det) <= _SNAP):
+        raise ValidationError("parallel constraint lines do not intersect")
+    return region_from_points_plus_cone(_meet_rows(u[:-1], c[:-1], u[1:], c[1:], det), rec)
 
 
 def _window_halfspaces(window):
@@ -448,28 +497,35 @@ def _window_halfspaces(window):
 
 
 def _clip_to_window(region, window):
-    """Vertices of the convex polygon region `intersect` window box."""
+    """Vertices of the convex polygon region `intersect` window box: the
+    meeting points of all pairs of its lines that satisfy every line, in
+    pair order, less near duplicates, sorted by angle about their mean."""
     wdirs, woffs = _window_halfspaces(window)
     dirs = np.vstack([region._normals, wdirs])
     offs = np.concatenate([region._offsets, woffs])
     m = dirs.shape[0]
     scale = max(_scale_of(offs), 1.0)
-    pts = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            if abs(_cross(dirs[i], dirs[j])) <= _SNAP:
-                continue
-            p = _line_intersect(dirs[i], offs[i], dirs[j], offs[j])
-            if np.all(dirs @ p >= offs - TOL * max(scale, _scale_of(p)) * 10.0):
-                pts.append(p)
-    if not pts:
+    first, second = np.triu_indices(m, 1)
+    det = dirs[first, 0] * dirs[second, 1] - dirs[first, 1] * dirs[second, 0]
+    meet = np.abs(det) > _SNAP
+    first, second = first[meet], second[meet]
+    pts = _meet_rows(dirs[first], offs[first], dirs[second], offs[second], det[meet])
+    slack = TOL * np.maximum(scale, np.maximum(1.0, np.abs(pts).max(axis=1))) * 10.0
+    feasible = np.empty(len(pts), dtype=bool)
+    step = max(1, _PAIR_BLOCK // m)
+    for r0 in range(0, len(pts), step):
+        block = pts[r0 : r0 + step]
+        # One matrix-vector product per point, rounded as `dirs @ p` is.
+        values = np.matmul(dirs[None], block[:, :, None])[..., 0]
+        feasible[r0 : r0 + step] = (values >= offs - slack[r0 : r0 + step, None]).all(axis=1)
+    pts = pts[feasible]
+    if not len(pts):
         raise ValidationError("window does not intersect the region")
-    pts = np.array(pts)
-    keep = [pts[0]]
-    for p in pts[1:]:
-        if all(np.max(np.abs(p - q)) > TOL * scale for q in keep):
-            keep.append(p)
-    pts = np.array(keep)
+    keep = [0]
+    for i in range(1, len(pts)):
+        if np.all(np.max(np.abs(pts[i] - pts[keep]), axis=1) > TOL * scale):
+            keep.append(i)
+    pts = pts[keep]
     center = pts.mean(axis=0)
     ang = np.arctan2(pts[:, 1] - center[1], pts[:, 0] - center[0])
     return pts[np.argsort(ang, kind="stable")]

@@ -9,8 +9,15 @@ import pytest
 import svrisk
 
 import svrisk.cli as cli
-from svrisk.bounds import RiskBundle, sandwich_violation
+from svrisk.bounds import RiskBundle, compute_bundle, sandwich_violation
 from svrisk.cli import entrypoint
+from svrisk.errors import ValidationError
+from svrisk.geom2d import (
+    ConvexCone2D,
+    RiskRegion2D,
+    _clip_to_window,
+    region_from_points_plus_cone,
+)
 
 
 def write_json(path, payload):
@@ -71,6 +78,76 @@ def gen_config(tmp_path, n=50, seed=7):
             "risk": {"kind": "expected-shortfall", "level": 0.05},
         },
     )
+
+
+def reference_clip(region, window):
+    """The pair loop that the CLI's window clip must reproduce bit for bit:
+    every meeting point of two lines that satisfies all lines, in pair
+    order, less near duplicates, sorted by angle about their mean."""
+    x0, y0, x1, y1 = window
+    dirs = np.vstack([region._normals, [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]])
+    offs = np.concatenate([region._offsets, [x0, -x1, y0, -y1]])
+    scale = max(1.0, float(np.max(np.abs(offs))))
+    pts = []
+    for i in range(len(dirs)):
+        for j in range(i + 1, len(dirs)):
+            (a0, a1), (b0, b1) = dirs[i], dirs[j]
+            det = float(a0 * b1 - a1 * b0)
+            if abs(det) <= 1e-12:
+                continue
+            p = np.array([(offs[i] * b1 - offs[j] * a1) / det, (a0 * offs[j] - b0 * offs[i]) / det])
+            tol = 1e-9 * max(scale, max(1.0, float(np.max(np.abs(p))))) * 10.0
+            if np.all(dirs @ p >= offs - tol):
+                pts.append(p)
+    if not pts:
+        raise ValidationError("window does not intersect the region")
+    keep = [pts[0]]
+    for p in pts[1:]:
+        if all(np.max(np.abs(p - q)) > 1e-9 * scale for q in keep):
+            keep.append(p)
+    pts = np.array(keep)
+    center = pts.mean(axis=0)
+    return pts[np.argsort(np.arctan2(pts[:, 1] - center[1], pts[:, 0] - center[0]), kind="stable")]
+
+
+def clip_outcome(clip, region, window):
+    try:
+        return clip(region, window).tobytes()
+    except ValidationError as exc:
+        return str(exc)
+
+
+class TestWindowClip:
+    def test_matches_reference_clip(self):
+        rng = np.random.default_rng(20261022)
+        cones = [ConvexCone2D((1.0, 0.0), (0.0, 1.0)), ConvexCone2D((1.0, -0.5), (-0.4, 1.0)),
+                 ConvexCone2D.halfplane((1.0, -0.7))]
+        missed = 0
+        for trial in range(300):
+            t = rng.uniform(np.pi, 1.5 * np.pi, int(rng.integers(1, 40)))
+            pts = np.column_stack([np.cos(t), np.sin(t)]) * rng.uniform(0.5, 3.0)
+            region = region_from_points_plus_cone(pts + rng.standard_normal(2), cones[trial % 3])
+            x0, y0 = rng.uniform(-4.0, 1.0, 2)
+            window = (x0, y0, x0 + rng.uniform(0.1, 6.0), y0 + rng.uniform(0.1, 6.0))
+            ref = clip_outcome(reference_clip, region, window)
+            assert clip_outcome(_clip_to_window, region, window) == ref
+            missed += isinstance(ref, str)
+        assert 0 < missed < 150
+
+    def test_feasibility_rounds_as_the_pair_loop(self):
+        # A meeting point whose slack against the next edge line sits on its
+        # limit: `dirs @ p` (one matrix-vector product per point) drops it,
+        # while a matrix-matrix product over a block of points keeps it.
+        # Found by bisecting the window's left edge.
+        verts = np.array([float.fromhex(v) for v in (
+            "0x1.79cc49cabc341p-1", "-0x1.8cddb14f0f26cp+0", "0x1.108b6ddf8b9e7p-2",
+            "-0x1.ffb70ca4212b8p-1", "-0x1.a50324350d998p-3", "-0x1.cb654d035fa84p-2",
+        )]).reshape(3, 2)
+        region = RiskRegion2D(verts, ConvexCone2D((1.0, 0.0), (0.0, 1.0)))
+        window = (float.fromhex("0x1.312b861ff63ebp-2"), -5.0, 5.0, 5.0)
+        assert clip_outcome(_clip_to_window, region, window) == clip_outcome(
+            reference_clip, region, window
+        )
 
 
 class TestGen:
@@ -134,6 +211,41 @@ class TestRisk:
         ).read_text()
         clipped = np.loadtxt(b / "boundary_outer.csv", delimiter=",", skiprows=1)
         assert np.all(np.abs(clipped) <= 3.0 + 1e-9)
+
+    @pytest.mark.parametrize(
+        "portfolio, level",
+        [
+            ({"kind": "ball", "radius": 1.0}, 0.05),
+            ({"kind": "segment-hull", "extra": "mirror"}, 0.05),
+            # Many outer cuts bind here, so many pairs of lines meet.
+            ({"kind": "liquidity-capped", "cap": [1.0, 1.0]}, 0.3),
+        ],
+        ids=["ball", "segment-hull", "liquidity-capped"],
+    )
+    def test_window_boundaries_match_reference_clip(
+        self, tmp_path, monkeypatch, portfolio, level
+    ):
+        bundles = []
+
+        def recording(*args, **kwargs):
+            bundles.append(compute_bundle(*args, **kwargs))
+            return bundles[-1]
+
+        monkeypatch.setattr(cli, "compute_bundle", recording)
+        generate = {"n": 300, "seed": 5, "mean": [0.1, 0.0], "stdev": [1.0, 1.3],
+                    "correlation": -0.3, "rate": {"mean": 1.5, "vol": 0.3}}
+        cfg = write_json(tmp_path / "config.json", {
+            "scenarios": {"generate": generate},
+            "portfolio": portfolio,
+            "risk": {"kind": "expected-shortfall", "level": level},
+        })
+        out = tmp_path / "o"
+        assert entrypoint(["risk", "--config", cfg, "--out", str(out), "--window=-5,-5,5,5"]) == 0
+        (bundle,) = bundles
+        for name in ("marginal", "inner", "outer"):
+            pts = reference_clip(getattr(bundle, name), (-5.0, -5.0, 5.0, 5.0))
+            text = "x,y\n" + "".join(f"{x:.12g},{y:.12g}\n" for x, y in pts)
+            assert (out / f"boundary_{name}.csv").read_text() == text
 
     def test_window_from_config(self, tmp_path):
         cfg = nonmargin_config(tmp_path, window=[-3, -3, 3, 3])

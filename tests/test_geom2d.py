@@ -1,9 +1,11 @@
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from svrisk.bounds import sandwich_violation
 from svrisk.errors import ValidationError
 from svrisk.geom2d import (
     ConvexCone2D,
@@ -371,6 +373,11 @@ class TestHalfSpaceSet:
         with pytest.raises(ValidationError):
             HalfSpaceSet(np.ones((1, 3)), np.zeros(1))
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_offsets_rejected(self, bad):
+        with pytest.raises(ValidationError, match="^offsets must be finite$"):
+            HalfSpaceSet([[1.0, 0.0], [0.0, 1.0]], [bad, 0.0])
+
 
 class TestMinkowskiCone:
     """conv(vertices) + cone, for a cone containing the region's recession."""
@@ -459,3 +466,244 @@ class TestSerialization:
     def test_canonical_json_deterministic(self):
         payload = {"v": [0.1 + 0.2, 1e-15, -0.0]}
         assert canonical_json(payload) == canonical_json(payload)
+
+
+def line_intersect_reference(u1, c1, u2, c2):
+    det = _cross(u1, u2)
+    if abs(det) <= 1e-12:
+        raise ValidationError("parallel constraint lines do not intersect")
+    x = (c1 * u2[1] - c2 * u1[1]) / det
+    y = (u1[0] * c2 - u2[0] * c1) / det
+    return np.array([x, y])
+
+
+def sequential_reference_halfspaces(halfspaces):
+    """The deletion loop that region_from_halfspaces must reproduce bit for
+    bit: one numpy product per redundancy test, one step back after each
+    deletion, and the all-pairs hull of the vertices."""
+    dirs, offs = halfspaces.directions, halfspaces.offsets
+    angles = np.arctan2(dirs[:, 1], dirs[:, 0])
+    cons = []
+    for idx in np.lexsort((offs, angles)):
+        u, c, ang = dirs[idx], float(offs[idx]), float(angles[idx])
+        if cons and abs(ang - cons[-1][2]) <= 1e-12:
+            if c > cons[-1][1]:
+                cons[-1] = (u, c, ang)
+        else:
+            cons.append((u, c, ang))
+    if len(cons) == 1:
+        u, c, _ = cons[0]
+        return RiskRegion2D((c * u).reshape(1, 2), ConvexCone2D.halfplane((u[1], -u[0])))
+    rec = ConvexCone2D.from_rays(cons[0][0], cons[-1][0]).positive_dual()
+    scale = max(1.0, float(np.max(np.abs(offs))))
+    i = 1
+    while 1 <= i <= len(cons) - 2:
+        (u0, c0, _), (u, c, _), (u2, c2, _) = cons[i - 1 : i + 2]
+        p = line_intersect_reference(u0, c0, u2, c2)
+        if float(p @ u) >= c - 1e-9 * max(scale, max(1.0, float(np.max(np.abs(p))))):
+            del cons[i]
+            i = max(1, i - 1)
+        else:
+            i += 1
+    verts = [
+        line_intersect_reference(cons[j][0], cons[j][1], cons[j - 1][0], cons[j - 1][1])
+        for j in range(len(cons) - 1, 0, -1)
+    ]
+    return pairwise_reference_hull(np.array(verts), rec)
+
+
+def edge_normals_reference(vertices, recession):
+    """Normals and offsets of a region, one edge and one product at a time."""
+    dual = recession.positive_dual()
+    normals, offsets = [dual.lo], [float(vertices[-1] @ dual.lo)]
+    if not dual.is_ray:
+        for j in range(len(vertices) - 2, -1, -1):
+            edge = vertices[j + 1] - vertices[j]
+            rot = np.array([edge[1], -edge[0]])
+            norm = float(np.hypot(rot[0], rot[1]))
+            if norm == 0.0 or not np.isfinite(norm):
+                raise ValidationError("zero or non-finite direction")
+            normals.append(rot / norm)
+            offsets.append(float(vertices[j] @ normals[-1]))
+        normals.append(dual.hi)
+        offsets.append(float(vertices[0] @ dual.hi))
+    return np.array(normals), np.array(offsets)
+
+
+def sandwich_reference(bundle):
+    """sandwich_violation with one vertex product per direction."""
+    worst = -math.inf
+    for small, big in ((bundle.marginal, bundle.inner), (bundle.inner, bundle.outer)):
+        hs = big.halfspaces()
+        u = hs.directions
+        units = u / np.hypot(u[:, 0], u[:, 1])[:, None]
+        if not np.all(small.recession.positive_dual().contains_many(units)):
+            return math.inf
+        least = [np.min(small.vertices @ d) for d in u]
+        worst = max(worst, float(np.max(hs.offsets - least)))
+    return worst
+
+
+def region_bytes(region):
+    return tuple(
+        a.tobytes()
+        for a in (region.vertices, region.recession.lo, region.recession.hi,
+                  region._normals, region._offsets)
+    )
+
+
+def region_outcome(build, *args):
+    try:
+        return region_bytes(build(*args))
+    except ValueError as exc:  # ValidationError included
+        return type(exc), str(exc)
+
+
+def fuzz_halfspaces(rng, family):
+    m = int(rng.integers(1, 40))
+    theta = np.sort(rng.uniform(0.0, np.pi / 2, m))
+    if rng.random() < 0.3:
+        theta[0], theta[-1] = 0.0, np.pi / 2  # the axis directions
+    if family == "duplicate-angles":
+        theta = theta[rng.integers(0, m, m)]
+    elif family == "near-parallel":
+        # Pairs whose determinant sits near the 1e-12 snap band.
+        theta = theta[: int(rng.integers(1, 4))]  # few cuts, so a pair can bind
+        gaps = rng.choice([3e-13, 1e-12, 1.00001e-12, 1.00005e-12, 2e-12, 1e-11], len(theta))
+        theta = np.sort(np.concatenate([theta, np.clip(theta + gaps, 0.0, np.pi / 2)]))
+    elif family == "half-plane":
+        theta = np.full(m, theta[0])
+    dirs = np.column_stack([np.cos(theta), np.sin(theta)])
+    dirs *= rng.uniform(0.5, 2.0, (len(dirs), 1))  # HalfSpaceSet normalises
+    corner = rng.standard_normal(2)
+    radius = rng.uniform(0.0, 2.0)
+    # Cuts tangent to a disc (a dense front of binding cuts) ...
+    offs = dirs @ corner - radius * np.hypot(dirs[:, 0], dirs[:, 1])
+    if family == "one-vertex":
+        offs = dirs @ corner  # every cut through one point
+        offs += rng.choice([0.0, 1e-16, -1e-16, 1e-12], len(offs)) * np.abs(offs)
+    elif family == "redundant-runs":
+        # ... with runs of cuts pushed far enough down to be redundant.
+        start = rng.integers(0, len(offs), 3)
+        for s in start:
+            offs[s : s + int(rng.integers(1, 8))] -= rng.uniform(0.0, 1.0)
+    elif family in ("random", "near-parallel"):
+        offs = rng.standard_normal(len(offs))
+    return HalfSpaceSet(dirs, offs * 10.0 ** rng.uniform(-3.0, 3.0))
+
+
+# Three cuts for which the plain sum x u0 + y u1 and the numpy product
+# p @ u (fma(y, u1, x u0) in OpenBLAS ddot) fall on opposite sides of the
+# redundancy limit, found by a seeded search: the middle cut must be kept
+# or dropped exactly as the sequential loop decides.
+FMA_SPLIT_CASES = [
+    (
+        [["0x1.e7763777e3310p-1", "0x1.393591b1ed0ecp-2"],
+         ["0x1.1043737b07111p-1", "0x1.b19bdabcb11a0p-1"],
+         ["0x1.81ce4594ee6b0p-3", "0x1.f6d545a2f9c8dp-1"]],
+        ["-0x1.9d13704f36574p-2", "0x1.cc048d31447c2p-2", "0x1.aded3352e96e4p-1"],
+    ),
+    (
+        [["0x1.61e15b8d897cep-1", "0x1.7204677500a22p-1"],
+         ["0x1.1af70c51cd223p-1", "0x1.aab3c52bc5df9p-1"],
+         ["0x1.9ba13eb6bc3f9p-2", "0x1.d4cfbddceb141p-1"]],
+        ["0x1.4db77c9294032p-1", "0x1.4643248bd267ep-3", "-0x1.4a1cb24c51a54p-2"],
+    ),
+]
+
+
+def fma_split_set(case):
+    dirs, offs = case
+    return HalfSpaceSet(
+        [[float.fromhex(v) for v in row] for row in dirs], [float.fromhex(v) for v in offs]
+    )
+
+
+class TestBatchedGeometryMatchesReferences:
+    FAMILIES = ["tangent", "redundant-runs", "duplicate-angles", "near-parallel",
+                "one-vertex", "half-plane", "random"]
+
+    def test_halfspaces_match_sequential_loop(self):
+        rng = np.random.default_rng(20261019)
+        sets = [fma_split_set(case) for case in FMA_SPLIT_CASES]
+        sets += [fuzz_halfspaces(rng, f) for _ in range(180) for f in self.FAMILIES]
+        compared, raised, halfplanes = 0, 0, 0
+        for hs in sets:
+            ref = region_outcome(sequential_reference_halfspaces, hs)
+            if ref == TOLERANCE_CYCLE:
+                continue
+            got = region_outcome(region_from_halfspaces, hs)
+            assert got == ref, (hs.directions.tolist(), hs.offsets.tolist())
+            compared += 1
+            if isinstance(ref[0], type):
+                raised += 1
+            elif np.frombuffer(ref[1], dtype=float) @ np.frombuffer(ref[2], dtype=float) < 0:
+                halfplanes += 1
+        assert compared >= 1200 and raised > 0 and halfplanes > 0
+
+    @pytest.mark.parametrize("case", FMA_SPLIT_CASES)
+    def test_exact_dot_decides_near_the_limit(self, case):
+        hs = fma_split_set(case)
+        d, c = hs.directions, hs.offsets
+        p = line_intersect_reference(d[0], c[0], d[2], c[2])
+        limit = c[1] - 1e-9 * max(1.0, float(np.max(np.abs(c))), float(np.max(np.abs(p))))
+        plain = p[0] * d[1, 0] + p[1] * d[1, 1]
+        if (plain >= limit) == (float(p @ d[1]) >= limit):
+            pytest.skip("this BLAS rounds a 2-vector product like the plain sum")
+        # The middle cut stays (two vertices) exactly when the product says
+        # so, and the batched scan makes the same choice.
+        ref = sequential_reference_halfspaces(hs)
+        assert len(ref.vertices) == (2 if float(p @ d[1]) < limit else 1)
+        assert region_bytes(region_from_halfspaces(hs)) == region_bytes(ref)
+
+    def test_normals_match_edge_loop(self):
+        rng = np.random.default_rng(20261020)
+        for trial in range(1200):
+            cone = fuzz_cones(rng)[trial % 4]
+            k = int(rng.integers(1, 30))
+            x = -np.sort(-rng.standard_normal(k)) * 10.0 ** rng.uniform(-3.0, 3.0)
+            verts = np.column_stack([x, rng.standard_normal(k) * 10.0 ** rng.uniform(-3.0, 3.0)])
+            region = RiskRegion2D(verts, cone)
+            normals, offsets = edge_normals_reference(region.vertices, cone)
+            assert region._normals.tobytes() == normals.tobytes()
+            assert region._offsets.tobytes() == offsets.tobytes()
+
+    def test_duplicate_vertex_has_no_edge_normal(self):
+        verts = np.array([[1.0, 0.0], [0.5, 0.5], [0.5, 0.5]])
+        with pytest.raises(ValidationError, match="^zero or non-finite direction$"):
+            edge_normals_reference(verts, ORTHANT)
+        with pytest.raises(ValidationError, match="^zero or non-finite direction$"):
+            RiskRegion2D(verts, ORTHANT)
+
+    def test_sandwich_violation_matches_per_direction_loop(self):
+        rng = np.random.default_rng(20261021)
+        finite = 0
+        for trial in range(1000):
+            cones = fuzz_cones(rng)
+            regions = []
+            for _ in range(3):
+                pts = rng.standard_normal((int(rng.integers(1, 25)), 2))
+                cone = cones[rng.integers(0, 2)] if trial % 5 == 0 else cones[trial % 4]
+                regions.append(region_from_points_plus_cone(pts * 10.0 ** rng.uniform(-3, 3), cone))
+            bundle = SimpleNamespace(marginal=regions[0], inner=regions[1], outer=regions[2])
+            ref = sandwich_reference(bundle)
+            assert sandwich_violation(bundle).hex() == ref.hex()
+            finite += math.isfinite(ref)
+        assert finite > 500
+
+    def test_convex_front_skips_pairwise_test(self, monkeypatch):
+        t = np.linspace(np.pi, 1.5 * np.pi, 2000)
+        front = np.column_stack([np.cos(t), np.sin(t)])
+        calls = []
+        contains_many = ConvexCone2D.contains_many
+
+        def counted(self, *args, **kwargs):
+            calls.append(len(args[0]))
+            return contains_many(self, *args, **kwargs)
+
+        monkeypatch.setattr(ConvexCone2D, "contains_many", counted)
+        region_from_points_plus_cone(front, ORTHANT)
+        assert calls == []
+        # A point near the front still reaches the pairwise test.
+        region_from_points_plus_cone(np.vstack([front, front[7] + 1e-12]), ORTHANT)
+        assert calls
