@@ -2,8 +2,10 @@
 
 The inner region is the convex hull of selection risk points plus a
 recession cone that provably stays inside the true region; the outer
-region intersects dual half-space bounds derived from scalar risk applied
-to support values.  Between them sits the coordinatewise marginal bound.
+region intersects the dual half-space bounds that the portfolio kind's
+record in ``markets`` makes (``PortfolioKind.outer_cuts``), so nothing here
+knows how any kind's cuts are made.  Between them sits the coordinatewise
+marginal bound.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, WholePlaneError
+from .errors import ValidationError
 from .geom2d import (
     ConvexCone2D,
     HalfSpaceSet,
@@ -24,16 +26,15 @@ from .geom2d import (
     region_from_halfspaces,
     region_from_points_plus_cone,
 )
-from .markets import tail_slope_cone
+from . import markets
+from .markets import CONE_DET, KINDS, PortfolioKind, tail_slope_cone
 from .riskstats import (
     WeightedSample,
     es_var_lognormal_mean_one,
-    neg_expectation,
     risk_eval,
     risk_rows,
     var_empirical,
 )
-from . import selections
 from .selections import _bundle_families, _matrices, selection_auditor
 
 # Largest support violation a selection may show when bundles are audited.
@@ -55,14 +56,6 @@ def risk_point(gains, weights, risk_spec):
 
 def risk_of_selection(selection, weights, risk_spec):
     return risk_point(selection.gains, weights, risk_spec)
-
-
-def direction_grid(n_dirs):
-    """Unit directions spanning the closed first quadrant."""
-    if int(n_dirs) < 2:
-        raise ValidationError("need at least two directions")
-    angles = np.linspace(0.0, np.pi / 2.0, int(n_dirs))
-    return np.column_stack([np.cos(angles), np.sin(angles)])
 
 
 def cone_risk_bounds(rate_sample, alpha):
@@ -144,7 +137,7 @@ def _selection_hull(portfolio, risk_spec, strategies, audit):
     total = sum(family.count for family in families)
     # One buffer for every block keeps the allocator from handing the
     # block's pages back and faulting them in again for every block.
-    buf = np.empty((min(total, max(1, selections._BLOCK_VALUES // n)), n, 2))
+    buf = np.empty((min(total, max(1, markets._BLOCK_VALUES // n)), n, 2))
     points = []
     for rows, parts in _filled_blocks(families, buf):
         gains = buf[:rows]
@@ -171,106 +164,25 @@ def inner_region(portfolio, risk_spec, strategies=None, audit=False):
     return _selection_hull(portfolio, risk_spec, strategies, audit)[1]
 
 
-def _support_cuts(portfolio, risk_spec, candidates):
-    """The candidate directions whose support is finite on every live
-    scenario, and the risks of their support values (the cut offsets),
-    evaluated in blocks of directions."""
-    candidates = np.asarray(candidates, dtype=float)
-    weights = portfolio.ensemble.weights
-    live = weights > 0
-    size = max(1, selections._BLOCK_VALUES // portfolio.ensemble.n)
-    dirs, offsets = [], []
-    for lo in range(0, len(candidates), size):
-        U = candidates[lo : lo + size]
-        rows = portfolio.support_values(U)
-        fin = np.isfinite(rows)
-        finite = fin.all(axis=1)
-        if not finite.all():
-            # Only directions with an infinite entry need the live mask.
-            if fin[~finite][:, live].all(axis=1).any():
-                raise ValidationError("support values are not finite on a zero-weight scenario")
-            U, rows = U[finite], rows[finite]
-        dirs.append(U)
-        offsets += risk_rows(risk_spec, rows, weights).tolist()
-        del rows
-    return np.concatenate(dirs), offsets
+def _outer(cuts):
+    """The outer region: the intersection of (directions, offsets) cuts."""
+    return region_from_halfspaces(HalfSpaceSet(*cuts))
 
 
 def outer_region_det_cone(portfolio, risk_spec):
     """Exact pair of dual cuts along the exchange-cone dual generators."""
-    cone = portfolio.cone
-    dirs = np.array([cone.a1, cone.a2], dtype=float)
-    kept, offsets = _support_cuts(portfolio, risk_spec, dirs)
-    if len(kept) < len(dirs):
-        raise WholePlaneError("support values are unbounded on the dual cone")
-    return region_from_halfspaces(HalfSpaceSet(dirs, offsets))
+    return _outer(KINDS[CONE_DET].outer_cuts(portfolio, risk_spec, None))
 
 
 def outer_region_support_grid(portfolio, risk_spec, n_dirs=181):
-    """Dual cuts over a first-quadrant direction fan, skipping directions
-    with unbounded support.  Exchange-cone portfolios also probe the exact
-    dual generators, where the support stays finite."""
-    candidates = [direction_grid(n_dirs)] + portfolio.definition.exact_dirs(portfolio)
-    dirs, offsets = _support_cuts(portfolio, risk_spec, np.vstack(candidates))
-    if not len(dirs):
-        raise WholePlaneError("every probed direction has unbounded support")
-    return region_from_halfspaces(HalfSpaceSet(dirs, offsets))
-
-
-_CERTIFICATE_BUILDERS = (
-    ("unit", lambda pi: np.ones_like(pi)),
-    ("inv-rate", lambda pi: 1.0 / pi),
-    ("rate", lambda pi: pi.copy()),
-    ("inv-rate-sq", lambda pi: pi**-2),
-)
-
-
-def _outer_region_random_halfplane(portfolio, risk_spec):
-    """Dual cuts from admissible scenario reweightings.
-
-    A non-negative weight zeta yields the cut <x, (E[zeta*pi], E[zeta])> >=
-    -E[zeta*(pi*X1 + X2)] provided both zeta*pi and zeta, normalised to
-    unit mean, stay below 1/level -- then each is a valid tail density and
-    the bound follows from the scalar dual representation.  Inadmissible
-    candidates are skipped; if none qualify the region is the whole plane.
-    Callers check the risk spec against the kind's rule first.
-    """
-    E = portfolio.ensemble
-    pi = E.require_rates()
-    w = E.weights
-    live = w > 0
-    alpha = risk_spec.level
-    exposure = pi * E.gains[:, 0] + E.gains[:, 1]
-
-    dirs, offsets = [], []
-    for _, build in _CERTIFICATE_BUILDERS:
-        zeta = build(pi)
-        mean_zpi = -neg_expectation(WeightedSample(zeta * pi, w))
-        mean_z = -neg_expectation(WeightedSample(zeta, w))
-        sup_zpi = float(np.max((zeta * pi)[live]))
-        sup_z = float(np.max(zeta[live]))
-        slack = 1.0 + 1e-9
-        if sup_zpi <= mean_zpi / alpha * slack and sup_z <= mean_z / alpha * slack:
-            dirs.append((mean_zpi, mean_z))
-            offsets.append(neg_expectation(WeightedSample(zeta * exposure, w)))
-    if not dirs:
-        raise WholePlaneError(
-            "no admissible dual certificate at this level; outer bound is the whole plane"
-        )
-    return region_from_halfspaces(HalfSpaceSet(np.asarray(dirs, dtype=float), offsets))
-
-
-# Outer-cut methods by the name a portfolio kind's record gives.
-_OUTER_CUTS = {
-    "dual-generators": lambda p, spec, n_dirs: outer_region_det_cone(p, spec),
-    "certificates": lambda p, spec, n_dirs: _outer_region_random_halfplane(p, spec),
-    "support-grid": outer_region_support_grid,
-}
+    """Dual cuts over a first-quadrant direction fan and the kind's exact
+    directions (an exchange cone's dual generators), less unbounded ones."""
+    return _outer(PortfolioKind.outer_cuts(portfolio.definition, portfolio, risk_spec, n_dirs))
 
 
 def outer_region(portfolio, risk_spec, n_dirs=181):
     portfolio.definition.risk_rule(risk_spec)
-    return _OUTER_CUTS[portfolio.definition.outer](portfolio, risk_spec, n_dirs)
+    return _outer(portfolio.definition.outer_cuts(portfolio, risk_spec, n_dirs))
 
 
 def _marginal(portfolio, risk_spec, recession):
@@ -324,7 +236,7 @@ def compute_bundle(portfolio, risk_spec, strategies=None, n_dirs=181, audit=Fals
     definition = portfolio.definition
     definition.risk_rule(risk_spec)
     count, inner = _selection_hull(portfolio, risk_spec, strategies, audit)
-    outer = _OUTER_CUTS[definition.outer](portfolio, risk_spec, n_dirs)
+    outer = _outer(definition.outer_cuts(portfolio, risk_spec, n_dirs))
     marginal = _marginal(portfolio, risk_spec, inner.recession)
     meta = {
         "portfolio": portfolio.kind,

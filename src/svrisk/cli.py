@@ -68,13 +68,16 @@ def _ensemble(config, seed=None, n=None):
         spec = GenSpec.from_dict(gen_cfg)
     except KeyError as exc:
         raise ValidationError(f"generate block is missing {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"generate block: {exc}") from None
     return generate(spec)
 
 
 def _portfolio(config, ensemble):
-    block = dict(config.get("portfolio") or {})
+    block = config.get("portfolio", {})
+    if not isinstance(block, dict):
+        raise ValidationError(f'"portfolio" must be an object, got {block!r}')
+    block = dict(block)
     kind = block.pop("kind", None)
     if not isinstance(kind, str) or kind not in KINDS:
         raise ValidationError(f'portfolio "kind" must be one of {tuple(KINDS)}')

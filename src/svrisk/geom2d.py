@@ -132,9 +132,6 @@ class ConvexCone2D:
         c_hi = pts[:, 0] * self.hi[1] - pts[:, 1] * self.hi[0]
         return (c_lo >= -eps) & (c_hi >= -eps)
 
-    def contains_cone(self, other, tol=TOL):
-        return self.contains(other.lo, tol) and self.contains(other.hi, tol)
-
     def positive_dual(self):
         """Cone of directions with non-negative inner product on this cone."""
         return ConvexCone2D(_rot_cw(self.hi), _rot_ccw(self.lo))

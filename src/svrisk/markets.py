@@ -4,7 +4,8 @@ A two-asset exchange cone collects the positions reachable from zero by
 exchanges at bid-ask rates; it contains the non-positive quadrant (free
 disposal).  A set-valued portfolio couples a scenario ensemble with the
 per-scenario set of attainable terminal positions, described here through
-its support function on the non-negative quadrant.
+its support function on the non-negative quadrant.  Each kind's record also
+makes the kind's outer cuts, from support values or reweighted scenarios.
 """
 
 from __future__ import annotations
@@ -14,15 +15,29 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, WholePlaneError
 from .geom2d import TOL, ConvexCone2D, _cross, _unit
 from .riskstats import ES, VAR, WeightedSample, _settle_weight_sum, es_empirical
+from .riskstats import neg_expectation, risk_rows
 
 CONE_DET = "cone-det"
 CONE_HALFPLANE_RANDOM = "cone-halfplane-random"
 LIQUIDITY_CAPPED = "liquidity-capped"
 BALL = "ball"
 SEGMENT_HULL = "segment-hull"
+
+# Scenario values per column in one block: selections are filled and
+# evaluated, and support rows built, in blocks of _BLOCK_VALUES // n rows (at
+# least one), so memory stays bounded however many there are.
+_BLOCK_VALUES = 2**18
+
+
+def direction_grid(n_dirs):
+    """Unit directions spanning the closed first quadrant."""
+    if int(n_dirs) < 2:
+        raise ValidationError("need at least two directions")
+    angles = np.linspace(0.0, np.pi / 2.0, int(n_dirs))
+    return np.column_stack([np.cos(angles), np.sin(angles)])
 
 
 @dataclass(frozen=True)
@@ -224,6 +239,34 @@ class SetPortfolio:
         rows = self.definition.support(self, U, base)
         return rows[0] if one else rows
 
+    def support_blocks(self, U):
+        """Yield (block, rows): the (k, 2) directions ``U`` in blocks of
+        _BLOCK_VALUES // n rows (at least one), each with its support rows."""
+        size = max(1, _BLOCK_VALUES // self.ensemble.n)
+        for lo in range(0, len(U), size):
+            block = U[lo : lo + size]
+            yield block, self.support_values(block)
+
+
+def _support_cuts(p, risk_spec, candidates):
+    """The candidate directions whose support is finite on every live
+    scenario, and the risks of their support values (the cut offsets)."""
+    weights = p.ensemble.weights
+    live = weights > 0
+    dirs, offsets = [], []
+    for U, rows in p.support_blocks(candidates):
+        fin = np.isfinite(rows)
+        finite = fin.all(axis=1)
+        if not finite.all():
+            # Only directions with an infinite entry need the live mask.
+            if fin[~finite][:, live].all(axis=1).any():
+                raise ValidationError("support values are not finite on a zero-weight scenario")
+            U, rows = U[finite], rows[finite]
+        dirs.append(U)
+        offsets += risk_rows(risk_spec, rows, weights).tolist()
+        del rows
+    return np.concatenate(dirs), offsets
+
 
 def tail_slope_cone(rate_sample, alpha):
     """Cone spanned by the tail-expectation slopes (1, ES(pi)) and
@@ -240,15 +283,14 @@ class PortfolioKind:
     Each kind is a subclass that also defines ``support(p, U, base)``, the
     per-scenario support values at each row u of a (k, 2) block of directions
     ``U`` given the (k, n) array ``base`` of rows ``gains @ u``, which it may
-    overwrite and return, and
-    ``parse(block, ensemble)``, which builds a portfolio from a config block
-    and pops the keys it reads.  ``outer`` names the outer-cut method in
-    ``bounds``.  ``strategies`` is the default strategy set; apart from
-    "explicit", only the strategies it names apply to the kind.  A kind may
-    leave some of them out of the defaults for a given portfolio.
+    overwrite and return, and ``parse(block, ensemble)``, which builds a
+    portfolio from a config block and pops the keys it reads.  Its
+    ``outer_cuts`` makes the dual cuts of the outer region.  ``strategies`` is
+    the default strategy set; apart from "explicit", only the strategies it
+    names apply to the kind.  A kind may leave some of them out of the
+    defaults for a given portfolio.
     """
 
-    outer = "support-grid"
     strategies = ()
     # Kinds that exchange at the scenario's rate need rates, and the audit
     # checks that no selection creates wealth at that rate.
@@ -284,12 +326,22 @@ class PortfolioKind:
         support grid probe besides their direction fans."""
         return []
 
+    def outer_cuts(self, p, risk_spec, n_dirs):
+        """Dual cuts (directions, offsets) whose half-spaces meet in the outer
+        region, for a risk spec that passed ``risk_rule``.  By default the
+        support grid: a first-quadrant fan of ``n_dirs`` directions and the
+        exact directions, less those with unbounded support."""
+        candidates = np.vstack([direction_grid(n_dirs)] + self.exact_dirs(p))
+        dirs, offsets = _support_cuts(p, risk_spec, candidates)
+        if not len(dirs):
+            raise WholePlaneError("every probed direction has unbounded support")
+        return dirs, offsets
+
 
 _IDENTITY = {"strategy": "identity"}
 
 
 class _ConeDet(PortfolioKind):
-    outer = "dual-generators"
     strategies = (
         _IDENTITY,
         {"strategy": "quantile-shift", "side": "both"},
@@ -328,9 +380,16 @@ class _ConeDet(PortfolioKind):
     def exact_dirs(self, p):
         return [_unit(p.cone.a1), _unit(p.cone.a2)]
 
+    def outer_cuts(self, p, risk_spec, n_dirs):
+        """Exact pair of dual cuts along the exchange-cone dual generators."""
+        dirs = np.array([p.cone.a1, p.cone.a2], dtype=float)
+        kept, offsets = _support_cuts(p, risk_spec, dirs)
+        if len(kept) < len(dirs):
+            raise WholePlaneError("support values are unbounded on the dual cone")
+        return dirs, offsets
+
 
 class _RandomHalfplane(PortfolioKind):
-    outer = "certificates"
     strategies = (_IDENTITY, {"strategy": "frictionless"}, {"strategy": "axis-transfer"})
     trades_at_rate = True
 
@@ -356,6 +415,35 @@ class _RandomHalfplane(PortfolioKind):
                 "random exchange-line portfolios need expected-shortfall "
                 "risk at a level in (0, 1/2]"
             )
+
+    def outer_cuts(self, p, risk_spec, n_dirs):
+        """Dual cuts from the scenario reweightings zeta = 1, 1/pi, pi, 1/pi**2.
+
+        Each yields the cut <x, (E[zeta*pi], E[zeta])> >= -E[zeta*(pi*X1 + X2)]
+        if both zeta*pi and zeta, normalised to unit mean, stay below 1/level:
+        then each is a valid tail density and the bound follows from the scalar
+        dual representation.  With no admissible weight the region is the
+        whole plane."""
+        E = p.ensemble
+        pi, w = E.rates, E.weights
+        live = w > 0
+        alpha = risk_spec.level
+        slack = 1.0 + 1e-9
+        exposure = pi * E.gains[:, 0] + E.gains[:, 1]
+        dirs, offsets = [], []
+        for zeta in (np.ones_like(pi), 1.0 / pi, pi, pi**-2):
+            mean_zpi = -neg_expectation(WeightedSample(zeta * pi, w))
+            mean_z = -neg_expectation(WeightedSample(zeta, w))
+            sup_zpi = float(np.max((zeta * pi)[live]))
+            sup_z = float(np.max(zeta[live]))
+            if sup_zpi <= mean_zpi / alpha * slack and sup_z <= mean_z / alpha * slack:
+                dirs.append((mean_zpi, mean_z))
+                offsets.append(neg_expectation(WeightedSample(zeta * exposure, w)))
+        if not dirs:
+            raise WholePlaneError(
+                "no admissible dual certificate at this level; outer bound is the whole plane"
+            )
+        return np.asarray(dirs, dtype=float), offsets
 
 
 class _LiquidityCapped(PortfolioKind):

@@ -28,10 +28,13 @@ class GenSpec:
     rate_vol: float = 0.0
 
     def __post_init__(self):
-        if int(self.n) <= 0:
-            raise ValidationError("n must be positive")
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "seed", int(self.seed))
+        n, seed = int(self.n), int(self.seed)
+        if not 0 < n <= np.iinfo(np.intp).max // 16:
+            raise ValidationError("n must be positive and fit in one array")
+        if seed < 0:
+            raise ValidationError("seed must be non-negative")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "seed", seed)
         mean = tuple(float(v) for v in self.mean)
         stdev = tuple(float(v) for v in self.stdev)
         if len(mean) != 2 or len(stdev) != 2:
@@ -51,8 +54,8 @@ class GenSpec:
             rate_vol = float(self.rate_vol)
             if not (math.isfinite(rate_mean) and rate_mean > 0):
                 raise ValidationError("rate_mean must be positive")
-            if not (math.isfinite(rate_vol) and rate_vol >= 0):
-                raise ValidationError("rate_vol must be non-negative")
+            if not 0 <= rate_vol < 1e154:  # its square must stay finite
+                raise ValidationError("rate_vol must lie in [0, 1e154)")
             object.__setattr__(self, "rate_mean", rate_mean)
             object.__setattr__(self, "rate_vol", rate_vol)
 
@@ -101,14 +104,15 @@ def generate(spec):
     rng = np.random.default_rng(spec.seed)
     z = rng.standard_normal((spec.n, 2))
     rho = spec.correlation
-    x1 = spec.mean[0] + spec.stdev[0] * z[:, 0]
-    x2 = spec.mean[1] + spec.stdev[1] * (rho * z[:, 0] + math.sqrt(1.0 - rho**2) * z[:, 1])
-    gains = np.column_stack([x1, x2])
-    rates = None
-    if spec.rate_mean is not None:
-        z3 = rng.standard_normal(spec.n)
-        # exp(vol*Z - vol^2/2) has mean one, so the rate averages rate_mean
-        rates = spec.rate_mean * np.exp(spec.rate_vol * z3 - 0.5 * spec.rate_vol**2)
+    with np.errstate(over="ignore"):  # ScenarioEnsemble refuses what overflows
+        x1 = spec.mean[0] + spec.stdev[0] * z[:, 0]
+        x2 = spec.mean[1] + spec.stdev[1] * (rho * z[:, 0] + math.sqrt(1.0 - rho**2) * z[:, 1])
+        gains = np.column_stack([x1, x2])
+        rates = None
+        if spec.rate_mean is not None:
+            z3 = rng.standard_normal(spec.n)
+            # exp(vol*Z - vol^2/2) has mean one, so the rate averages rate_mean
+            rates = spec.rate_mean * np.exp(spec.rate_vol * z3 - 0.5 * spec.rate_vol**2)
     return ScenarioEnsemble(gains, rates=rates)
 
 

@@ -24,13 +24,8 @@ import numpy as np
 
 from .errors import ValidationError
 from .geom2d import _unit
-from .markets import dual_cone
+from .markets import direction_grid, dual_cone
 from .riskstats import WeightedSample, es_empirical, var_empirical
-
-# Scenario values per column in one block: selections are filled and
-# evaluated, and support rows built, in blocks of _BLOCK_VALUES // n rows (at
-# least one), so memory stays bounded however many there are.
-_BLOCK_VALUES = 2**18
 
 
 @dataclass(frozen=True)
@@ -94,6 +89,8 @@ def default_t_grid(scale, count=33, span=4.0):
     scale = max(float(scale), 1e-12)
     if count < 2 or span <= 0:
         raise ValidationError("grid needs count >= 2 and positive span")
+    if not math.isfinite(span * scale):
+        raise ValidationError("grid scale and span must be finite, and so must their product")
     geo = np.geomspace(0.05 * scale, span * scale, int(count))
     return np.unique(np.concatenate([[0.0, 1.0], geo]))
 
@@ -340,14 +337,9 @@ def selection_auditor(portfolio):
     scenario rate it also checks that no wealth is created at that rate.
     """
     E = portfolio.ensemble
-    angles = np.linspace(0.0, np.pi / 2.0, _AUDIT_DIRS)
-    dirs = [np.array([np.cos(a), np.sin(a)]) for a in angles]
-    dirs = np.array(dirs + portfolio.definition.exact_dirs(portfolio))
-    size = max(1, _BLOCK_VALUES // E.n)
+    dirs = np.vstack([direction_grid(_AUDIT_DIRS)] + portfolio.definition.exact_dirs(portfolio))
     rows = []
-    for lo in range(0, len(dirs), size):
-        U = dirs[lo : lo + size]
-        H = portfolio.support_values(U)
+    for U, H in portfolio.support_blocks(dirs):
         finite = np.isfinite(H).any(axis=1)
         if not finite.all():
             U, H = U[finite], H[finite]
@@ -512,8 +504,11 @@ def _families(portfolio, config, risk_spec):
             f"strategy {name!r} does not apply to {portfolio.kind} portfolios"
         )
     try:
-        families = build(portfolio, cfg, risk_spec)
-    except (TypeError, ValueError) as exc:  # config values of the wrong type
+        # Gains so large that the strategy's own arithmetic overflows are
+        # refused, as are config values of the wrong type.
+        with np.errstate(over="raise", invalid="raise"):
+            families = build(portfolio, cfg, risk_spec)
+    except (TypeError, ValueError, FloatingPointError) as exc:
         raise _strategy_error(name, exc) from exc
     return [_checked(name, family) for family in families]
 

@@ -4,13 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from svrisk import bounds, selections
+from svrisk import markets, selections
 from svrisk.bounds import (
     RiskBundle,
     compute_bundle,
     cone_risk_bounds,
     cone_risk_bounds_lognormal,
-    direction_grid,
     gather_selections,
     inner_recession,
     inner_region,
@@ -34,6 +33,7 @@ from svrisk.markets import (
     ExchangeCone2D,
     ScenarioEnsemble,
     SetPortfolio,
+    direction_grid,
     solvency_cone,
 )
 from svrisk.riskstats import ES, NEG_EXPECTATION, VAR, RiskSpec, WeightedSample, risk_rows
@@ -234,7 +234,7 @@ class TestConeRiskBounds:
 
     def test_inner_cone_inside_outer_cone(self):
         inner, outer = cone_risk_bounds_lognormal(0.4, 0.05)
-        assert outer.contains_cone(inner)
+        assert outer.contains(inner.lo) and outer.contains(inner.hi)
 
     def test_empirical_matches_closed_form(self):
         rng = np.random.default_rng(43)
@@ -332,10 +332,24 @@ class TestSandwich:
     def test_bundle_that_does_not_nest_is_refused(self, monkeypatch):
         # An outer cut that slices into the inner region breaks the sandwich.
         p = ALL_KIND_BUILDERS["ball"](ensemble_for_kinds(seed=5))
-        far = region_from_points_plus_cone(np.array([[10.0, 10.0]]), ConvexCone2D.nonneg_orthant())
-        monkeypatch.setitem(bounds._OUTER_CUTS, "support-grid", lambda p, spec, n_dirs: far)
+        cuts = (np.eye(2), [10.0, 10.0])
+        monkeypatch.setattr(markets.KINDS["ball"], "outer_cuts", lambda p, spec, n_dirs: cuts)
         with pytest.raises(ValidationError, match="do not nest"):
             compute_bundle(p, ES05)
+
+    def test_kind_registered_only_in_markets_makes_a_bundle(self, monkeypatch):
+        # A kind is one record in markets.KINDS: the bundle pipeline takes its
+        # outer cuts from the record and knows nothing else about it.
+        class FixedCuts(markets._Ball):
+            def outer_cuts(self, p, risk_spec, n_dirs):
+                return np.eye(2), [-100.0, -100.0]
+
+        monkeypatch.setitem(markets.KINDS, "fixed-cuts", FixedCuts())
+        p = SetPortfolio("fixed-cuts", ensemble_for_kinds(seed=5), radius=0.5)
+        bundle = compute_bundle(p, ES05)
+        assert bundle.meta["portfolio"] == "fixed-cuts"
+        assert bundle.outer.vertices.tolist() == [[-100.0, -100.0]]
+        assert sandwich_violation(bundle) <= 1e-9
 
     @pytest.mark.parametrize("kind", sorted(ALL_KIND_BUILDERS))
     def test_value_at_risk_refused(self, kind):
@@ -434,9 +448,9 @@ class TestBundleSerialization:
             for kind, build in ALL_KIND_BUILDERS.items():
                 p = build(ensemble)
                 for audit in (False, True):
-                    monkeypatch.setattr(selections, "_BLOCK_VALUES", 1)
+                    monkeypatch.setattr(markets, "_BLOCK_VALUES", 1)
                     one_row = compute_bundle(p, ES05, audit=audit).to_json()
-                    monkeypatch.setattr(selections, "_BLOCK_VALUES", 2**30)
+                    monkeypatch.setattr(markets, "_BLOCK_VALUES", 2**30)
                     one_block = compute_bundle(p, ES05, audit=audit).to_json()
                     assert one_row == one_block, (kind, audit)
                     # Two blocks, the second shorter, so the reused block
@@ -445,13 +459,13 @@ class TestBundleSerialization:
                     count = json.loads(one_block)["meta"]["selections"]
                     if count >= 3:
                         rows = count // 2 + 1
-                        monkeypatch.setattr(selections, "_BLOCK_VALUES", rows * ensemble.n)
+                        monkeypatch.setattr(markets, "_BLOCK_VALUES", rows * ensemble.n)
                         two_blocks = compute_bundle(p, ES05, audit=audit).to_json()
                         assert two_blocks == one_block, (kind, audit)
 
     @pytest.mark.parametrize("block_values", [1, 2**30])
     def test_audit_names_first_cheating_selection(self, monkeypatch, block_values):
-        monkeypatch.setattr(selections, "_BLOCK_VALUES", block_values)
+        monkeypatch.setattr(markets, "_BLOCK_VALUES", block_values)
         p = nonmargin_portfolio()
         cheats = [
             {"strategy": "explicit", "gains": (NONMARGIN_GAINS + 1.0).tolist(),
@@ -490,7 +504,7 @@ class TestBundleSerialization:
             return [grid._replace(fill=fill)]
 
         monkeypatch.setitem(selections._STRATEGIES, "quantile-shift", (cheating, keys))
-        monkeypatch.setattr(selections, "_BLOCK_VALUES", rows * p.ensemble.n)
+        monkeypatch.setattr(markets, "_BLOCK_VALUES", rows * p.ensemble.n)
         bad = family[cheat]
         gap = audit_selection(p, SelectionMatrix(bad.gains + 1.0, bad.label))
         message = f"selection {bad.label!r} leaves the portfolio (support violation {gap:.3e})"
@@ -522,14 +536,14 @@ class TestBundleSerialization:
     def test_support_cuts_match_per_direction_loop(self, monkeypatch, kind, block_values):
         # The cuts of blocks of directions against one support row and one
         # risk evaluation per direction, with a zero-weight scenario.
-        monkeypatch.setattr(selections, "_BLOCK_VALUES", block_values)
+        monkeypatch.setattr(markets, "_BLOCK_VALUES", block_values)
         e = ensemble_for_kinds(seed=11)
         w = np.random.default_rng(11).random(e.n)
         w[3] = 0.0
         p = ALL_KIND_BUILDERS[kind](ScenarioEnsemble(e.gains, rates=e.rates, weights=w / w.sum()))
         live = p.ensemble.weights > 0
         candidates = np.vstack([direction_grid(181)] + p.definition.exact_dirs(p))
-        dirs, offsets = bounds._support_cuts(p, ES05, candidates)
+        dirs, offsets = markets._support_cuts(p, ES05, candidates)
         expected = [
             (u, float(risk_rows(ES05, h[None, :], p.ensemble.weights)[0]))
             for u, h in ((u, p.support_values(u)) for u in candidates)

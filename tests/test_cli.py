@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import pytest
 import svrisk
 
 import svrisk.cli as cli
+from svrisk._repro import run_repro
 from svrisk.bounds import RiskBundle, compute_bundle, sandwich_violation
 from svrisk.cli import entrypoint
 from svrisk.errors import ValidationError
@@ -179,6 +181,14 @@ class TestGen:
         assert a != c
         assert len(d.splitlines()) == 11
 
+    def test_negative_seed_exits_two(self, tmp_path, capsys):
+        cfg = gen_config(tmp_path)
+        out = tmp_path / "o"
+        assert entrypoint(["gen", "--config", cfg, "--out", str(out), "--seed", "-5"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert not out.exists()
+
     def test_gen_requires_generate_block(self, tmp_path, capsys):
         cfg = nonmargin_config(tmp_path)
         assert entrypoint(["gen", "--config", cfg]) == 2
@@ -335,6 +345,22 @@ class TestRisk:
             duplicate_column_csv,
             {"strategies": [{"strategy": "quantile-shift", "level": 0.5,
                              "t_grid": {"values": [0, 1e308]}}]},
+            {"scenarios": {"generate": {"n": 10, "seed": -1}}},
+            ({"scenarios": {"generate": {"n": 10, "seed": 1}}}, ["--seed", "-1"]),
+            ({"scenarios": {"generate": {"n": 10, "seed": 1}}}, ["--n", str(10**20)]),
+            {"scenarios": {"generate": {"n": 1e30, "seed": 1}}},
+            {"scenarios": {"generate": {"n": math.inf, "seed": 1}}},
+            {"scenarios": {"generate": {"n": 10, "seed": 1, "rate": {"mean": 1, "vol": 1e200}}}},
+            {"scenarios": {"generate": {"n": 10, "seed": 1, "rate": {"mean": 1e308, "vol": 1}}}},
+            {"scenarios": {"generate": {"n": 50, "seed": 1, "stdev": [1e308, 1e308]}}},
+            {"scenarios": {"generate": {"n": 10, "seed": 1, "stdev": [1e308, 1e308]}}},
+            {"portfolio": [1]},
+            {"portfolio": "ball"},
+            {"portfolio": 5},
+            {"strategies": [{"strategy": "quantile-shift", "t_grid": {"scale": 1e308}}]},
+            {"strategies": [{"strategy": "quantile-shift",
+                             "t_grid": {"scale": 2.0, "span": 1e308}}]},
+            {"strategies": [{"strategy": "quantile-shift", "t_grid": {"scale": math.inf}}]},
         ],
         ids=[
             "explicit-without-gains", "explicit-wrong-shape", "directions",
@@ -343,17 +369,27 @@ class TestRisk:
             "lambda-grid-list", "lambda-grid-count", "config-list", "generate-without-n",
             "generate-rate-number", "csv-not-string", "window-misses-region",
             "window-infinite", "window-half-infinite", "value-at-risk",
-            "duplicate-column", "t-grid-overflow",
+            "duplicate-column", "t-grid-overflow", "generate-negative-seed",
+            "seed-flag-negative", "n-flag-too-large", "generate-n-too-large",
+            "generate-n-infinite", "rate-vol-overflow", "rate-mean-overflow",
+            "stdev-overflow", "gains-near-overflow", "portfolio-list", "portfolio-string", "portfolio-number",
+            "t-grid-scale-overflow", "t-grid-span-overflow", "t-grid-scale-infinite",
         ],
     )
     def test_malformed_input_exits_two(self, tmp_path, capsys, patch):
+        # A patch is a config patch or a whole config, optionally paired with
+        # command-line flags.  Warnings are errors in this suite, so a numpy
+        # warning before the error line fails the case too.
+        flags = []
+        if isinstance(patch, tuple):
+            patch, flags = patch
         if callable(patch):
             patch = patch(tmp_path)
         if isinstance(patch, dict):
             cfg = nonmargin_config(tmp_path, **patch)
         else:
             cfg = write_json(tmp_path / "config.json", patch)
-        assert entrypoint(["risk", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert entrypoint(["risk", "--config", cfg, "--out", str(tmp_path / "o"), *flags]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert not (tmp_path / "o" / "bundle.json").exists()
@@ -493,6 +529,11 @@ class TestRepro:
         report = json.loads((tmp_path / "intro" / "report.json").read_text())
         assert report[0]["ok"]
         assert not (tmp_path / "intro" / "bundle.json").exists()
+
+    @pytest.mark.parametrize("example", ["normcone", "liquidity"])
+    def test_pinned_example_passes(self, example):
+        rows, _ = run_repro(example)
+        assert rows and all(row["ok"] for row in rows), rows
 
     def test_unknown_example_rejected_by_parser(self, capsys):
         with pytest.raises(SystemExit) as err:

