@@ -232,7 +232,9 @@ class RiskBundle:
 
 
 def compute_bundle(portfolio, risk_spec, strategies=None, n_dirs=181, audit=False):
-    """Assemble the full sandwich for a portfolio."""
+    """Assemble the full sandwich for a portfolio, under the caller's numpy
+    error state (the command line raises on overflow); where overflow is
+    ignored, a non-finite selection or risk point ends in ValidationError."""
     definition = portfolio.definition
     definition.risk_rule(risk_spec)
     count, inner = _selection_hull(portfolio, risk_spec, strategies, audit)

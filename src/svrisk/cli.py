@@ -2,7 +2,8 @@
 and pinned example reproduction.
 
 Exit codes: 0 success, 1 reproduction mismatch, 2 configuration or IO
-error, 3 modelling pathology (outer bound degenerates to the whole plane).
+error, arithmetic overflow or an allocation that cannot be made, 3 modelling
+pathology (outer bound degenerates to the whole plane).
 """
 
 from __future__ import annotations
@@ -13,11 +14,13 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from ._repro import REPRO_IDS, run_repro
 from .bounds import RiskBundle, compute_bundle, scalarize_bundle
 from .errors import ValidationError, WholePlaneError
 from .geom2d import _clip_to_window, _window_halfspaces, canonical_json
-from .markets import KINDS
+from .markets import _BLOCK_VALUES, KINDS
 from .riskstats import RiskSpec
 from .scenarios import GenSpec, generate, read_csv, write_csv
 
@@ -156,8 +159,8 @@ def cmd_risk(args):
     if strategies is not None and not isinstance(strategies, list):
         raise ValidationError('"strategies" must be a list of strategy objects')
     n_dirs = config.get("directions", 181)
-    if not isinstance(n_dirs, int) or isinstance(n_dirs, bool) or n_dirs < 2:
-        raise ValidationError('"directions" must be an integer >= 2')
+    if not isinstance(n_dirs, int) or isinstance(n_dirs, bool) or not 2 <= n_dirs <= _BLOCK_VALUES:
+        raise ValidationError(f'"directions" must be an integer in [2, {_BLOCK_VALUES}]')
     audit = config.get("audit", False)
     if not isinstance(audit, bool):
         raise ValidationError('"audit" must be true or false')
@@ -264,14 +267,13 @@ def entrypoint(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # The one floating-point policy: a value that overflows is bad input.
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return args.func(args)
     except WholePlaneError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValidationError, OSError, FloatingPointError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -382,7 +382,6 @@ def region_from_points_plus_cone(points, recession):
         raise ValidationError("points must be a non-empty (m, 2) array")
     if not np.all(np.isfinite(pts)):
         raise ValidationError("points contain non-finite entries")
-    _check_upper_cone(recession)
 
     # np.unique sorts the rows, which fixes the mutual rule's order.
     pts = np.unique(pts, axis=0)

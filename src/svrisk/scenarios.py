@@ -104,15 +104,14 @@ def generate(spec):
     rng = np.random.default_rng(spec.seed)
     z = rng.standard_normal((spec.n, 2))
     rho = spec.correlation
-    with np.errstate(over="ignore"):  # ScenarioEnsemble refuses what overflows
-        x1 = spec.mean[0] + spec.stdev[0] * z[:, 0]
-        x2 = spec.mean[1] + spec.stdev[1] * (rho * z[:, 0] + math.sqrt(1.0 - rho**2) * z[:, 1])
-        gains = np.column_stack([x1, x2])
-        rates = None
-        if spec.rate_mean is not None:
-            z3 = rng.standard_normal(spec.n)
-            # exp(vol*Z - vol^2/2) has mean one, so the rate averages rate_mean
-            rates = spec.rate_mean * np.exp(spec.rate_vol * z3 - 0.5 * spec.rate_vol**2)
+    x1 = spec.mean[0] + spec.stdev[0] * z[:, 0]
+    x2 = spec.mean[1] + spec.stdev[1] * (rho * z[:, 0] + math.sqrt(1.0 - rho**2) * z[:, 1])
+    gains = np.column_stack([x1, x2])
+    rates = None
+    if spec.rate_mean is not None:
+        z3 = rng.standard_normal(spec.n)
+        # exp(vol*Z - vol^2/2) has mean one, so the rate averages rate_mean
+        rates = spec.rate_mean * np.exp(spec.rate_vol * z3 - 0.5 * spec.rate_vol**2)
     return ScenarioEnsemble(gains, rates=rates)
 
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .geom2d import _unit
-from .markets import direction_grid, dual_cone
+from .markets import _BLOCK_VALUES, direction_grid, dual_cone
 from .riskstats import WeightedSample, es_empirical, var_empirical
 
 
@@ -79,16 +79,16 @@ def _matrices(family, n):
 
 def _grid(values, name):
     grid = np.asarray(values, dtype=float)
-    if grid.ndim != 1:
-        raise ValidationError(f"{name} must be a list of numbers")
+    if grid.ndim != 1 or not np.isfinite(grid).all():
+        raise ValidationError(f"{name} must be a list of finite numbers")
     return grid
 
 
 def default_t_grid(scale, count=33, span=4.0):
     """Geometric sweep of scale factors, always including 0 and 1."""
     scale = max(float(scale), 1e-12)
-    if count < 2 or span <= 0:
-        raise ValidationError("grid needs count >= 2 and positive span")
+    if not 2 <= count <= _BLOCK_VALUES or span <= 0:
+        raise ValidationError(f"grid needs count in [2, {_BLOCK_VALUES}] and positive span")
     if not math.isfinite(span * scale):
         raise ValidationError("grid scale and span must be finite, and so must their product")
     geo = np.geomspace(0.05 * scale, span * scale, int(count))
@@ -397,7 +397,10 @@ def _lambda_from_config(cfg):
     lam_cfg = _grid_object(cfg, "lambda_grid")
     if "values" in lam_cfg:
         return _grid(lam_cfg["values"], "lambda grid")
-    return np.linspace(0.0, 1.0, int(lam_cfg.get("count", 21)))
+    count = int(lam_cfg.get("count", 21))
+    if count > _BLOCK_VALUES:
+        raise ValidationError(f"lambda grid count must be at most {_BLOCK_VALUES}")
+    return np.linspace(0.0, 1.0, count)
 
 
 def _explicit(portfolio, cfg, risk_spec):
@@ -470,17 +473,14 @@ def _strategy_error(name, exc):
 
 def _checked(name, family):
     """The family, with what goes wrong while it fills reported in the name
-    of its strategy: config values of the wrong type, and gains that are not
-    finite (a grid that overflows), found by one check of the filled rows."""
+    of its strategy: config values of the wrong type, and arithmetic that
+    overflows when the caller's numpy error state raises on it."""
 
     def fill(out, lo, hi):
         try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                family.fill(out, lo, hi)
-        except (TypeError, ValueError) as exc:  # config values of the wrong type
+            family.fill(out, lo, hi)
+        except (TypeError, ValueError, FloatingPointError) as exc:
             raise _strategy_error(name, exc) from exc
-        if not np.isfinite(out[: hi - lo]).all():
-            raise _strategy_error(name, "selection gains contain non-finite entries")
 
     return family._replace(fill=fill)
 
@@ -504,10 +504,7 @@ def _families(portfolio, config, risk_spec):
             f"strategy {name!r} does not apply to {portfolio.kind} portfolios"
         )
     try:
-        # Gains so large that the strategy's own arithmetic overflows are
-        # refused, as are config values of the wrong type.
-        with np.errstate(over="raise", invalid="raise"):
-            families = build(portfolio, cfg, risk_spec)
+        families = build(portfolio, cfg, risk_spec)
     except (TypeError, ValueError, FloatingPointError) as exc:
         raise _strategy_error(name, exc) from exc
     return [_checked(name, family) for family in families]

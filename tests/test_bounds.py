@@ -312,6 +312,23 @@ class TestRandomHalfplaneOuter:
         assert sandwich_violation(bundle) <= 1e-9
 
 
+class TestOverflowingGrid:
+    @pytest.mark.parametrize("audit", [False, True])
+    @pytest.mark.parametrize(
+        "portfolio, strategy",
+        [(lambda: ALL_KIND_BUILDERS["cone-det"](ensemble_for_kinds()), "quantile-shift"),
+         (random_kind_portfolio, "frictionless")],
+        ids=["quantile-shift", "frictionless"],
+    )
+    def test_refused_under_any_error_state(self, portfolio, strategy, audit):
+        # Library calls run under the caller's numpy error state; with every
+        # floating-point error ignored, the selections that overflow to inf
+        # are still refused and no bundle is returned.
+        config = {"strategy": strategy, "t_grid": {"values": [0.0, 1e308]}}
+        with np.errstate(all="ignore"), pytest.raises(ValidationError):
+            compute_bundle(portfolio(), ES05, strategies=[config], audit=audit)
+
+
 class TestSandwich:
     @pytest.mark.parametrize("kind", sorted(ALL_KIND_BUILDERS))
     def test_nested_for_every_kind(self, kind):

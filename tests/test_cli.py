@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -61,6 +62,22 @@ LIQUIDITY = {
     "scenarios": {"generate": GEN_WITH_RATES},
     "portfolio": {"kind": "liquidity-capped", "cap": [1.0, 1.0]},
 }
+
+
+def generated(portfolio, **rate):
+    """Config patch: a portfolio under its default strategies at ES 0.1 on
+    generated n=40 scenarios, with rate parameters overriding 1.5 / 0.4."""
+    return {
+        "scenarios": {"generate": {"n": 40, "seed": 1,
+                                   "rate": {"mean": 1.5, "vol": 0.4, **rate}}},
+        "portfolio": portfolio,
+        "risk": {"kind": "expected-shortfall", "level": 0.1},
+        "strategies": None,
+    }
+
+
+# One more than the largest count a config may set (markets._BLOCK_VALUES).
+TOO_MANY = 2**18 + 1
 
 
 def gen_config(tmp_path, n=50, seed=7):
@@ -361,6 +378,17 @@ class TestRisk:
             {"strategies": [{"strategy": "quantile-shift",
                              "t_grid": {"scale": 2.0, "span": 1e308}}]},
             {"strategies": [{"strategy": "quantile-shift", "t_grid": {"scale": math.inf}}]},
+            generated({"kind": "cone-det", "pi12": 1e308, "pi21": 1e308}),
+            generated({"kind": "cone-det", "frictionless_rate": 1e300}),
+            generated({"kind": "cone-det", "pi12": 1e-300, "pi21": 1e300}),
+            generated({"kind": "cone-halfplane-random"}, mean=1e-300),
+            # malloc refuses 16 PB at once; never use an n that could fit.
+            ({"scenarios": {"generate": {"n": 10, "seed": 1}}}, ["--n", str(10**15)]),
+            {"strategies": [{"strategy": "quantile-shift", "side": "ray1",
+                             "t_grid": {"count": TOO_MANY}}]},
+            {**LIQUIDITY,
+             "strategies": [{"strategy": "liquidity-family", "lambda_grid": {"count": TOO_MANY}}]},
+            {"directions": TOO_MANY},
         ],
         ids=[
             "explicit-without-gains", "explicit-wrong-shape", "directions",
@@ -374,6 +402,9 @@ class TestRisk:
             "generate-n-infinite", "rate-vol-overflow", "rate-mean-overflow",
             "stdev-overflow", "gains-near-overflow", "portfolio-list", "portfolio-string", "portfolio-number",
             "t-grid-scale-overflow", "t-grid-span-overflow", "t-grid-scale-infinite",
+            "rates-overflow-support", "frictionless-rate-overflow", "rates-skewed",
+            "rate-mean-tiny", "n-flag-unallocatable", "t-grid-count-too-large",
+            "lambda-grid-count-too-large", "directions-too-many",
         ],
     )
     def test_malformed_input_exits_two(self, tmp_path, capsys, patch):
@@ -481,6 +512,19 @@ class TestScalarize:
         result = json.loads(capsys.readouterr().out)
         assert result["inner"] is None and result["outer"] is None
 
+    def test_overflowing_support_exits_two(self, tmp_path, capsys):
+        # 1e308 * (1 + 1) overflows: that is no unbounded support, so no null.
+        region = region_from_points_plus_cone(np.array([[1.0, 1.0]]),
+                                              ConvexCone2D.nonneg_orthant())
+        bundle = RiskBundle(inner=region, outer=region, marginal=region, meta={})
+        path = tmp_path / "bundle.json"
+        path.write_text(bundle.to_json())
+        code = entrypoint(["scalarize", "--bundle", str(path), "--direction", "1e308,1e308"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
     def test_bad_direction(self, tmp_path):
         cfg = nonmargin_config(tmp_path)
         out = tmp_path / "run"
@@ -547,6 +591,14 @@ class TestRepro:
         monkeypatch.setattr(cli, "run_repro", lambda example: (rows, {}))
         assert entrypoint(["repro", "nonmargin"]) == 1
         assert "MISMATCH" in capsys.readouterr().out
+
+
+def test_floating_point_policy_is_set_only_in_cli():
+    # The CLI decides what overflow means; library modules follow the
+    # caller's numpy error state and set none of their own.
+    package = pathlib.Path(svrisk.__file__).parent
+    setters = sorted(path.name for path in package.glob("*.py") if "errstate" in path.read_text())
+    assert setters == ["cli.py"]
 
 
 def test_import_loads_no_scipy():

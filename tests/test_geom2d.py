@@ -137,6 +137,18 @@ class TestRegionConstruction:
         with pytest.raises(ValidationError):
             RiskRegion2D(np.array([[0.0, 0.0]]), ConvexCone2D((1.0, 0.0), (1.0, 1.0)))
 
+    @pytest.mark.parametrize("m", [1, 2, 40])
+    @pytest.mark.parametrize(
+        "cone",
+        [ConvexCone2D((1.0, 0.0), (1.0, 1.0)), ConvexCone2D((-1.0, 0.0), (0.0, -1.0)),
+         ConvexCone2D.halfplane((0.0, 1.0))],
+    )
+    def test_hull_refuses_cone_not_covering_orthant(self, cone, m):
+        # The region the hull returns runs the check; no other one is made.
+        pts = np.random.default_rng(m).standard_normal((m, 2))
+        with pytest.raises(ValidationError, match="^recession cone must contain the non-negative"):
+            region_from_points_plus_cone(pts, cone)
+
 
 def pairwise_reference_hull(points, recession):
     """The all-pairs dominance filter and chain that the sorted prefilter

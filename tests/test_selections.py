@@ -107,6 +107,11 @@ class TestSelectionMatrix:
 
 
 class TestGrids:
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_grid_refuses_non_finite_values(self, bad):
+        with pytest.raises(ValidationError, match="finite"):
+            selections._grid([0.0, bad], "scale grid")
+
     def test_default_t_grid_contains_anchors(self):
         grid = default_t_grid(2.0)
         assert 0.0 in grid and 1.0 in grid
