@@ -271,16 +271,8 @@ def sandwich_violation(bundle):
     Compares each region against every supporting half-space of the next
     one out, so the check is exact for the polyhedral representations.
     """
-    worst = -math.inf
-    for small, big in ((bundle.marginal, bundle.inner), (bundle.inner, bundle.outer)):
-        hs = big.halfspaces()
-        u = hs.directions
-        # small.scalarize at every direction: -inf outside the dual of its
-        # recession, else the least vertex value (one matrix-vector product
-        # per direction, so the values match scalarize bit for bit).
-        units = u / np.hypot(u[:, 0], u[:, 1])[:, None]
-        if not np.all(small.recession.positive_dual().contains_many(units)):
-            return math.inf
-        least = np.matmul(small.vertices[None], u[:, :, None])[..., 0].min(axis=1)
-        worst = max(worst, float(np.max(hs.offsets - least)))
-    return worst
+    return max(
+        float(np.max(hs.offsets - small.scalarize(hs.directions)))
+        for small, hs in ((bundle.marginal, bundle.inner.halfspaces()),
+                          (bundle.inner, bundle.outer.halfspaces()))
+    )

@@ -20,7 +20,7 @@ from ._repro import REPRO_IDS, run_repro
 from .bounds import RiskBundle, compute_bundle, scalarize_bundle
 from .errors import ValidationError, WholePlaneError
 from .geom2d import _clip_to_window, _window_halfspaces, canonical_json
-from .markets import _BLOCK_VALUES, KINDS
+from .markets import KINDS, _count
 from .riskstats import RiskSpec
 from .scenarios import GenSpec, generate, read_csv, write_csv
 
@@ -158,9 +158,7 @@ def cmd_risk(args):
     strategies = config.get("strategies")
     if strategies is not None and not isinstance(strategies, list):
         raise ValidationError('"strategies" must be a list of strategy objects')
-    n_dirs = config.get("directions", 181)
-    if not isinstance(n_dirs, int) or isinstance(n_dirs, bool) or not 2 <= n_dirs <= _BLOCK_VALUES:
-        raise ValidationError(f'"directions" must be an integer in [2, {_BLOCK_VALUES}]')
+    n_dirs = _count(config.get("directions", 181), '"directions"', 2)
     audit = config.get("audit", False)
     if not isinstance(audit, bool):
         raise ValidationError('"audit" must be true or false')

@@ -111,26 +111,17 @@ class ConvexCone2D:
         )
 
     def contains(self, x, tol=TOL):
+        """Membership of a 2-vector, or of each row of a (k, 2) array."""
         x = np.asarray(x, dtype=float)
-        eps = tol * _scale_of(x)
-        c_lo = _cross(self.lo, x)
+        eps = tol * np.maximum(1.0, np.abs(x).max(axis=-1))
+        c_lo = self.lo[0] * x[..., 1] - self.lo[1] * x[..., 0]
         if self.is_ray:
-            return abs(c_lo) <= eps and float(np.dot(self.lo, x)) >= -eps
-        if self.is_halfplane:
-            return c_lo >= -eps
-        return c_lo >= -eps and _cross(x, self.hi) >= -eps
-
-    def contains_many(self, pts, tol=TOL):
-        pts = np.asarray(pts, dtype=float).reshape(-1, 2)
-        eps = tol * np.maximum(1.0, np.abs(pts).max(axis=1))
-        c_lo = self.lo[0] * pts[:, 1] - self.lo[1] * pts[:, 0]
-        if self.is_ray:
-            dots = pts @ self.lo
-            return (np.abs(c_lo) <= eps) & (dots >= -eps)
-        if self.is_halfplane:
-            return c_lo >= -eps
-        c_hi = pts[:, 0] * self.hi[1] - pts[:, 1] * self.hi[0]
-        return (c_lo >= -eps) & (c_hi >= -eps)
+            inside = (np.abs(c_lo) <= eps) & (x @ self.lo >= -eps)
+        elif self.is_halfplane:
+            inside = c_lo >= -eps
+        else:
+            inside = (c_lo >= -eps) & (x[..., 0] * self.hi[1] - x[..., 1] * self.hi[0] >= -eps)
+        return inside if inside.ndim else bool(inside)
 
     def positive_dual(self):
         """Cone of directions with non-negative inner product on this cone."""
@@ -144,9 +135,7 @@ class ConvexCone2D:
 
 
 def _check_upper_cone(rec):
-    e1 = np.array([1.0, 0.0])
-    e2 = np.array([0.0, 1.0])
-    if not (rec.contains(e1) and rec.contains(e2)):
+    if not rec.contains(np.eye(2)).all():
         raise ValidationError("recession cone must contain the non-negative quadrant")
 
 
@@ -201,12 +190,21 @@ class RiskRegion2D:
         return bool(np.all(self._normals @ x >= self._offsets - eps))
 
     def scalarize(self, u, tol=TOL):
-        """Infimum of <u, x> over the region; -inf when not attained."""
+        """Infimum of <u, x> over the region, -inf where it is not attained:
+        a float for a direction u, an array for a (k, 2) block of them."""
         u = np.asarray(u, dtype=float)
-        un = _unit(u)
-        if not self._dual.contains(un, tol):
-            return float("-inf")
-        return float(np.min(self.vertices @ u))
+        if u.shape != (2,) and (u.ndim != 2 or u.shape[1] != 2):
+            raise ValidationError("direction must be a 2-vector or a (k, 2) array")
+        dirs = u.reshape(-1, 2)
+        norms = np.hypot(dirs[:, 0], dirs[:, 1])
+        if not ((0.0 < norms) & (norms < np.inf)).all():
+            raise ValidationError("zero or non-finite direction")
+        inside = self._dual.contains(dirs / norms[:, None], tol)
+        least = np.full(len(dirs), -np.inf)
+        # One matrix-vector product per direction, rounded as `vertices @ u` is.
+        products = np.matmul(self.vertices[None], dirs[inside][:, :, None])
+        least[inside] = products[..., 0].min(axis=1)
+        return least if u.ndim == 2 else float(least[0])
 
     def halfspaces(self):
         return HalfSpaceSet(self._normals.copy(), self._offsets.copy())
@@ -272,88 +270,55 @@ class HalfSpaceSet:
 _PAIR_BLOCK = 2**16
 
 
-def _cone_coords(pts, recession):
-    """Coordinates a = <lo x p> and b = <p x hi> of each point, in which the
-    recession is the quadrant (b = a for a half-plane)."""
+def _undominated(pts, recession):
+    """The points of region_from_points_plus_cone's dominance rules, in the
+    given order, from one sort by the cone coordinate a = <lo x p> and one
+    prefix minimum of b = <p x hi>, in which the recession is the quadrant
+    (b = a for a half-plane).
+
+    A point that another dominates by the margin delta = 4 TOL max(1,
+    2 max|p|) in both coordinates is dropped first: delta exceeds every pair
+    tolerance TOL max(1, |p_i - p_j|) by more than rounding, and dominance
+    by delta is transitive, so each such point, and each point it dominates
+    or ties with, is strictly dominated by a kept point.  Only a point with
+    another one within delta of it in both coordinates can fail the pairwise
+    test (a pair further apart fails the pair tolerance there), so only
+    those kept rows run it, in blocks, against the kept points.  When the
+    rules drop every point, a greedy cover is kept instead: in order of
+    a + b, each point that no kept point dominates.
+    """
+    m = pts.shape[0]
     lo, hi = recession.lo, recession.hi
     a = lo[0] * pts[:, 1] - lo[1] * pts[:, 0]
     b = a if recession.is_halfplane else pts[:, 0] * hi[1] - pts[:, 1] * hi[0]
-    return a, b
-
-
-def _margin(pts):
-    """Dominance margin delta = 4 TOL max(1, 2 max|p|) of a point set."""
-    return 4.0 * TOL * max(1.0, 2.0 * float(np.max(np.abs(pts))))
-
-
-def _clearly_dominated(pts, recession):
-    """Mask of the points that another point dominates by a wide margin in
-    both cone coordinates, found with one sort by a and a prefix minimum
-    of b.
-
-    The margin delta = 4 TOL max(1, 2 max|p|) exceeds every pair tolerance
-    TOL max(1, |p_i - p_j|) of the pairwise test by more than rounding, so a
-    point dropped here is strictly dominated there as well.  Dominance by
-    delta is transitive, so every dropped point, and every point that one
-    dominates or ties with, is strictly dominated by a point kept here: the
-    pairwise test on the kept points marks exactly the points it would mark
-    on all of them.
-    """
-    a, b = _cone_coords(pts, recession)
-    delta = _margin(pts)
-    order = np.argsort(a, kind="stable")
-    best_b = np.minimum.accumulate(b[order])
-    # Points whose a is at least delta below a_i form a prefix of the order.
-    below = np.searchsorted(a[order], a - delta, side="right")
-    return (below > 0) & (best_b[below - 1] <= b - delta)
-
-
-def _pairwise_dominated(pts, recession):
-    """Mask of the points that another point strictly dominates, or that
-    dominate each other with an earlier point (in the given order), up to
-    the pair tolerance.
-
-    A point can be marked only if another lies within delta of it in both
-    cone coordinates: by the rounding argument of `_clearly_dominated`, a
-    pair further apart than delta in either coordinate fails the pair
-    tolerance there.  One sort by a, a prefix minimum of b over the points
-    sorted strictly before each one and a search for the points at most
-    delta above it in a find those rows; only they run the pairwise test,
-    in blocks, against all points.  A dense convex front sends none.
-    """
-    m = pts.shape[0]
-    a, b = _cone_coords(pts, recession)
-    delta = _margin(pts)
+    delta = 4.0 * TOL * max(1.0, 2.0 * float(np.max(np.abs(pts))))
     order = np.argsort(a, kind="stable")
     rank = np.empty(m, dtype=np.intp)
     rank[order] = np.arange(m)
-    best_b = np.minimum.accumulate(b[order])
+    a_sorted, best_b = a[order], np.minimum.accumulate(b[order])
+    # Points whose a is at least delta below a_i form a prefix of the order.
+    below = np.searchsorted(a_sorted, a - delta, side="right")
+    keep = np.flatnonzero((below == 0) | (best_b[below - 1] > b - delta))
+    pts, a, b, rank = pts[keep], a[keep], b[keep], rank[keep]
     before = np.where(rank > 0, best_b[rank - 1], np.inf)
-    above = np.searchsorted(a[order], a + delta, side="right") > rank + 1
+    above = np.searchsorted(a_sorted, a + delta, side="right") > rank + 1
     rows = np.flatnonzero((before <= b + delta) | above)
 
+    m = pts.shape[0]
     dominated = np.zeros(m, dtype=bool)
     step = max(1, _PAIR_BLOCK // m)
     for r0 in range(0, rows.size, step):
         idx = rows[r0 : r0 + step]
-        diffs = (pts[idx, None, :] - pts[None, :, :]).reshape(-1, 2)
-        inside = recession.contains_many(diffs).reshape(-1, m)
-        covers = recession.contains_many(-diffs).reshape(-1, m)
+        diffs = pts[idx, None, :] - pts[None, :, :]
+        inside = recession.contains(diffs)
+        covers = recession.contains(-diffs)
         earlier = np.arange(m) < idx[:, None]
         dominated[idx] = (inside & (~covers | earlier)).any(axis=1)
-    return dominated
-
-
-def _greedy_cover(pts, recession):
-    """Points that cover all of pts up to the pair tolerance: in order of
-    a + b, each point that no kept point dominates.  Every input point is
-    within the tolerance of a kept point, and every kept point is an input
-    point.  Kept points may still dominate each other, but only within the
-    tolerance."""
-    a, b = _cone_coords(pts, recession)
+    if not dominated.all():
+        return pts[~dominated]
     kept = []
     for i in np.argsort(a + b, kind="stable"):
-        if not recession.contains_many(pts[i] - pts[kept]).any():
+        if not recession.contains(pts[i] - pts[kept]).any():
             kept.append(i)
     return pts[kept]
 
@@ -367,7 +332,7 @@ def region_from_points_plus_cone(points, recession):
     when it and an earlier one (in lexicographic order) dominate each other.
     A margin prefilter first drops the points that others clearly dominate,
     and the pairwise test then runs, in blocks, only on the r survivors that
-    another survivor lies within that margin of: time is O(m log m) plus
+    another point lies within that margin of: time is O(m log m) plus
     O(r m), with r = 0 on a strictly convex front, and memory is O(m).
 
     Tolerant dominance is not transitive, so those rules can drop every
@@ -386,9 +351,7 @@ def region_from_points_plus_cone(points, recession):
     # np.unique sorts the rows, which fixes the mutual rule's order.
     pts = np.unique(pts, axis=0)
     if pts.shape[0] > 1:
-        pts = pts[~_clearly_dominated(pts, recession)]
-        dominated = _pairwise_dominated(pts, recession)
-        pts = _greedy_cover(pts, recession) if dominated.all() else pts[~dominated]
+        pts = _undominated(pts, recession)
 
     pts = pts[np.lexsort((pts[:, 1], -pts[:, 0]))]
 
@@ -527,32 +490,25 @@ def _clip_to_window(region, window):
     return pts[np.argsort(ang, kind="stable")]
 
 
-def _point_segment_dist(p, a, b):
-    ab = b - a
-    denom = float(ab @ ab)
-    if denom == 0.0:
-        return float(np.hypot(*(p - a)))
-    t = float(np.clip((p - a) @ ab / denom, 0.0, 1.0))
-    return float(np.hypot(*(p - (a + t * ab))))
-
-
-def _point_poly_dist(p, poly):
-    m = poly.shape[0]
-    if m == 1:
-        return float(np.hypot(*(p - poly[0])))
-    if m == 2:
-        return _point_segment_dist(p, poly[0], poly[1])
-    inside = True
-    for i in range(m):
-        a, b = poly[i], poly[(i + 1) % m]
-        if _cross(b - a, p - a) < -TOL * _scale_of(poly):
-            inside = False
-            break
-    if inside:
-        return 0.0
-    return min(
-        _point_segment_dist(p, poly[i], poly[(i + 1) % m]) for i in range(m)
-    )
+def _polygon_dist(pts, poly):
+    """Distance from each point to the convex polygon whose vertices run
+    counterclockwise (one or two vertices make a point or a segment), in
+    blocks of points: zero inside, else the distance to the nearest edge."""
+    edges = np.roll(poly, -1, axis=0) - poly
+    lengths = (edges * edges).sum(axis=1)
+    lengths[lengths == 0.0] = 1.0  # a zero edge (one vertex) gives t = 0
+    out = np.empty(len(pts))
+    step = max(1, _PAIR_BLOCK // len(poly))
+    for r0 in range(0, len(pts), step):
+        rel = pts[r0 : r0 + step, None, :] - poly
+        t = np.clip((rel * edges).sum(axis=2) / lengths, 0.0, 1.0)
+        gap = rel - t[..., None] * edges
+        dist = np.hypot(gap[..., 0], gap[..., 1]).min(axis=1)
+        if len(poly) > 2:
+            cross = edges[:, 0] * rel[..., 1] - edges[:, 1] * rel[..., 0]
+            dist[(cross >= -TOL * _scale_of(poly)).all(axis=1)] = 0.0
+        out[r0 : r0 + step] = dist
+    return out
 
 
 def hausdorff_on_window(region_a, region_b, window):
@@ -563,9 +519,7 @@ def hausdorff_on_window(region_a, region_b, window):
     """
     pa = _clip_to_window(region_a, window)
     pb = _clip_to_window(region_b, window)
-    d_ab = max(_point_poly_dist(p, pb) for p in pa)
-    d_ba = max(_point_poly_dist(q, pa) for q in pb)
-    return max(d_ab, d_ba)
+    return float(max(_polygon_dist(pa, pb).max(), _polygon_dist(pb, pa).max()))
 
 
 def _round_floats(obj):

@@ -32,6 +32,15 @@ SEGMENT_HULL = "segment-hull"
 _BLOCK_VALUES = 2**18
 
 
+def _count(value, name, low, high=_BLOCK_VALUES):
+    """A count from outside: an integer, not a bool, in [low, high]."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or not (
+        low <= value <= high
+    ):
+        raise ValidationError(f"{name} must be an integer in [{low}, {high}]")
+    return int(value)
+
+
 def direction_grid(n_dirs):
     """Unit directions spanning the closed first quadrant."""
     if int(n_dirs) < 2:
@@ -362,7 +371,7 @@ class _ConeDet(PortfolioKind):
 
     def support(self, p, U, base):
         units = U / np.hypot(U[:, 0], U[:, 1])[:, None]
-        base[~dual_cone(p.cone).contains_many(units)] = np.inf
+        base[~dual_cone(p.cone).contains(units)] = np.inf
         return base
 
     def parse(self, block, ensemble):

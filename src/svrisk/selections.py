@@ -24,8 +24,8 @@ import numpy as np
 
 from .errors import ValidationError
 from .geom2d import _unit
-from .markets import _BLOCK_VALUES, direction_grid, dual_cone
-from .riskstats import WeightedSample, es_empirical, var_empirical
+from .markets import _IDENTITY, _count, direction_grid, dual_cone
+from .riskstats import NEG_ESSINF, RiskSpec, WeightedSample, es_empirical, risk_rows, var_empirical
 
 
 @dataclass(frozen=True)
@@ -87,19 +87,13 @@ def _grid(values, name):
 def default_t_grid(scale, count=33, span=4.0):
     """Geometric sweep of scale factors, always including 0 and 1."""
     scale = max(float(scale), 1e-12)
-    if not 2 <= count <= _BLOCK_VALUES or span <= 0:
-        raise ValidationError(f"grid needs count in [2, {_BLOCK_VALUES}] and positive span")
+    count = _count(count, "scale grid count", 2)
+    if span <= 0:
+        raise ValidationError("grid needs a positive span")
     if not math.isfinite(span * scale):
         raise ValidationError("grid scale and span must be finite, and so must their product")
-    geo = np.geomspace(0.05 * scale, span * scale, int(count))
+    geo = np.geomspace(0.05 * scale, span * scale, count)
     return np.unique(np.concatenate([[0.0, 1.0], geo]))
-
-
-def _essinf(values, weights):
-    live = values[weights > 0]
-    if live.size == 0:
-        raise ValidationError("ensemble has no positive-weight scenario")
-    return float(np.min(live))
 
 
 def frictionless_direction(ensemble):
@@ -169,7 +163,7 @@ def quantile_shift_projection(ensemble, cone, alpha, side="both"):
     eta = np.where(pick1[:, None], -p1, -p2)
     ray = np.where(pick1, 1, 2)
 
-    origin_bound = dual_cone(cone).contains_many(-y)
+    origin_bound = dual_cone(cone).contains(-y)
     eta[origin_bound] = 0.0
     ray = np.where(origin_bound, 0, ray)
     return eta, ray
@@ -268,12 +262,11 @@ def comonotone_corner_points(ensemble, cone, alpha):
     _require_finite_cone(cone)
     x = ensemble.gains
     w = ensemble.weights
-    inf1 = _essinf(x[:, 0], w)
-    inf2 = _essinf(x[:, 1], w)
+    worst1, worst2 = risk_rows(RiskSpec(NEG_ESSINF), x.T, w).tolist()
     es_a2 = es_empirical(WeightedSample(x @ cone.a2, w), alpha)
     es_a1 = es_empirical(WeightedSample(x @ cone.a1, w), alpha)
-    corner1 = np.array([-inf1, (es_a2 + inf1) / cone.pi12])
-    corner2 = np.array([(es_a1 + inf2) / cone.pi21, -inf2])
+    corner1 = np.array([worst1, (es_a2 - worst1) / cone.pi12])
+    corner2 = np.array([(es_a1 - worst2) / cone.pi21, worst2])
     return corner1, corner2
 
 
@@ -282,8 +275,9 @@ def comonotone_corner_selections(ensemble, cone):
     _require_finite_cone(cone)
     x = ensemble.gains
     w = ensemble.weights
-    z2 = (x[:, 0] - _essinf(x[:, 0], w)) / cone.pi12
-    z1 = (x[:, 1] - _essinf(x[:, 1], w)) / cone.pi21
+    worst1, worst2 = risk_rows(RiskSpec(NEG_ESSINF), x.T, w).tolist()
+    z2 = (x[:, 0] + worst1) / cone.pi12
+    z1 = (x[:, 1] + worst2) / cone.pi21
     s1 = x + z2[:, None] * cone.b2
     s2 = x + z1[:, None] * cone.b1
     return (
@@ -397,10 +391,7 @@ def _lambda_from_config(cfg):
     lam_cfg = _grid_object(cfg, "lambda_grid")
     if "values" in lam_cfg:
         return _grid(lam_cfg["values"], "lambda grid")
-    count = int(lam_cfg.get("count", 21))
-    if count > _BLOCK_VALUES:
-        raise ValidationError(f"lambda grid count must be at most {_BLOCK_VALUES}")
-    return np.linspace(0.0, 1.0, count)
+    return np.linspace(0.0, 1.0, _count(lam_cfg.get("count", 21), "lambda grid count", 0))
 
 
 def _explicit(portfolio, cfg, risk_spec):
@@ -511,17 +502,14 @@ def _families(portfolio, config, risk_spec):
 
 
 def _bundle_families(portfolio, risk_spec, strategies):
-    """Identity, then each strategy's families, without any later selection
-    labelled identity.  Every configuration is checked and parsed before the
-    first selection is made."""
+    """Identity, then the families of each strategy configuration other than
+    a repeated identity.  Every configuration is checked and parsed before
+    the first selection is made."""
     configs = (
         default_strategy_configs(portfolio) if strategies is None else list(strategies)
     )
-    made = [f for cfg in configs for f in _families(portfolio, cfg, risk_spec)]
-    # A selection made on its own is a one-row family, and a grid family's
-    # labels carry its parameters, so only one-row families can be identity.
     return _rows(SelectionMatrix(portfolio.ensemble.gains, "identity")) + [
-        f for f in made if f.count != 1 or f.label(0) != "identity"
+        f for cfg in configs if cfg != _IDENTITY for f in _families(portfolio, cfg, risk_spec)
     ]
 
 

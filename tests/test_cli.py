@@ -389,6 +389,14 @@ class TestRisk:
             {**LIQUIDITY,
              "strategies": [{"strategy": "liquidity-family", "lambda_grid": {"count": TOO_MANY}}]},
             {"directions": TOO_MANY},
+            {"strategies": [{"strategy": "quantile-shift", "side": "ray1",
+                             "t_grid": {"count": 2.9}}]},
+            {**LIQUIDITY,
+             "strategies": [{"strategy": "liquidity-family", "lambda_grid": {"count": 2.9}}]},
+            {**LIQUIDITY,
+             "strategies": [{"strategy": "liquidity-family", "lambda_grid": {"count": "3"}}]},
+            {**LIQUIDITY,
+             "strategies": [{"strategy": "liquidity-family", "lambda_grid": {"count": True}}]},
         ],
         ids=[
             "explicit-without-gains", "explicit-wrong-shape", "directions",
@@ -404,7 +412,8 @@ class TestRisk:
             "t-grid-scale-overflow", "t-grid-span-overflow", "t-grid-scale-infinite",
             "rates-overflow-support", "frictionless-rate-overflow", "rates-skewed",
             "rate-mean-tiny", "n-flag-unallocatable", "t-grid-count-too-large",
-            "lambda-grid-count-too-large", "directions-too-many",
+            "lambda-grid-count-too-large", "directions-too-many", "t-grid-count-float",
+            "lambda-grid-count-float", "lambda-grid-count-string", "lambda-grid-count-bool",
         ],
     )
     def test_malformed_input_exits_two(self, tmp_path, capsys, patch):

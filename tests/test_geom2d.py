@@ -11,6 +11,7 @@ from svrisk.geom2d import (
     ConvexCone2D,
     HalfSpaceSet,
     RiskRegion2D,
+    _clip_to_window,
     _cross,
     canonical_json,
     hausdorff_on_window,
@@ -95,8 +96,30 @@ class TestConvexCone2D:
 
     def test_contains_many(self):
         pts = np.array([[1.0, 1.0], [-1.0, 0.5], [0.0, 0.0]])
-        got = ORTHANT.contains_many(pts)
+        got = ORTHANT.contains(pts)
         assert got.tolist() == [True, False, True]
+
+    @pytest.mark.parametrize(
+        "cone",
+        [ORTHANT, solvency_rays(5.0), ConvexCone2D.halfplane((1.0, -2.0)),
+         ConvexCone2D.halfplane((1.0, -2.0)).positive_dual()],
+        ids=["orthant", "solvency", "half-plane", "ray"],
+    )
+    def test_block_matches_row_calls(self, cone):
+        rng = np.random.default_rng(31)
+        pts = np.vstack([
+            rng.standard_normal((200, 2)) * 10.0 ** rng.uniform(-3.0, 3.0, (200, 1)),
+            rng.uniform(-2.0, 2.0, (20, 1)) * cone.lo,
+            rng.uniform(-2.0, 2.0, (20, 1)) * cone.hi,
+            1e-10 * rng.standard_normal((20, 2)),
+            np.zeros((1, 2)),
+        ])
+        rows = [cone.contains(p) for p in pts]
+        assert all(type(r) is bool for r in rows)
+        got = cone.contains(pts)
+        assert got.dtype == bool and got.tolist() == rows
+        assert 0 < sum(rows) < len(rows)
+        assert cone.contains(np.zeros((0, 2))).shape == (0,)
 
 
 class TestRegionConstruction:
@@ -157,7 +180,7 @@ def pairwise_reference_hull(points, recession):
     m = pts.shape[0]
     if m > 1:
         diffs = pts[:, None, :] - pts[None, :, :]
-        inside = recession.contains_many(diffs.reshape(-1, 2)).reshape(m, m)
+        inside = recession.contains(diffs.reshape(-1, 2)).reshape(m, m)
         np.fill_diagonal(inside, False)
         mutual = inside & inside.T
         dominated = (inside & ~mutual).any(axis=1)
@@ -362,6 +385,33 @@ class TestMembershipAndScalarize:
             u = np.array([math.cos(theta), math.sin(theta)])
             assert r.scalarize(u) == pytest.approx(float((r.vertices @ u).min()))
 
+    def test_block_matches_direction_calls(self):
+        rng = np.random.default_rng(32)
+        unbounded = attained = 0
+        for trial in range(200):
+            cone = fuzz_cones(rng)[trial % 4]
+            pts = rng.standard_normal((int(rng.integers(1, 20)), 2))
+            r = region_from_points_plus_cone(pts * 10.0 ** rng.uniform(-3.0, 3.0), cone)
+            dirs = rng.standard_normal((40, 2)) * 10.0 ** rng.uniform(-3.0, 3.0, (40, 1))
+            got = r.scalarize(dirs)
+            want = np.array([r.scalarize(u) for u in dirs])
+            assert got.tobytes() == want.tobytes()
+            for u, value in zip(dirs, want):
+                if math.isfinite(value):
+                    assert value == float(np.min(r.vertices @ u))
+            unbounded += int(np.sum(want == -math.inf))
+            attained += int(np.sum(np.isfinite(want)))
+        assert unbounded > 0 and attained > 0
+        assert r.scalarize(np.zeros((0, 2))).shape == (0,)
+
+    @pytest.mark.parametrize("u", [(0.0, 0.0), (1.0, math.nan), (1.0, 2.0, 3.0)])
+    def test_scalarize_bad_direction(self, u):
+        r = region_from_points_plus_cone(np.array([[0.0, 0.0]]), ORTHANT)
+        with pytest.raises(ValidationError):
+            r.scalarize(u)
+        with pytest.raises(ValidationError):
+            r.scalarize(np.array([u, u]))
+
     def test_translate_shifts_scalarize(self):
         r = region_from_points_plus_cone(np.array([[1.0, 2.0]]), ORTHANT)
         shifted = region_from_points_plus_cone(r.vertices + (3.0, -1.0), r.recession)
@@ -429,8 +479,56 @@ class TestMinkowskiCone:
                 assert widened.contains(v)
 
 
+def point_poly_dist_reference(p, poly):
+    """Distance from p to a convex polygon, one vertex and edge at a time."""
+
+    def segment(a, b):
+        ab = b - a
+        denom = float(ab @ ab)
+        if denom == 0.0:
+            return float(np.hypot(*(p - a)))
+        t = float(np.clip((p - a) @ ab / denom, 0.0, 1.0))
+        return float(np.hypot(*(p - (a + t * ab))))
+
+    m = poly.shape[0]
+    if m == 1:
+        return float(np.hypot(*(p - poly[0])))
+    if m == 2:
+        return segment(poly[0], poly[1])
+    eps = 1e-9 * max(1.0, float(np.max(np.abs(poly))))
+    if all(_cross(poly[(i + 1) % m] - poly[i], p - poly[i]) >= -eps for i in range(m)):
+        return 0.0
+    return min(segment(poly[i], poly[(i + 1) % m]) for i in range(m))
+
+
+def hausdorff_reference(region_a, region_b, window):
+    pa = _clip_to_window(region_a, window)
+    pb = _clip_to_window(region_b, window)
+    return max(max(point_poly_dist_reference(p, pb) for p in pa),
+               max(point_poly_dist_reference(q, pa) for q in pb))
+
+
 class TestHausdorff:
     WINDOW = (-5.0, -5.0, 5.0, 5.0)
+
+    def test_matches_per_vertex_loops(self):
+        rng = np.random.default_rng(33)
+        corner = region_from_points_plus_cone(np.array([[0.0, 0.0]]), ORTHANT)
+        pairs = [  # clips that are a point and a segment
+            (corner, corner, (-1.0, -1.0, 0.0, 0.0)),
+            (corner, region_from_points_plus_cone(np.array([[0.5, 0.0]]), ORTHANT),
+             (-1.0, -1.0, 1.0, 0.0)),
+        ]
+        for trial in range(400):
+            a, b = (
+                region_from_points_plus_cone(rng.standard_normal((int(rng.integers(1, 12)), 2)),
+                                             fuzz_cones(rng)[(trial + k) % 4])
+                for k in (0, 1)
+            )
+            pairs.append((a, b, self.WINDOW))
+        for a, b, window in pairs:
+            want = hausdorff_reference(a, b, window)
+            assert hausdorff_on_window(a, b, window) == pytest.approx(want, rel=0.0, abs=1e-12)
 
     def test_self_distance_zero(self):
         r = region_from_points_plus_cone(np.array([[0.5, -0.5]]), ORTHANT)
@@ -551,7 +649,7 @@ def sandwich_reference(bundle):
         hs = big.halfspaces()
         u = hs.directions
         units = u / np.hypot(u[:, 0], u[:, 1])[:, None]
-        if not np.all(small.recession.positive_dual().contains_many(units)):
+        if not np.all(small.recession.positive_dual().contains(units)):
             return math.inf
         least = [np.min(small.vertices @ d) for d in u]
         worst = max(worst, float(np.max(hs.offsets - least)))
@@ -709,13 +807,16 @@ class TestBatchedGeometryMatchesReferences:
         t = np.linspace(np.pi, 1.5 * np.pi, 2000)
         front = np.column_stack([np.cos(t), np.sin(t)])
         calls = []
-        contains_many = ConvexCone2D.contains_many
+        contains = ConvexCone2D.contains
 
         def counted(self, *args, **kwargs):
-            calls.append(len(args[0]))
-            return contains_many(self, *args, **kwargs)
+            # The region's check that its recession holds the quadrant is
+            # no pairwise test.
+            if not np.array_equal(args[0], np.eye(2)):
+                calls.append(len(args[0]))
+            return contains(self, *args, **kwargs)
 
-        monkeypatch.setattr(ConvexCone2D, "contains_many", counted)
+        monkeypatch.setattr(ConvexCone2D, "contains", counted)
         region_from_points_plus_cone(front, ORTHANT)
         assert calls == []
         # A point near the front still reaches the pairwise test.

@@ -540,16 +540,24 @@ class TestFamilies:
             assert same_bits(np.concatenate(gains), np.stack([g for g, _ in expected])), size
 
     def test_identity_dropped_from_later_families(self):
+        # A repeated identity config adds nothing; an explicit selection
+        # that carries the label is a selection like any other.
         e = ScenarioEnsemble(NONMARGIN_GAINS)
         p = SetPortfolio.cone_det(e, NONMARGIN_CONE)
+        shifted = NONMARGIN_GAINS - 1.0
         configs = [
             {"strategy": "identity"},
-            {"strategy": "explicit", "gains": (NONMARGIN_GAINS + 1.0).tolist(),
-             "label": "identity"},
+            {"strategy": "explicit", "gains": shifted.tolist(), "label": "identity"},
+            {"strategy": "identity"},
             {"strategy": "explicit", "gains": NONMARGIN_GAINS.tolist(), "label": "kept"},
         ]
         families = selections._bundle_families(p, RiskSpec(ES, 0.75), configs)
-        assert [f.label(0) for f in families] == ["identity", "kept"]
+        assert [f.label(0) for f in families] == ["identity", "identity", "kept"]
+        made = [m for f in families for m in selections._matrices(f, e.n)]
+        assert same_bits(made[0].gains, NONMARGIN_GAINS)
+        assert same_bits(made[1].gains, shifted)
+        bundle = bounds.compute_bundle(p, RiskSpec(ES, 0.75), strategies=configs[1:2])
+        assert bundle.meta["selections"] == 2
 
 
 class TestBuildFamily:
