@@ -35,7 +35,7 @@ from .riskstats import (
     risk_rows,
     var_empirical,
 )
-from .selections import _bundle_families, _matrices, selection_auditor
+from .selections import _bundle_families, _filled_blocks, _matrices, selection_auditor
 
 # Largest support violation a selection may show when bundles are audited.
 _AUDIT_TOL = 1e-7
@@ -105,42 +105,19 @@ def gather_selections(portfolio, risk_spec, strategies=None):
     ]
 
 
-def _filled_blocks(families, buf):
-    """Fill ``buf`` with the families' selections in order, as many at a time
-    as it holds; yields the number of rows filled and, for each family part
-    in the block, its first row, the family and the part's first index."""
-    rows, parts = 0, []
-    for family in families:
-        lo = 0
-        while lo < family.count:
-            hi = min(family.count, lo + len(buf) - rows)
-            family.fill(buf[rows:], lo, hi)
-            parts.append((rows, family, lo))
-            rows += hi - lo
-            lo = hi
-            if rows == len(buf):
-                yield rows, parts
-                rows, parts = 0, []
-    if rows:
-        yield rows, parts
-
-
 def _selection_hull(portfolio, risk_spec, strategies, audit):
     """Fill one block buffer with the selections, family by family: audit
     each block if asked, evaluate its risk points with one kernel call per
-    column, and hull all points with the inner recession; returns (number of
-    selections, region)."""
+    coordinate, and hull all points with the inner recession; returns
+    (number of selections, region)."""
     n = portfolio.ensemble.n
     weights = portfolio.ensemble.weights
     families = _bundle_families(portfolio, risk_spec, strategies)
     auditor = selection_auditor(portfolio) if audit else None
     total = sum(family.count for family in families)
-    # One buffer for every block keeps the allocator from handing the
-    # block's pages back and faulting them in again for every block.
-    buf = np.empty((min(total, max(1, markets._BLOCK_VALUES // n)), n, 2))
+    size = min(total, max(1, markets._BLOCK_VALUES // n))
     points = []
-    for rows, parts in _filled_blocks(families, buf):
-        gains = buf[:rows]
+    for gains, parts in _filled_blocks(families, n, size):
         if auditor is not None:
             gaps = auditor(gains)
             bad = np.flatnonzero(gaps > _AUDIT_TOL)
@@ -150,9 +127,10 @@ def _selection_hull(portfolio, risk_spec, strategies, audit):
                     f"selection {family.label(lo + bad[0] - first)!r} leaves the "
                     f"portfolio (support violation {gaps[bad[0]]:.3e})"
                 )
-        points.append(
-            np.column_stack([risk_rows(risk_spec, gains[..., j], weights) for j in (0, 1)])
-        )
+        # The block is scratch once audited, so the kernel sorts it in place.
+        points.append(np.column_stack([
+            risk_rows(risk_spec, gains[..., j], weights, overwrite_input=True) for j in (0, 1)
+        ]))
     points = np.vstack(points)
     region = region_from_points_plus_cone(points, inner_recession(portfolio, risk_spec))
     return len(points), region

@@ -271,10 +271,11 @@ _PAIR_BLOCK = 2**16
 
 
 def _undominated(pts, recession):
-    """The points of region_from_points_plus_cone's dominance rules, in the
-    given order, from one sort by the cone coordinate a = <lo x p> and one
-    prefix minimum of b = <p x hi>, in which the recession is the quadrant
-    (b = a for a half-plane).
+    """The distinct points that region_from_points_plus_cone's dominance
+    rules keep, from one lexsort by the cone coordinate a = <lo x p>, then x,
+    then y, and one prefix minimum of b = <p x hi>, in which the recession
+    is the quadrant (b = a for a half-plane).  Repeated points sit next to
+    each other in that order, and only the first of them is kept.
 
     A point that another dominates by the margin delta = 4 TOL max(1,
     2 max|p|) in both coordinates is dropped first: delta exceeds every pair
@@ -283,25 +284,26 @@ def _undominated(pts, recession):
     or ties with, is strictly dominated by a kept point.  Only a point with
     another one within delta of it in both coordinates can fail the pairwise
     test (a pair further apart fails the pair tolerance there), so only
-    those kept rows run it, in blocks, against the kept points.  When the
-    rules drop every point, a greedy cover is kept instead: in order of
-    a + b, each point that no kept point dominates.
+    those kept rows run it, in blocks, against the kept points; of two
+    points that dominate each other, the one later in (x, y) order goes.
+    When the rules drop every point, a greedy cover is kept instead: in
+    order of a + b, then x, then y, each point that no kept point dominates.
     """
-    m = pts.shape[0]
     lo, hi = recession.lo, recession.hi
     a = lo[0] * pts[:, 1] - lo[1] * pts[:, 0]
+    order = np.lexsort((pts[:, 1], pts[:, 0], a))
+    pts, a = pts[order], a[order]
+    fresh = np.flatnonzero(np.r_[True, (pts[1:] != pts[:-1]).any(axis=1)])
+    pts, a = pts[fresh], a[fresh]
     b = a if recession.is_halfplane else pts[:, 0] * hi[1] - pts[:, 1] * hi[0]
     delta = 4.0 * TOL * max(1.0, 2.0 * float(np.max(np.abs(pts))))
-    order = np.argsort(a, kind="stable")
-    rank = np.empty(m, dtype=np.intp)
-    rank[order] = np.arange(m)
-    a_sorted, best_b = a[order], np.minimum.accumulate(b[order])
+    best_b = np.minimum.accumulate(b)
     # Points whose a is at least delta below a_i form a prefix of the order.
-    below = np.searchsorted(a_sorted, a - delta, side="right")
+    below = np.searchsorted(a, a - delta, side="right")
     keep = np.flatnonzero((below == 0) | (best_b[below - 1] > b - delta))
-    pts, a, b, rank = pts[keep], a[keep], b[keep], rank[keep]
-    before = np.where(rank > 0, best_b[rank - 1], np.inf)
-    above = np.searchsorted(a_sorted, a + delta, side="right") > rank + 1
+    before = np.where(keep > 0, best_b[keep - 1], np.inf)
+    above = np.searchsorted(a, a[keep] + delta, side="right") > keep + 1
+    pts, a, b = pts[keep], a[keep], b[keep]
     rows = np.flatnonzero((before <= b + delta) | above)
 
     m = pts.shape[0]
@@ -312,12 +314,15 @@ def _undominated(pts, recession):
         diffs = pts[idx, None, :] - pts[None, :, :]
         inside = recession.contains(diffs)
         covers = recession.contains(-diffs)
-        earlier = np.arange(m) < idx[:, None]
+        # A difference of finite floats is zero only for equal ones, and
+        # otherwise has the sign of their order: this is the (x, y) order.
+        dx, dy = diffs[..., 0], diffs[..., 1]
+        earlier = (dx > 0) | ((dx == 0) & (dy > 0))
         dominated[idx] = (inside & (~covers | earlier)).any(axis=1)
     if not dominated.all():
         return pts[~dominated]
     kept = []
-    for i in np.argsort(a + b, kind="stable"):
+    for i in np.lexsort((pts[:, 1], pts[:, 0], a + b)):
         if not recession.contains(pts[i] - pts[kept]).any():
             kept.append(i)
     return pts[kept]
@@ -348,8 +353,6 @@ def region_from_points_plus_cone(points, recession):
     if not np.all(np.isfinite(pts)):
         raise ValidationError("points contain non-finite entries")
 
-    # np.unique sorts the rows, which fixes the mutual rule's order.
-    pts = np.unique(pts, axis=0)
     if pts.shape[0] > 1:
         pts = _undominated(pts, recession)
 

@@ -272,7 +272,7 @@ def _support_cuts(p, risk_spec, candidates):
                 raise ValidationError("support values are not finite on a zero-weight scenario")
             U, rows = U[finite], rows[finite]
         dirs.append(U)
-        offsets += risk_rows(risk_spec, rows, weights).tolist()
+        offsets += risk_rows(risk_spec, rows, weights, overwrite_input=True).tolist()
         del rows
     return np.concatenate(dirs), offsets
 

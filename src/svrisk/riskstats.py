@@ -113,29 +113,54 @@ def _check_level(alpha):
 # Equal-weight expected shortfall selects its tail with one O(n) partition
 # and sorts only the tail when the row has at least PARTITION_MIN_N scenarios
 # and the tail holds less than half of them; otherwise it sorts the whole
-# row.  Microseconds per row (one process on a 2-core x86-64 VM, numpy 2.4,
-# standard normal rows, np.sort / partition + tail sort):
+# row.  Microseconds per row, copy included (one process on a 2-core x86-64
+# VM, numpy 2.4.6, standard normal rows; whole-row sort / partition + tail
+# sort):
 #
-#   n \ level     0.05          0.25          0.5           0.9
-#   100         0.35 / 0.49   0.32 / 0.54   0.32 / 0.61   0.36 / 0.69
-#   400         1.79 / 1.59   1.75 / 1.81   1.72 / 2.23   1.92 / 2.99
-#   1000        5.85 / 3.46   5.88 / 4.14   5.80 / 6.24   6.07 / 8.39
-#   2000        13.9 / 6.62   12.8 / 8.83   12.7 / 11.6   13.5 / 17.8
-#   50000       420 / 158     430 / 242     457 / 325     445 / 485
+#   n \ level     0.05          0.25
+#   100         0.25 / 0.38   0.24 / 0.37
+#   400         1.27 / 1.15   1.27 / 1.36
+#   1000        4.20 / 2.62   4.06 / 2.74
+#   10000       48.6 / 19.8   49.4 / 26.9
+#   50000        277 / 92.3    289 / 143
 PARTITION_MIN_N = 1000
 
+# numpy sums a contiguous float64 row pairwise: a run of more than
+# _PAIRWISE_BLOCK terms is split at half its length rounded down to a
+# multiple of _PAIRWISE_UNROLL, and each part is summed the same way.
+_PAIRWISE_BLOCK = 128
+_PAIRWISE_UNROLL = 8
 
-def _sorted_rows(values, weights, tail=None):
+
+def _pairwise_prefix(n, m):
+    """Length of the smallest leading run of numpy's pairwise sum of n terms
+    that holds the first m of them.  When every later term is a zero, the
+    sum of that run has the bits of the whole sum: adding a zero changes no
+    partial sum but -0.0, and numpy starts every sum from +0.0.
+    """
+    p = n
+    while p > _PAIRWISE_BLOCK:
+        half = p // 2
+        half -= half % _PAIRWISE_UNROLL
+        if half < m:
+            break
+        p = half
+    return p
+
+
+def _sorted_rows(values, weights, tail=None, overwrite=False):
     """Sort each row by (value, weight), which makes every downstream
     reduction invariant under permutations of the scenario order, bit for
-    bit; returns the sorted values and the weights in matching order.
+    bit; returns the sorted values and the weights in matching order.  With
+    ``overwrite`` the rows of ``values`` may be reordered in place.
 
     ``tail`` is an expected-shortfall level.  With equal weights it lets
     long rows be sorted only as far as the tail reaches: the m scenarios
     that carry tail weight come first, in order, and the rest follow in no
     particular order, which costs O(n) + O(m log m) instead of O(n log n).
-    Those scenarios enter the tail sum with weight exactly zero, so the sum
-    keeps its terms in the same places and its bits.  The running sums of
+    Those scenarios enter the tail sum with weight exactly zero, so only the
+    leading run of the pairwise sum that holds the tail is returned (see
+    ``_pairwise_prefix``), which keeps the sum's bits.  The running sums of
     the weights that this needs are returned as the third value (None when
     they were not needed), so that ``risk_rows`` does not sum them again.
     """
@@ -143,29 +168,37 @@ def _sorted_rows(values, weights, tail=None):
         # Tied values carry equal weights, so a value sort gives lexsort's
         # pairs up to the order of tied zeros of opposite sign, which sums
         # ignore and only the VaR pick below has to restore.
+        v = values if overwrite else values.copy()
+        if tail is None:
+            v.sort(axis=-1)
+            return v, weights, None
         n = values.shape[-1]
-        if tail is not None and n >= PARTITION_MIN_N:
-            # The scenarios whose cumulative weight before them is below the
-            # level; the same float arithmetic as ``taken`` in risk_rows.
-            cw = np.cumsum(weights)
-            m = int(np.count_nonzero(cw - weights < tail))
-            if 2 * m < n:
-                v = np.partition(values, m - 1, axis=-1)
-                v[..., :m].sort(axis=-1)
-                return v, weights, cw
-            return np.sort(values, axis=-1), weights, cw
-        return np.sort(values, axis=-1), weights, None
+        # The scenarios whose cumulative weight before them is below the
+        # level; the same float arithmetic as ``taken`` in risk_rows.
+        cw = np.cumsum(weights)
+        m = int(np.count_nonzero(cw - weights < tail))
+        if n >= PARTITION_MIN_N and 2 * m < n:
+            v.partition(m - 1, axis=-1)
+            v[..., :m].sort(axis=-1)
+        else:
+            v.sort(axis=-1)
+        p = _pairwise_prefix(n, m)
+        return v[..., :p], weights[:p], cw[:p]
     order = np.lexsort((np.broadcast_to(weights, values.shape), values), axis=-1)
     return np.take_along_axis(values, order, axis=-1), weights[order], None
 
 
-def risk_rows(spec, values, weights):
+def risk_rows(spec, values, weights, overwrite_input=False):
     """Risk of every row of a (k, n) array of scenario values under shared
     probability weights (n,); the functional is described by ``spec``.
 
     Equal-weight expected shortfall on long rows selects its tail instead of
     sorting the whole row (see ``_sorted_rows``); every functional gives the
-    same bits as a full sort by (value, weight).  ``values`` is not modified.
+    same bits as a full sort by (value, weight).  ``values`` is not modified
+    unless ``overwrite_input`` is set: then a caller that owns the rows as
+    scratch lets the sort reorder them in place, which saves a copy of every
+    row.  Value at risk always sorts a copy, as its pick of a zero reads the
+    input order.
     """
     values = np.asarray(values, dtype=float)
     if spec.kind == NEG_ESSINF:
@@ -173,7 +206,12 @@ def risk_rows(spec, values, weights):
         if not np.any(live):
             raise ValidationError("sample has no positive-weight scenario")
         return -np.min(values[:, live], axis=-1)
-    v, w, cw = _sorted_rows(values, weights, tail=spec.level if spec.kind == ES else None)
+    v, w, cw = _sorted_rows(
+        values,
+        weights,
+        tail=spec.level if spec.kind == ES else None,
+        overwrite=overwrite_input and spec.kind != VAR,
+    )
     if spec.kind == NEG_EXPECTATION:
         return -(v * w).sum(axis=-1)
     alpha = spec.level

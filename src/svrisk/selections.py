@@ -4,9 +4,11 @@ Each strategy expands into families of selections.  A family is a count,
 ``label(i)`` and ``fill(out, lo, hi)``, which writes the gains of selections
 lo..hi-1 straight into a block buffer, so a grid of selections costs a few
 array operations per block instead of one object per selection; a selection
-that a strategy makes on its own is a one-row family.  ``build_family``
-turns families into ``SelectionMatrix`` lists.  The risk of a selection is
-evaluated coordinatewise and its point enters the inner approximation hull.
+that a strategy makes on its own is a one-row family.  ``_filled_blocks``
+runs families through one buffer, which holds each coordinate of a
+selection as one contiguous row, and ``build_family`` turns families into
+``SelectionMatrix`` lists.  The risk of a selection is evaluated
+coordinatewise and its point enters the inner approximation hull.
 Every emitted row must stay inside the scenario's attainable set, which the
 audit verifies through support-function inequalities: ``selection_auditor``
 computes the support rows of its directions once per portfolio and checks
@@ -49,7 +51,8 @@ class Family(NamedTuple):
     """``count`` selections of one strategy, made on demand.
 
     ``label(i)`` names selection i, and ``fill(out, lo, hi)`` writes the gains
-    of selections lo..hi-1 into ``out[:hi - lo]`` of a (b, n, 2) buffer.
+    of selections lo..hi-1 into ``out[:hi - lo]`` of a (b, 2, n) buffer:
+    ``out[i, j]`` is coordinate j of selection lo + i in every scenario.
     """
 
     count: int
@@ -61,7 +64,7 @@ def _row(selection):
     """One-row family of a selection made on its own."""
 
     def fill(out, lo, hi):
-        out[0] = selection.gains
+        out[0] = selection.gains.T
 
     return Family(1, lambda i: selection.label, fill)
 
@@ -72,16 +75,54 @@ def _rows(*selections):
 
 def _matrices(family, n):
     """The family's selections as selection matrices, filled at once."""
-    out = np.empty((family.count, n, 2))
-    family.fill(out, 0, family.count)
-    return [SelectionMatrix(gains, family.label(i)) for i, gains in enumerate(out)]
+    return [
+        SelectionMatrix(gains, family.label(i))
+        for block, _ in _filled_blocks([family], n, family.count)
+        for i, gains in enumerate(block)
+    ]
+
+
+def _filled_blocks(families, n, size):
+    """Fill one buffer of ``size`` selections with the families' selections
+    in order, as many at a time as it holds.  Yields each block as a (rows,
+    n, 2) view, whose coordinates ``block[..., j]`` are contiguous rows, and
+    for each family part in the block its first row, the family and the
+    part's first index.  The block is scratch: the next one overwrites it,
+    and the caller may reorder its rows in place meanwhile."""
+    # One buffer for every block keeps the allocator from handing the
+    # block's pages back and faulting them in again for every block.
+    buf = np.empty((size, 2, n))
+    rows, parts = 0, []
+    for family in families:
+        lo = 0
+        while lo < family.count:
+            hi = min(family.count, lo + size - rows)
+            family.fill(buf[rows:], lo, hi)
+            parts.append((rows, family, lo))
+            rows += hi - lo
+            lo = hi
+            if rows == size:
+                yield buf[:rows].transpose(0, 2, 1), parts
+                rows, parts = 0, []
+    if rows:
+        yield buf[:rows].transpose(0, 2, 1), parts
 
 
 def _grid(values, name):
     grid = np.asarray(values, dtype=float)
-    if grid.ndim != 1 or not np.isfinite(grid).all():
-        raise ValidationError(f"{name} must be a list of finite numbers")
+    if grid.ndim != 1 or grid.size == 0 or not np.isfinite(grid).all():
+        raise ValidationError(f"{name} must be a non-empty list of finite numbers")
     return grid
+
+
+def _real(value, name):
+    """A number from a config: an integer or a float, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValidationError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValidationError(f"{name} must be a finite number") from None
 
 
 def default_t_grid(scale, count=33, span=4.0):
@@ -183,11 +224,11 @@ def _scaled(ensemble, eta, grid, ray=None, cone=None, label="shift"):
         bad = np.flatnonzero(~cone.contains(eta))
         if bad.size:
             raise ValidationError(f"eta leaves the exchange cone at row {bad[0]}")
-    x = ensemble.gains
+    x, eta = ensemble.gains.T.copy(), eta.T.copy()
     k = len(t_values)
     if ray is not None:
-        m1 = (np.asarray(ray) == 1)[:, None] * eta
-        m2 = (np.asarray(ray) == 2)[:, None] * eta
+        m1 = (np.asarray(ray) == 1) * eta
+        m2 = (np.asarray(ray) == 2) * eta
         if np.any(m1 != 0.0) and np.any(m2 != 0.0):
 
             def fill_product(out, lo, hi):
@@ -304,7 +345,7 @@ def _mix(first, second, lambda_values):
     lam = _grid(lambda_values, "lambda grid")
     if np.any(lam < 0) or np.any(lam > 1):
         raise ValidationError("lambda grid must lie inside [0, 1]")
-    a, b = first.gains, second.gains
+    a, b = first.gains.T.copy(), second.gains.T.copy()
 
     def fill(out, lo, hi):
         rows = out[: hi - lo]
@@ -380,9 +421,9 @@ def _grid_from_config(cfg, eta):
     else:
         scale = float(np.max(np.hypot(eta[:, 0], eta[:, 1]), initial=0.0))
         t_values = default_t_grid(
-            t_cfg.get("scale", scale),
+            _real(t_cfg.get("scale", scale), "t_grid.scale"),
             t_cfg.get("count", 33),
-            t_cfg.get("span", 4.0),
+            _real(t_cfg.get("span", 4.0), "t_grid.span"),
         )
     return t_values
 
@@ -391,7 +432,7 @@ def _lambda_from_config(cfg):
     lam_cfg = _grid_object(cfg, "lambda_grid")
     if "values" in lam_cfg:
         return _grid(lam_cfg["values"], "lambda grid")
-    return np.linspace(0.0, 1.0, _count(lam_cfg.get("count", 21), "lambda grid count", 0))
+    return np.linspace(0.0, 1.0, _count(lam_cfg.get("count", 21), "lambda grid count", 1))
 
 
 def _explicit(portfolio, cfg, risk_spec):

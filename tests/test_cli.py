@@ -79,6 +79,32 @@ def generated(portfolio, **rate):
 # One more than the largest count a config may set (markets._BLOCK_VALUES).
 TOO_MANY = 2**18 + 1
 
+# Config patches with a grid value that a strategy cannot use, and the words
+# its one-line error must contain to name that grid.
+BAD_GRIDS = {
+    "t-grid-scale-string": (
+        {"strategies": [{"strategy": "quantile-shift", "side": "ray1", "t_grid": {"scale": "x"}}]},
+        "t_grid.scale must be a number"),
+    "t-grid-span-string": (
+        {"strategies": [{"strategy": "quantile-shift", "side": "ray1", "t_grid": {"span": "x"}}]},
+        "t_grid.span must be a number"),
+    "t-grid-span-huge-integer": (
+        {"strategies": [{"strategy": "quantile-shift", "side": "ray1",
+                         "t_grid": {"span": 10**400}}]},
+        "t_grid.span must be a finite number"),
+    "t-grid-values-empty": (
+        {"strategies": [{"strategy": "quantile-shift", "t_grid": {"values": []}}]},
+        "scale grid must be a non-empty list"),
+    "lambda-grid-values-empty": (
+        {**LIQUIDITY,
+         "strategies": [{"strategy": "liquidity-family", "lambda_grid": {"values": []}}]},
+        "lambda grid must be a non-empty list"),
+    "lambda-grid-count-zero": (
+        {**LIQUIDITY,
+         "strategies": [{"strategy": "liquidity-family", "lambda_grid": {"count": 0}}]},
+        "lambda grid count must be an integer in [1,"),
+}
+
 
 def gen_config(tmp_path, n=50, seed=7):
     return write_json(
@@ -397,6 +423,7 @@ class TestRisk:
              "strategies": [{"strategy": "liquidity-family", "lambda_grid": {"count": "3"}}]},
             {**LIQUIDITY,
              "strategies": [{"strategy": "liquidity-family", "lambda_grid": {"count": True}}]},
+            *(patch for patch, _ in BAD_GRIDS.values()),
         ],
         ids=[
             "explicit-without-gains", "explicit-wrong-shape", "directions",
@@ -414,6 +441,7 @@ class TestRisk:
             "rate-mean-tiny", "n-flag-unallocatable", "t-grid-count-too-large",
             "lambda-grid-count-too-large", "directions-too-many", "t-grid-count-float",
             "lambda-grid-count-float", "lambda-grid-count-string", "lambda-grid-count-bool",
+            *BAD_GRIDS,
         ],
     )
     def test_malformed_input_exits_two(self, tmp_path, capsys, patch):
@@ -433,6 +461,12 @@ class TestRisk:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert not (tmp_path / "o" / "bundle.json").exists()
+
+    @pytest.mark.parametrize("patch, words", BAD_GRIDS.values(), ids=list(BAD_GRIDS))
+    def test_bad_grid_error_names_the_grid(self, tmp_path, capsys, patch, words):
+        cfg = nonmargin_config(tmp_path, **patch)
+        assert entrypoint(["risk", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert words in capsys.readouterr().err
 
     def test_tolerance_cycle_of_selection_risks(self, tmp_path):
         # Three selection risk points, each within the hull tolerance of the

@@ -152,6 +152,20 @@ class TestRegionConstruction:
         r = region_from_points_plus_cone(pts, ORTHANT)
         assert r.vertices.shape == (1, 2)
 
+    def test_repeats_keep_the_first_zero_sign_given(self):
+        # Points equal up to the sign of a zero are one point: the first one
+        # given stays, in any number of repeats and among other points.
+        rng = np.random.default_rng(41)
+        for first in (0.0, -0.0):
+            pts = np.array([[1.0, first], [-1.0, 3.0]] + [[1.0, -first]] * 40)
+            for order in (np.arange(len(pts)), np.r_[1, 0, 2:len(pts)]):
+                r = region_from_points_plus_cone(pts[order], ORTHANT)
+                assert r.vertices.tolist() == [[1.0, 0.0], [-1.0, 3.0]]
+                assert np.signbit(r.vertices[0, 1]) == np.signbit(first)
+            extra = rng.standard_normal((30, 2)) + 5.0
+            r = region_from_points_plus_cone(np.vstack([pts, extra]), ORTHANT)
+            assert np.signbit(r.vertices[0, 1]) == np.signbit(first)
+
     def test_empty_points_rejected(self):
         with pytest.raises(ValidationError):
             region_from_points_plus_cone(np.zeros((0, 2)), ORTHANT)

@@ -327,27 +327,42 @@ class TestRiskRows:
 
     @pytest.mark.parametrize("spec", ALL_SPECS[:-1], ids=lambda s: f"{s.kind}-{s.level}")
     def test_uniform_weights_match_lexsort_bit_for_bit(self, spec):
+        # 10_000 and 50_000 are longer than numpy's 8192-value buffer, and
+        # their tails end deep inside the pairwise sum's leading runs.
         rng = np.random.default_rng(23)
-        for n in (1, 3, 64, 257, PARTITION_MIN_N - 1, PARTITION_MIN_N, 4000):
+        for n in (1, 3, 64, 257, PARTITION_MIN_N - 1, PARTITION_MIN_N, 4000, 10_000, 50_000):
             values = np.round(rng.standard_normal((3, n)), 2)
             values[:, rng.random(n) < 0.3] = 0.0
             values[:, rng.random(n) < 0.3] = -0.0
             # Sums of untied values change bits when their order does.
             values = np.vstack([values, rng.standard_normal((8, n))])
+            # A tail of negative zeros whose sum is -0.0 before the positive
+            # terms past it, each times a zero weight, are added.
+            values = np.vstack([values, np.where(rng.random(n) < 0.5, -0.0, 1.0)])
             w = np.full(n, 1.0 / n)
             specs = [spec]
             if spec.level is not None:
                 # A tail of one scenario (level < 1/n), of all n (level near
-                # 1), and tails that end exactly on a scenario (k/n).
-                levels = (0.5 / n, 1 - 0.1 / n, 1 / n, (n // 10) / n, (n // 2 - 1) / n)
+                # 1), tails that end exactly on a scenario (k/n), and tails
+                # that end just before and just after the pairwise sum's
+                # first split, at half of n rounded down to a multiple of 8.
+                half = n // 2 - n // 2 % 8
+                levels = (0.5 / n, 1 - 0.1 / n, 1 / n, (n // 10) / n, (n // 2 - 1) / n,
+                          (half - 0.5) / n, (half + 0.5) / n)
                 specs += [RiskSpec(spec.kind, a) for a in levels if 0 < a < 1]
             for s in specs:
+                want = [_lexsort_reference(s, row, w) for row in values]
                 before = values.copy()
                 rows = risk_rows(s, values, w)
                 assert values.tobytes() == before.tobytes()
-                for r, got in enumerate(rows):
-                    want = _lexsort_reference(s, values[r], w)
-                    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+                # The same bits when the kernel may reorder a scratch copy
+                # in place, given as the strided rows of a block buffer.
+                scratch = np.stack([values, values], axis=1)[:, 1]
+                in_place = risk_rows(s, scratch, w, overwrite_input=True)
+                if s.kind == VAR:
+                    assert scratch.tobytes() == before.tobytes()
+                for got in (rows, in_place):
+                    assert np.asarray(got).tobytes() == np.array(want).tobytes()
 
     def test_var_picks_the_zero_lexsort_picks(self):
         # Only zeros near the quantile: the sign of the answer depends on

@@ -529,10 +529,11 @@ class TestFamilies:
         families = selections._bundle_families(p, spec, configs)
         assert sum(f.count for f in families) == len(expected)
         for size in (1, 2, 5, 34, 35, 36, len(expected)):
-            buf = np.full((size, p.ensemble.n, 2), np.nan)
             gains, labels = [], []
-            for rows, parts in bounds._filled_blocks(families, buf):
-                gains.append(buf[:rows].copy())
+            for block, parts in selections._filled_blocks(families, p.ensemble.n, size):
+                rows = len(block)
+                assert block.shape == (rows, p.ensemble.n, 2)
+                gains.append(block.copy())
                 ends = [first for first, _, _ in parts[1:]] + [rows]
                 for (first, family, lo), end in zip(parts, ends):
                     labels += [family.label(lo + r) for r in range(end - first)]
