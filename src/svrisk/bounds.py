@@ -1,11 +1,11 @@
 """Inner and outer approximations of set-valued portfolio risk.
 
-The inner region is the convex hull of selection risk points plus a
-recession cone that provably stays inside the true region; the outer
-region intersects the dual half-space bounds that the portfolio kind's
-record in ``markets`` makes (``PortfolioKind.outer_cuts``), so nothing here
-knows how any kind's cuts are made.  Between them sits the coordinatewise
-marginal bound.
+The inner region is the convex hull of the selection risk points that
+``selections.selection_points`` makes, plus a recession cone that provably
+stays inside the true region; the outer region intersects the dual
+half-space bounds that the portfolio kind's record in ``markets`` makes
+(``PortfolioKind.outer_cuts``).  So nothing here knows a kind, a block size
+or an audit rule.  Between them sits the coordinatewise marginal bound.
 """
 
 from __future__ import annotations
@@ -26,19 +26,10 @@ from .geom2d import (
     region_from_halfspaces,
     region_from_points_plus_cone,
 )
-from . import markets
-from .markets import CONE_DET, KINDS, PortfolioKind, tail_slope_cone
-from .riskstats import (
-    WeightedSample,
-    es_var_lognormal_mean_one,
-    risk_eval,
-    risk_rows,
-    var_empirical,
-)
-from .selections import _bundle_families, _filled_blocks, _matrices, selection_auditor
+from .markets import PortfolioKind, tail_slope_cone
+from .riskstats import WeightedSample, es_var_lognormal_mean_one, risk_eval, var_empirical
+from .selections import gather_selections, selection_points  # noqa: F401 (re-exported)
 
-# Largest support violation a selection may show when bundles are audited.
-_AUDIT_TOL = 1e-7
 # Largest slack sandwich_violation may show before compute_bundle refuses
 # to return a bundle, relative to the largest vertex coordinate of the three
 # regions (at least 1): the hull and the cuts carry rounding and tolerances
@@ -95,51 +86,11 @@ def inner_recession(portfolio, risk_spec):
     return portfolio.definition.recession(portfolio, risk_spec)
 
 
-def gather_selections(portfolio, risk_spec, strategies=None):
-    """Expand strategy configs into selections; identity is always present."""
-    n = portfolio.ensemble.n
-    return [
-        sel
-        for family in _bundle_families(portfolio, risk_spec, strategies)
-        for sel in _matrices(family, n)
-    ]
-
-
-def _selection_hull(portfolio, risk_spec, strategies, audit):
-    """Fill one block buffer with the selections, family by family: audit
-    each block if asked, evaluate its risk points with one kernel call per
-    coordinate, and hull all points with the inner recession; returns
-    (number of selections, region)."""
-    n = portfolio.ensemble.n
-    weights = portfolio.ensemble.weights
-    families = _bundle_families(portfolio, risk_spec, strategies)
-    auditor = selection_auditor(portfolio) if audit else None
-    total = sum(family.count for family in families)
-    size = min(total, max(1, markets._BLOCK_VALUES // n))
-    points = []
-    for gains, parts in _filled_blocks(families, n, size):
-        if auditor is not None:
-            gaps = auditor(gains)
-            bad = np.flatnonzero(gaps > _AUDIT_TOL)
-            if bad.size:
-                first, family, lo = next(p for p in reversed(parts) if p[0] <= bad[0])
-                raise ValidationError(
-                    f"selection {family.label(lo + bad[0] - first)!r} leaves the "
-                    f"portfolio (support violation {gaps[bad[0]]:.3e})"
-                )
-        # The block is scratch once audited, so the kernel sorts it in place.
-        points.append(np.column_stack([
-            risk_rows(risk_spec, gains[..., j], weights, overwrite_input=True) for j in (0, 1)
-        ]))
-    points = np.vstack(points)
-    region = region_from_points_plus_cone(points, inner_recession(portfolio, risk_spec))
-    return len(points), region
-
-
 def inner_region(portfolio, risk_spec, strategies=None, audit=False):
     """Convex hull of selection risk points plus the provable recession."""
     portfolio.definition.risk_rule(risk_spec)
-    return _selection_hull(portfolio, risk_spec, strategies, audit)[1]
+    points = selection_points(portfolio, risk_spec, strategies, audit)
+    return region_from_points_plus_cone(points, inner_recession(portfolio, risk_spec))
 
 
 def _outer(cuts):
@@ -148,13 +99,17 @@ def _outer(cuts):
 
 
 def outer_region_det_cone(portfolio, risk_spec):
-    """Exact pair of dual cuts along the exchange-cone dual generators."""
-    return _outer(KINDS[CONE_DET].outer_cuts(portfolio, risk_spec, None))
+    """Exact pair of dual cuts along the exchange-cone dual generators: the
+    outer region of a portfolio with a deterministic exchange cone."""
+    if portfolio.cone is None:
+        raise ValidationError("exchange-cone cuts need a portfolio with an exchange cone")
+    return outer_region(portfolio, risk_spec)
 
 
 def outer_region_support_grid(portfolio, risk_spec, n_dirs=181):
     """Dual cuts over a first-quadrant direction fan and the kind's exact
     directions (an exchange cone's dual generators), less unbounded ones."""
+    portfolio.definition.risk_rule(risk_spec)
     return _outer(PortfolioKind.outer_cuts(portfolio.definition, portfolio, risk_spec, n_dirs))
 
 
@@ -215,14 +170,15 @@ def compute_bundle(portfolio, risk_spec, strategies=None, n_dirs=181, audit=Fals
     ignored, a non-finite selection or risk point ends in ValidationError."""
     definition = portfolio.definition
     definition.risk_rule(risk_spec)
-    count, inner = _selection_hull(portfolio, risk_spec, strategies, audit)
+    points = selection_points(portfolio, risk_spec, strategies, audit)
+    inner = region_from_points_plus_cone(points, inner_recession(portfolio, risk_spec))
     outer = _outer(definition.outer_cuts(portfolio, risk_spec, n_dirs))
     marginal = _marginal(portfolio, risk_spec, inner.recession)
     meta = {
         "portfolio": portfolio.kind,
         "risk": {"kind": risk_spec.kind, "level": risk_spec.level},
         "scenarios": portfolio.ensemble.n,
-        "selections": count,
+        "selections": len(points),
         "directions": int(n_dirs),
     }
     bundle = RiskBundle(inner=inner, outer=outer, marginal=marginal, meta=meta)

@@ -41,6 +41,16 @@ def _count(value, name, low, high=_BLOCK_VALUES):
     return int(value)
 
 
+def _real(value, name):
+    """A number from outside: an integer or a float, not a bool or a string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValidationError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValidationError(f"{name} must be a finite number") from None
+
+
 def direction_grid(n_dirs):
     """Unit directions spanning the closed first quadrant."""
     if int(n_dirs) < 2:
@@ -62,8 +72,8 @@ class ExchangeCone2D:
     pi21: float
 
     def __post_init__(self):
-        p12 = float(self.pi12)
-        p21 = float(self.pi21)
+        p12 = _real(self.pi12, "pi12")
+        p21 = _real(self.pi21, "pi21")
         if not (p12 > 0 and p21 > 0):
             raise ValidationError("exchange rates must be positive")
         if math.isfinite(p12) and math.isfinite(p21) and p12 * p21 < 1.0 - 1e-12:
@@ -73,7 +83,7 @@ class ExchangeCone2D:
 
     @classmethod
     def frictionless(cls, rate):
-        rate = float(rate)
+        rate = _real(rate, "frictionless_rate")
         if not (rate > 0 and math.isfinite(rate)):
             raise ValidationError("rate must be positive and finite")
         return cls(1.0 / rate, rate)
@@ -377,6 +387,8 @@ class _ConeDet(PortfolioKind):
     def parse(self, block, ensemble):
         if "frictionless_rate" in block:
             cone = ExchangeCone2D.frictionless(block.pop("frictionless_rate"))
+        elif not isinstance(block.get("no_exchange", False), bool):
+            raise ValidationError('"no_exchange" must be true or false')
         elif block.pop("no_exchange", False):
             cone = ExchangeCone2D.no_exchange()
         else:
@@ -461,9 +473,12 @@ class _LiquidityCapped(PortfolioKind):
 
     def validate(self, p):
         super().validate(p)
-        cap = np.asarray(p.cap if p.cap is not None else (1.0, 1.0), dtype=float)
-        if cap.shape != (2,) or np.any(cap <= 0):
+        cap = (1.0, 1.0) if p.cap is None else p.cap
+        if np.ndim(cap) != 1 or len(cap) != 2:
             raise ValidationError("liquidity cap must be a positive 2-vector")
+        cap = np.array([_real(c, "liquidity cap") for c in cap])
+        if not (np.all(cap > 0) and np.all(np.isfinite(cap))):
+            raise ValidationError("liquidity cap must be a positive finite 2-vector")
         object.__setattr__(p, "cap", cap)
         cap.setflags(write=False)
 
@@ -481,9 +496,10 @@ class _Ball(PortfolioKind):
     strategies = (_IDENTITY, {"strategy": "ball-boost"})
 
     def validate(self, p):
-        if p.radius is None or not (float(p.radius) > 0):
-            raise ValidationError("ball portfolios need a positive radius")
-        object.__setattr__(p, "radius", float(p.radius))
+        radius = _real(p.radius, "radius")
+        if not (radius > 0 and math.isfinite(radius)):
+            raise ValidationError("ball portfolios need a positive finite radius")
+        object.__setattr__(p, "radius", radius)
 
     def support(self, p, U, base):
         base += (p.radius * np.hypot(U[:, 0], U[:, 1]))[:, None]
@@ -503,6 +519,8 @@ class _SegmentHull(PortfolioKind):
         for g in extras:
             if g.shape != p.ensemble.gains.shape:
                 raise ValidationError("extra gain matrices must match gains")
+            if not np.all(np.isfinite(g)):
+                raise ValidationError("extra gain matrices contain non-finite entries")
             g.setflags(write=False)
         object.__setattr__(p, "extra_gains", extras)
 

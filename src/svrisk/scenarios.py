@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .markets import ScenarioEnsemble
+from .markets import ScenarioEnsemble, _count, _real
 
 
 @dataclass(frozen=True)
@@ -28,30 +28,26 @@ class GenSpec:
     rate_vol: float = 0.0
 
     def __post_init__(self):
-        n, seed = int(self.n), int(self.seed)
-        if not 0 < n <= np.iinfo(np.intp).max // 16:
-            raise ValidationError("n must be positive and fit in one array")
-        if seed < 0:
-            raise ValidationError("seed must be non-negative")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "seed", seed)
-        mean = tuple(float(v) for v in self.mean)
-        stdev = tuple(float(v) for v in self.stdev)
+        # n is capped so that an (n, 2) float array fits in one index range.
+        object.__setattr__(self, "n", _count(self.n, "n", 1, np.iinfo(np.intp).max // 16))
+        object.__setattr__(self, "seed", _count(self.seed, "seed", 0, math.inf))
+        mean = tuple(_real(v, "mean") for v in self.mean)
+        stdev = tuple(_real(v, "stdev") for v in self.stdev)
         if len(mean) != 2 or len(stdev) != 2:
             raise ValidationError("mean and stdev must have two entries")
         if not all(math.isfinite(v) for v in mean + stdev):
             raise ValidationError("mean and stdev must be finite")
         if any(v <= 0 for v in stdev):
             raise ValidationError("stdev must be positive")
-        rho = float(self.correlation)
+        rho = _real(self.correlation, "correlation")
         if not -1.0 < rho < 1.0:
             raise ValidationError("correlation must lie in (-1, 1)")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "stdev", stdev)
         object.__setattr__(self, "correlation", rho)
         if self.rate_mean is not None:
-            rate_mean = float(self.rate_mean)
-            rate_vol = float(self.rate_vol)
+            rate_mean = _real(self.rate_mean, "rate_mean")
+            rate_vol = _real(self.rate_vol, "rate_vol")
             if not (math.isfinite(rate_mean) and rate_mean > 0):
                 raise ValidationError("rate_mean must be positive")
             if not 0 <= rate_vol < 1e154:  # its square must stay finite

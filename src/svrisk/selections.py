@@ -4,11 +4,12 @@ Each strategy expands into families of selections.  A family is a count,
 ``label(i)`` and ``fill(out, lo, hi)``, which writes the gains of selections
 lo..hi-1 straight into a block buffer, so a grid of selections costs a few
 array operations per block instead of one object per selection; a selection
-that a strategy makes on its own is a one-row family.  ``_filled_blocks``
-runs families through one buffer, which holds each coordinate of a
-selection as one contiguous row, and ``build_family`` turns families into
-``SelectionMatrix`` lists.  The risk of a selection is evaluated
-coordinatewise and its point enters the inner approximation hull.
+that a strategy makes on its own is a one-row family.  ``selection_points``
+is the bundle's pipeline: it runs every family through one buffer, which
+holds each coordinate of a selection as one contiguous row, audits each
+block if asked and evaluates its risk points with one kernel call, so the
+inner approximation only has to hull the points.  ``build_family`` and
+``gather_selections`` turn families into ``SelectionMatrix`` lists instead.
 Every emitted row must stay inside the scenario's attainable set, which the
 audit verifies through support-function inequalities: ``selection_auditor``
 computes the support rows of its directions once per portfolio and checks
@@ -24,9 +25,10 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import markets
 from .errors import ValidationError
 from .geom2d import _unit
-from .markets import _IDENTITY, _count, direction_grid, dual_cone
+from .markets import _IDENTITY, _count, _real, direction_grid, dual_cone
 from .riskstats import NEG_ESSINF, RiskSpec, WeightedSample, es_empirical, risk_rows, var_empirical
 
 
@@ -115,16 +117,6 @@ def _grid(values, name):
     return grid
 
 
-def _real(value, name):
-    """A number from a config: an integer or a float, not a bool."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-        raise ValidationError(f"{name} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ValidationError(f"{name} must be a finite number") from None
-
-
 def default_t_grid(scale, count=33, span=4.0):
     """Geometric sweep of scale factors, always including 0 and 1."""
     scale = max(float(scale), 1e-12)
@@ -210,14 +202,11 @@ def quantile_shift_projection(ensemble, cone, alpha, side="both"):
     return eta, ray
 
 
-def _scaled(ensemble, eta, grid, ray=None, cone=None, label="shift"):
-    """Family X + t * eta over the grid.  With a ray partition whose two
-    groups both move, the groups are scaled independently over the full
-    (t, s) product, (X + t * m1) + s * m2 with s running fastest."""
-    eta = np.asarray(eta, dtype=float)
-    if eta.shape != ensemble.gains.shape:
-        raise ValidationError("eta must match the gains matrix")
-    t_values = _grid(grid, "scale grid")
+def _scaled(ensemble, eta, t_values, ray=None, cone=None, label="shift"):
+    """Family X + t * eta over a checked grid of t values.  With a ray
+    partition whose two groups both move, the groups are scaled independently
+    over the full (t, s) product, (X + t * m1) + s * m2 with s running
+    fastest."""
     if np.any(t_values < 0):
         raise ValidationError("scale grid must be non-negative")
     if cone is not None:
@@ -339,10 +328,9 @@ def boost_worst_coordinate(ensemble, radius):
     return SelectionMatrix(x + boost, "boost-worst")
 
 
-def _mix(first, second, lambda_values):
-    """Family l * first + (1 - l) * second over the grid: convex combinations
-    of two selections of the same convex portfolio."""
-    lam = _grid(lambda_values, "lambda grid")
+def _mix(first, second, lam):
+    """Family l * first + (1 - l) * second over a checked grid of l values:
+    convex combinations of two selections of the same convex portfolio."""
     if np.any(lam < 0) or np.any(lam > 1):
         raise ValidationError("lambda grid must lie inside [0, 1]")
     a, b = first.gains.T.copy(), second.gains.T.copy()
@@ -359,6 +347,8 @@ def _mix(first, second, lambda_values):
 
 # Directions of the first-quadrant fan that the audit probes.
 _AUDIT_DIRS = 64
+# Largest support violation a selection may show when bundles are audited.
+_AUDIT_TOL = 1e-7
 
 
 def selection_auditor(portfolio):
@@ -561,6 +551,41 @@ def build_family(portfolio, config, risk_spec):
         for family in _families(portfolio, config, risk_spec)
         for sel in _matrices(family, portfolio.ensemble.n)
     ]
+
+
+def gather_selections(portfolio, risk_spec, strategies=None):
+    """Expand strategy configs into selections; identity is always present."""
+    families = _bundle_families(portfolio, risk_spec, strategies)
+    return [sel for family in families for sel in _matrices(family, portfolio.ensemble.n)]
+
+
+def selection_points(portfolio, risk_spec, strategies=None, audit=False):
+    """The (m, 2) risk points of the selections that ``gather_selections``
+    makes, in order.  Every configuration is parsed first; then the
+    selections fill one buffer in blocks of _BLOCK_VALUES // n (at least
+    one), and each block is audited if asked and evaluated with one kernel
+    call over its rows."""
+    n = portfolio.ensemble.n
+    families = _bundle_families(portfolio, risk_spec, strategies)
+    auditor = selection_auditor(portfolio) if audit else None
+    size = min(sum(family.count for family in families), max(1, markets._BLOCK_VALUES // n))
+    points = []
+    for block, parts in _filled_blocks(families, n, size):
+        if auditor is not None:
+            gaps = auditor(block)
+            bad = np.flatnonzero(gaps > _AUDIT_TOL)
+            if bad.size:
+                first, family, lo = next(p for p in reversed(parts) if p[0] <= bad[0])
+                raise ValidationError(
+                    f"selection {family.label(lo + bad[0] - first)!r} leaves the "
+                    f"portfolio (support violation {gaps[bad[0]]:.3e})"
+                )
+        # Row 2i + j of the contiguous buffer is coordinate j of selection i;
+        # the block is scratch once audited, so the kernel sorts it in place.
+        rows = block.transpose(0, 2, 1).reshape(2 * len(block), n)
+        values = risk_rows(risk_spec, rows, portfolio.ensemble.weights, overwrite_input=True)
+        points.append(values.reshape(-1, 2))
+    return np.concatenate(points)
 
 
 def default_strategy_configs(portfolio):

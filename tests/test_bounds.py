@@ -1,5 +1,7 @@
+import ast
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -371,9 +373,16 @@ class TestSandwich:
     @pytest.mark.parametrize("kind", sorted(ALL_KIND_BUILDERS))
     def test_value_at_risk_refused(self, kind):
         p = ALL_KIND_BUILDERS[kind](ensemble_for_kinds(seed=5))
-        for compute in (compute_bundle, inner_region, outer_region, marginal_region):
+        for compute in (compute_bundle, inner_region, outer_region, marginal_region,
+                        outer_region_det_cone, outer_region_support_grid):
             with pytest.raises(ValidationError):
                 compute(p, RiskSpec(VAR, 0.2))
+
+    @pytest.mark.parametrize("kind", sorted(set(ALL_KIND_BUILDERS) - {"cone-det"}))
+    def test_det_cone_cuts_refuse_other_kinds(self, kind):
+        p = ALL_KIND_BUILDERS[kind](ensemble_for_kinds(seed=5))
+        with pytest.raises(ValidationError, match="exchange cone"):
+            outer_region_det_cone(p, ES05)
 
     def test_violation_positive_when_swapped(self):
         e = ensemble_for_kinds(seed=6)
@@ -571,3 +580,28 @@ class TestBundleSerialization:
         # The random kind's support is finite only along each scenario's own
         # dual ray, so no direction of the fan survives there.
         assert bool(expected) == (kind != "cone-halfplane-random")
+
+
+def test_bounds_names_no_kind_and_no_private_name():
+    # bounds hulls the points that selections makes and intersects the cuts
+    # that the kind records make: it imports no private name of either
+    # module, no kind constant and no kind table.
+    package = pathlib.Path(selections.__file__).parent
+    kind_names = {name for name, value in vars(markets).items()
+                  if isinstance(value, str) and value in markets.KINDS}
+    imported = []
+    for node in ast.walk(ast.parse((package / "bounds.py").read_text())):
+        if isinstance(node, ast.ImportFrom):
+            module = (node.module or "").rpartition(".")[2]
+            imported += [(module, alias.name) for alias in node.names]
+        elif isinstance(node, ast.Import):
+            imported += [("", alias.name.rpartition(".")[2]) for alias in node.names]
+    assert ("markets", "PortfolioKind") in imported
+    offending = [
+        (module, name) for module, name in imported
+        if (module in ("markets", "selections")
+            and (name.startswith("_") or name in kind_names or name == "KINDS"))
+        # A module import would reach every private name through it.
+        or (module in ("", "svrisk") and name in ("markets", "selections"))
+    ]
+    assert offending == []

@@ -106,6 +106,48 @@ BAD_GRIDS = {
 }
 
 
+def negative_weight_csv(tmp_path):
+    """Config patch whose CSV gives one scenario a negative weight."""
+    path = tmp_path / "negative.csv"
+    path.write_text("x1,x2,w\n-2,4,1.5\n4,-2,-0.5\n")
+    return {"scenarios": {"csv": str(path)}}
+
+
+def identity_only(portfolio):
+    """Config patch: a portfolio on generated scenarios with identity only,
+    so the outer cuts see the portfolio's values first."""
+    return {**generated(portfolio), "strategies": [{"strategy": "identity"}]}
+
+
+def generator(**values):
+    """Config patch: generated scenarios with these generator values."""
+    return {"scenarios": {"generate": {"n": 10, "seed": 1, **values}}}
+
+
+# Config patches whose numbers are of the wrong type or not finite; each ran
+# to a bundle or to exit 3 before the number rules.
+BAD_NUMBERS = {
+    "no-exchange-string": generated({"kind": "cone-det", "no_exchange": "no"}),
+    "pi12-bool": generated({"kind": "cone-det", "pi12": True, "pi21": 5.0}),
+    "pi12-string": generated({"kind": "cone-det", "pi12": "2", "pi21": 5.0}),
+    "frictionless-rate-bool": generated({"kind": "cone-det", "frictionless_rate": True}),
+    "radius-bool": generated({"kind": "ball", "radius": True}),
+    "radius-string": generated({"kind": "ball", "radius": "1"}),
+    "radius-infinite": identity_only({"kind": "ball", "radius": math.inf}),
+    "cap-bool": generated({"kind": "liquidity-capped", "cap": [True, 1]}),
+    "cap-infinite": identity_only({"kind": "liquidity-capped", "cap": [math.inf, 1]}),
+    "extra-gains-nan": identity_only(
+        {"kind": "segment-hull", "extra_gains": [[[0.0, 0.0]] * 39 + [[math.nan, 0.0]]]}
+    ),
+    "generate-n-fraction": generator(n=10.7),
+    "generate-n-bool": generator(n=True),
+    "generate-seed-fraction": generator(seed=1.9),
+    "generate-correlation-string": generator(correlation="0.5"),
+    "generate-mean-string": generator(mean=["0", 0]),
+    "generate-rate-vol-string": generator(rate={"mean": 1.5, "vol": "0.3"}),
+}
+
+
 def gen_config(tmp_path, n=50, seed=7):
     return write_json(
         tmp_path / "gen.json",
@@ -330,6 +372,39 @@ class TestRisk:
         assert entrypoint(["risk", "--config", cfg]) == 2
         assert "risk" in capsys.readouterr().err
 
+    def test_missing_scenarios_block(self, tmp_path, capsys):
+        cfg = write_json(
+            tmp_path / "bad.json",
+            {"portfolio": {"kind": "ball", "radius": 1.0},
+             "risk": {"kind": "expected-shortfall", "level": 0.5}},
+        )
+        assert entrypoint(["risk", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            'error: config needs a "scenarios" block with exactly one of "generate" or "csv"\n'
+        )
+        assert not (tmp_path / "o").exists()
+
+    def test_segment_hull_from_extra_gains(self, tmp_path):
+        # README's "extra_gains" form: given as the mirrored gains, it makes
+        # the bundle of "extra": "mirror", and the bundle nests.
+        generate = {"n": 60, "seed": 4, "correlation": -0.4}
+        gains = cli.generate(cli.GenSpec.from_dict(generate)).gains
+        bundles = []
+        for i, portfolio in enumerate([{"extra": "mirror"},
+                                       {"extra_gains": [gains[:, ::-1].tolist()]}]):
+            cfg = write_json(tmp_path / f"{i}.json", {
+                "scenarios": {"generate": generate},
+                "portfolio": {"kind": "segment-hull", **portfolio},
+                "risk": {"kind": "expected-shortfall", "level": 0.1},
+            })
+            out = tmp_path / str(i)
+            assert entrypoint(["risk", "--config", cfg, "--out", str(out)]) == 0
+            bundles.append((out / "bundle.json").read_text())
+        assert bundles[1] == bundles[0]
+        bundle = RiskBundle.from_dict(json.loads(bundles[1]))
+        assert bundle.meta["selections"] == 3 + 21  # identity, two vertices, 21 mixes
+        assert sandwich_violation(bundle) <= 1e-9
+
     def test_malformed_json(self, tmp_path, capsys):
         bad = tmp_path / "broken.json"
         bad.write_text("{nope")
@@ -424,6 +499,16 @@ class TestRisk:
             {**LIQUIDITY,
              "strategies": [{"strategy": "liquidity-family", "lambda_grid": {"count": True}}]},
             *(patch for patch, _ in BAD_GRIDS.values()),
+            *BAD_NUMBERS.values(),
+            {"portfolio": {"kind": "teleport"}},
+            {"portfolio": {"kind": "ball"}},
+            ({}, ["--window=-1,-1,1,x"]),
+            {**LIQUIDITY, "strategies": [{"strategy": "liquidity-family",
+                                          "lambda_grid": {"values": [0.5, 2]}}]},
+            {"strategies": [1]},
+            {"strategies": [{"strategy": "quantile-shift", "side": "ray1",
+                             "t_grid": {"span": -1}}]},
+            negative_weight_csv,
         ],
         ids=[
             "explicit-without-gains", "explicit-wrong-shape", "directions",
@@ -441,7 +526,9 @@ class TestRisk:
             "rate-mean-tiny", "n-flag-unallocatable", "t-grid-count-too-large",
             "lambda-grid-count-too-large", "directions-too-many", "t-grid-count-float",
             "lambda-grid-count-float", "lambda-grid-count-string", "lambda-grid-count-bool",
-            *BAD_GRIDS,
+            *BAD_GRIDS, *BAD_NUMBERS, "portfolio-kind-unknown", "ball-without-radius",
+            "window-flag-not-a-number", "lambda-grid-values-above-one", "strategy-number",
+            "t-grid-span-negative", "csv-negative-weight",
         ],
     )
     def test_malformed_input_exits_two(self, tmp_path, capsys, patch):
@@ -587,6 +674,22 @@ class TestScalarize:
         assert entrypoint(["scalarize", "--bundle", path, "--direction", "1,1"]) == 2
         err = capsys.readouterr().err
         assert err == "error: malformed bundle payload: missing 'inner'\n"
+
+    @pytest.mark.parametrize(
+        "spoil",
+        [lambda b: b.update(meta=5), lambda b: b["inner"].pop("vertices")],
+        ids=["meta-number", "inner-without-vertices"],
+    )
+    def test_malformed_bundle_exits_two(self, tmp_path, capsys, spoil):
+        out = tmp_path / "run"
+        entrypoint(["risk", "--config", nonmargin_config(tmp_path), "--out", str(out)])
+        capsys.readouterr()
+        bundle = json.loads((out / "bundle.json").read_text())
+        spoil(bundle)
+        path = write_json(out / "bundle.json", bundle)
+        assert entrypoint(["scalarize", "--bundle", path, "--direction", "1,1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed ") and err.count("\n") == 1, err
 
     def test_missing_bundle(self, tmp_path):
         assert (

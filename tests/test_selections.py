@@ -1,14 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from svrisk import bounds, selections
+from svrisk import bounds, markets, selections
 from svrisk.errors import ValidationError
 from svrisk.markets import (
     ExchangeCone2D,
     ScenarioEnsemble,
     SetPortfolio,
 )
-from svrisk.riskstats import ES, RiskSpec
+from svrisk.riskstats import ES, NEG_ESSINF, NEG_EXPECTATION, RiskSpec, risk_rows
 from svrisk.selections import (
     SelectionMatrix,
     audit_selection,
@@ -559,6 +561,75 @@ class TestFamilies:
         assert same_bits(made[1].gains, shifted)
         bundle = bounds.compute_bundle(p, RiskSpec(ES, 0.75), strategies=configs[1:2])
         assert bundle.meta["selections"] == 2
+
+
+def points_cases():
+    """family_cases, then a cone-det case whose rows of 1500 scenarios select
+    their expected-shortfall tail by a partition in place."""
+    rng = np.random.default_rng(40)
+    long_rows = SetPortfolio.cone_det(ScenarioEnsemble(rng.standard_normal((1500, 2))),
+                                      ExchangeCone2D(1.5, 2.5))
+    return family_cases() + [
+        (long_rows, [{"strategy": "quantile-shift", "t_grid": {"count": 5}},
+                     {"strategy": "corner-selections"}]),
+    ]
+
+
+class TestSelectionPoints:
+    """The bundle's pipeline: blocks of one buffer, one kernel call each."""
+
+    @pytest.mark.parametrize("case", range(6))
+    @pytest.mark.parametrize("spec", [RiskSpec(ES, 0.25), RiskSpec(NEG_EXPECTATION),
+                                      RiskSpec(NEG_ESSINF)], ids=lambda s: s.kind)
+    def test_points_match_per_selection_risks(self, monkeypatch, case, spec):
+        # Against one risk point per selection matrix, with equal and with
+        # uneven weights, for blocks of one row, of seven rows and one block.
+        p, configs = points_cases()[case]
+        e = p.ensemble
+        w = np.random.default_rng(case).random(e.n)
+        uneven = dataclasses.replace(
+            p, ensemble=ScenarioEnsemble(e.gains, rates=e.rates, weights=w / w.sum())
+        )
+        for q in (p, uneven):
+            expected = np.array([
+                bounds.risk_of_selection(sel, q.ensemble.weights, spec)
+                for sel in selections.gather_selections(q, spec, configs)
+            ])
+            for rows in (1, 7, 2**20):
+                monkeypatch.setattr(markets, "_BLOCK_VALUES", rows * e.n)
+                points = selections.selection_points(q, spec, configs)
+                assert same_bits(points, expected), (rows, q is p)
+
+    def test_each_block_reaches_the_kernel_once(self, monkeypatch):
+        # No segment-hull strategy evaluates a risk while it is built, so
+        # every kernel call is one block's rows: both coordinates of each
+        # of its selections, sorted in place.
+        p, configs = family_cases()[4]
+        n = p.ensemble.n
+        calls = []
+
+        def counted(spec, values, weights, overwrite_input=False):
+            calls.append((values.shape, overwrite_input))
+            return risk_rows(spec, values, weights, overwrite_input=overwrite_input)
+
+        monkeypatch.setattr(selections, "risk_rows", counted)
+        monkeypatch.setattr(markets, "_BLOCK_VALUES", 7 * n)
+        m = len(selections.selection_points(p, RiskSpec(ES, 0.25), configs))
+        assert calls == [((2 * min(7, m - lo), n), True) for lo in range(0, m, 7)]
+
+    def test_selection_matrices_own_their_gains(self, monkeypatch):
+        # build_family and gather_selections hand out no view of a reused
+        # block buffer, however small the pipeline's blocks are.
+        p, configs = family_cases()[0]
+        spec = RiskSpec(ES, 0.25)
+        made = [selections.gather_selections(p, spec, configs),
+                [sel for cfg in configs for sel in build_family(p, cfg, spec)]]
+        monkeypatch.setattr(markets, "_BLOCK_VALUES", p.ensemble.n)
+        small = [selections.gather_selections(p, spec, configs),
+                 [sel for cfg in configs for sel in build_family(p, cfg, spec)]]
+        for before, after in zip(made, small):
+            assert [s.label for s in after] == [s.label for s in before]
+            assert all(same_bits(a.gains, b.gains) for a, b in zip(after, before))
 
 
 class TestBuildFamily:
