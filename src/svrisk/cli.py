@@ -20,7 +20,7 @@ from ._repro import REPRO_IDS, run_repro
 from .bounds import RiskBundle, compute_bundle, scalarize_bundle
 from .errors import ValidationError, WholePlaneError
 from .geom2d import _clip_to_window, _window_halfspaces, canonical_json
-from .markets import KINDS, _count
+from .markets import KINDS, _count, _real
 from .riskstats import RiskSpec
 from .scenarios import GenSpec, generate, read_csv, write_csv
 
@@ -44,7 +44,8 @@ def _risk_spec(config):
     if not isinstance(block, dict) or "kind" not in block:
         raise ValidationError('config needs a "risk" block with a "kind"')
     try:
-        return RiskSpec(block["kind"], block.get("level"))
+        level = block.get("level")
+        return RiskSpec(block["kind"], None if level is None else _real(level, "risk level"))
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"risk block: {exc}") from None
 
@@ -100,10 +101,13 @@ def _parse_window(value):
     parts = value.split(",") if isinstance(value, str) else value
     if not isinstance(parts, (list, tuple)) or len(parts) != 4:
         raise ValidationError("window expects x0,y0,x1,y1")
-    try:
-        box = tuple(float(p) for p in parts)
-    except (TypeError, ValueError):
-        raise ValidationError("window expects four numbers") from None
+    if isinstance(value, str):
+        try:
+            box = tuple(float(p) for p in parts)
+        except ValueError:
+            raise ValidationError("window expects four numbers") from None
+    else:
+        box = tuple(_real(p, "window") for p in parts)
     _window_halfspaces(box)  # rejects an empty box before any work is done
     return box
 

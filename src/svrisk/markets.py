@@ -10,6 +10,7 @@ makes the kind's outer cuts, from support values or reweighted scenarios.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -49,6 +50,15 @@ def _real(value, name):
         return float(value)
     except OverflowError:
         raise ValidationError(f"{name} must be a finite number") from None
+
+
+def _reals(value, name):
+    """Numbers from outside as a float array: an array of numbers, or nested
+    lists whose entries ``_real`` accepts one by one."""
+    if isinstance(value, np.ndarray) and value.dtype.kind in "iuf":
+        return value.astype(float)
+    items = np.asarray(value, dtype=object)
+    return np.array([_real(v, name) for v in items.flat], dtype=float).reshape(items.shape)
 
 
 def direction_grid(n_dirs):
@@ -207,6 +217,10 @@ class SetPortfolio:
     def __post_init__(self):
         if not isinstance(self.kind, str) or self.kind not in KINDS:
             raise ValidationError(f"unknown portfolio kind {self.kind!r}")
+        reads = self.definition.fields
+        for field in dataclasses.fields(self)[2:]:
+            if field.name not in reads and getattr(self, field.name) is not field.default:
+                raise ValidationError(f"{self.kind} portfolios take no {field.name}")
         self.definition.validate(self)
 
     @classmethod
@@ -311,6 +325,9 @@ class PortfolioKind:
     """
 
     strategies = ()
+    # The portfolio fields besides the ensemble that the kind reads; a new
+    # portfolio must leave the others unset.
+    fields = ()
     # Kinds that exchange at the scenario's rate need rates, and the audit
     # checks that no selection creates wealth at that rate.
     trades_at_rate = False
@@ -361,6 +378,7 @@ _IDENTITY = {"strategy": "identity"}
 
 
 class _ConeDet(PortfolioKind):
+    fields = ("cone",)
     strategies = (
         _IDENTITY,
         {"strategy": "quantile-shift", "side": "both"},
@@ -468,6 +486,7 @@ class _RandomHalfplane(PortfolioKind):
 
 
 class _LiquidityCapped(PortfolioKind):
+    fields = ("cap",)
     strategies = (_IDENTITY, {"strategy": "liquidity-family"})
     trades_at_rate = True
 
@@ -493,6 +512,7 @@ class _LiquidityCapped(PortfolioKind):
 
 
 class _Ball(PortfolioKind):
+    fields = ("radius",)
     strategies = (_IDENTITY, {"strategy": "ball-boost"})
 
     def validate(self, p):
@@ -510,10 +530,11 @@ class _Ball(PortfolioKind):
 
 
 class _SegmentHull(PortfolioKind):
+    fields = ("extra_gains",)
     strategies = (_IDENTITY, {"strategy": "segment-vertices"})
 
     def validate(self, p):
-        extras = tuple(np.asarray(g, dtype=float) for g in p.extra_gains)
+        extras = tuple(_reals(g, "extra gains") for g in p.extra_gains)
         if not extras:
             raise ValidationError("segment-hull portfolios need extra vertices")
         for g in extras:

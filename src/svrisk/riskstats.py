@@ -148,6 +148,24 @@ def _pairwise_prefix(n, m):
     return p
 
 
+def _tail_count(weights, tail):
+    """The number m of scenarios whose cumulative weight before them is
+    below ``tail``, in the float arithmetic of ``taken`` in risk_rows, and
+    the running sums of at least the first m weights.  The running sums
+    only grow, so those scenarios are a prefix, and a running sum is
+    sequential, so a short one has the bits of the whole one's prefix: the
+    sums are taken only a little past ``tail`` times the count.
+    """
+    n = len(weights)
+    size = min(n, int(tail * n) + 2)
+    while True:
+        cw = np.cumsum(weights[:size])
+        m = int(np.count_nonzero(cw - weights[:size] < tail))
+        if m < size or size == n:
+            return m, cw
+        size = min(n, 2 * size)
+
+
 def _sorted_rows(values, weights, tail=None, overwrite=False):
     """Sort each row by (value, weight), which makes every downstream
     reduction invariant under permutations of the scenario order, bit for
@@ -173,16 +191,15 @@ def _sorted_rows(values, weights, tail=None, overwrite=False):
             v.sort(axis=-1)
             return v, weights, None
         n = values.shape[-1]
-        # The scenarios whose cumulative weight before them is below the
-        # level; the same float arithmetic as ``taken`` in risk_rows.
-        cw = np.cumsum(weights)
-        m = int(np.count_nonzero(cw - weights < tail))
+        m, cw = _tail_count(weights, tail)
         if n >= PARTITION_MIN_N and 2 * m < n:
             v.partition(m - 1, axis=-1)
             v[..., :m].sort(axis=-1)
         else:
             v.sort(axis=-1)
         p = _pairwise_prefix(n, m)
+        if len(cw) < p:
+            cw = np.cumsum(weights[:p])
         return v[..., :p], weights[:p], cw[:p]
     order = np.lexsort((np.broadcast_to(weights, values.shape), values), axis=-1)
     return np.take_along_axis(values, order, axis=-1), weights[order], None
@@ -196,9 +213,9 @@ def risk_rows(spec, values, weights, overwrite_input=False):
     sorting the whole row (see ``_sorted_rows``); every functional gives the
     same bits as a full sort by (value, weight).  ``values`` is not modified
     unless ``overwrite_input`` is set: then a caller that owns the rows as
-    scratch lets the sort reorder them in place, which saves a copy of every
-    row.  Value at risk always sorts a copy, as its pick of a zero reads the
-    input order.
+    scratch lets the sort reorder them and the weights scale them in place,
+    which saves a copy of every row.  Value at risk always sorts a copy, as
+    its pick of a zero reads the input order.
     """
     values = np.asarray(values, dtype=float)
     if spec.kind == NEG_ESSINF:
@@ -212,14 +229,17 @@ def risk_rows(spec, values, weights, overwrite_input=False):
         tail=spec.level if spec.kind == ES else None,
         overwrite=overwrite_input and spec.kind != VAR,
     )
+    # The sorted rows are a copy, the kernel's own gather or the caller's
+    # scratch, so the weights are multiplied into them in place.
     if spec.kind == NEG_EXPECTATION:
-        return -(v * w).sum(axis=-1)
+        v *= w
+        return -v.sum(axis=-1)
     alpha = spec.level
     if cw is None:
         cw = np.cumsum(w, axis=-1)
     if spec.kind == ES:
-        taken = np.clip(alpha - (cw - w), 0.0, w)
-        return -(v * taken).sum(axis=-1) / alpha
+        v *= np.clip(alpha - (cw - w), 0.0, w)
+        return -v.sum(axis=-1) / alpha
     k, n = v.shape
     idx = np.broadcast_to(np.minimum(np.sum(cw < alpha - 1e-12, axis=-1), n - 1), (k,))
     picked = v[np.arange(k), idx]

@@ -28,7 +28,7 @@ import numpy as np
 from . import markets
 from .errors import ValidationError
 from .geom2d import _unit
-from .markets import _IDENTITY, _count, _real, direction_grid, dual_cone
+from .markets import _IDENTITY, _count, _real, _reals, direction_grid, dual_cone
 from .riskstats import NEG_ESSINF, RiskSpec, WeightedSample, es_empirical, risk_rows, var_empirical
 
 
@@ -111,7 +111,7 @@ def _filled_blocks(families, n, size):
 
 
 def _grid(values, name):
-    grid = np.asarray(values, dtype=float)
+    grid = _reals(values, name)
     if grid.ndim != 1 or grid.size == 0 or not np.isfinite(grid).all():
         raise ValidationError(f"{name} must be a non-empty list of finite numbers")
     return grid
@@ -355,37 +355,70 @@ def selection_auditor(portfolio):
     """Audit function for blocks of selections of ``portfolio``.
 
     Computes the support rows of the audit directions once: a fan over the
-    first quadrant plus the kind's exact directions, skipping those where
-    the support is infinite on every scenario.  The returned function maps a
-    (b, n, 2) block of selection gains to each selection's largest
-    support-function violation (<= 0 is valid); for kinds that trade at the
-    scenario rate it also checks that no wealth is created at that rate.
+    first quadrant plus the kind's exact directions, keeping the k
+    directions ``U`` whose support is finite on some scenario and their
+    (k, n) support rows ``H``.  The returned function maps a (b, n, 2)
+    block of selection gains to each selection's largest support-function
+    violation (<= 0 is valid); for kinds that trade at the scenario rate it
+    also checks that no wealth is created at that rate.
+
+    The scenarios are taken in chunks of at most _BLOCK_VALUES // k values
+    (at least two scenarios).  Per chunk, the columns of ``H`` are
+    transposed once for the whole block, and each selection costs one
+    (scenarios, 2) @ (2, k) product of its coordinates with all k
+    directions, a subtraction and a maximum.  BLAS rounds a product by its
+    shape, so its entries keep their bits under a split of the scenarios
+    only in this orientation and with at least two rows and two columns;
+    that keeps every gap independent of the block size and thread count.
     """
     E = portfolio.ensemble
+    n = E.n
     dirs = np.vstack([direction_grid(_AUDIT_DIRS)] + portfolio.definition.exact_dirs(portfolio))
-    rows = []
-    for U, H in portfolio.support_blocks(dirs):
-        finite = np.isfinite(H).any(axis=1)
-        if not finite.all():
-            U, H = U[finite], H[finite]
-        rows += zip(U, H)
+    # Finite rows go straight into H; the rows past them are never written.
+    H = np.empty((len(dirs), n))
+    finite, k = [], 0
+    for _, rows in portfolio.support_blocks(dirs):
+        fin = np.isfinite(rows).any(axis=1)
+        finite.append(fin)
+        kept = np.count_nonzero(fin)
+        np.compress(fin, rows, axis=0, out=H[k : k + kept])
+        k += kept
+    U, H = dirs[np.concatenate(finite)], H[:k]
+    # A lone direction is taken twice, so that no product has one column.
+    Ut = np.ascontiguousarray((np.vstack([U, U]) if k == 1 else U).T)
+    width = min(n, max(2, markets._BLOCK_VALUES // max(k, 1)))
+    starts = list(range(0, n, width))
+    if n - starts[-1] == 1 and n > 1:
+        # The last scenario is taken with the one before it.
+        starts[-1] -= 1
+    product = np.empty((width, Ut.shape[1]))
+    support = np.empty((width, k))
+    x0, x1 = E.gains.T
     pi = E.rates if portfolio.definition.trades_at_rate else None
+    if pi is not None:
+        norm = np.hypot(pi, 1.0)
 
     def audit(gains):
         gains = np.asarray(gains, dtype=float)
         if gains.shape[1:] != E.gains.shape:
             raise ValidationError("selection does not match the ensemble")
-        worst = np.full(len(gains), -math.inf)
-        for u, h in rows:
-            # Gains are finite, so a scenario with infinite support gives
-            # -inf here and never binds.
-            s = gains @ u
-            s -= h
-            np.maximum(worst, np.max(s, axis=1), out=worst)
+        # Each coordinate of a selection as one contiguous row, which a view
+        # of the pipeline's block buffer already is.
+        coords = np.ascontiguousarray(gains.transpose(0, 2, 1))
+        worst = np.full(len(coords), -math.inf)
+        for lo in (starts if k else ()):
+            hi = min(n, lo + width)
+            h, s = support[: hi - lo], product[: hi - lo]
+            h[...] = H[:, lo:hi].T
+            for i, g in enumerate(coords):
+                np.matmul(g[:, lo:hi].T, Ut, out=s)
+                # Gains are finite, so a scenario with infinite support
+                # gives -inf here and never binds.
+                worst[i] = max(worst[i], np.subtract(s, h, out=s).max())
         if pi is not None:
-            gap = ((gains[..., 0] - E.gains[:, 0]) * pi
-                   + (gains[..., 1] - E.gains[:, 1])) / np.hypot(pi, 1.0)
-            np.maximum(worst, np.max(gap, axis=1), out=worst)
+            gap = (coords[:, 0] - x0) * pi + (coords[:, 1] - x1)
+            gap /= norm
+            np.maximum(worst, gap.max(axis=1), out=worst)
         return worst
 
     return audit
@@ -428,7 +461,7 @@ def _lambda_from_config(cfg):
 def _explicit(portfolio, cfg, risk_spec):
     if "gains" not in cfg:
         raise ValidationError('"gains" is required')
-    gains = np.asarray(cfg["gains"], dtype=float)
+    gains = _reals(cfg["gains"], '"gains"')
     if gains.shape != portfolio.ensemble.gains.shape:
         raise ValidationError('"gains" must match the (n, 2) shape of the scenarios')
     return [_row(SelectionMatrix(gains, str(cfg.get("label", "explicit"))))]
@@ -437,7 +470,7 @@ def _explicit(portfolio, cfg, risk_spec):
 def _quantile_shift(portfolio, cfg, risk_spec):
     E = portfolio.ensemble
     side = cfg.get("side", "both")
-    level = cfg.get("level", risk_spec.level if risk_spec.level else 0.5)
+    level = _real(cfg.get("level", risk_spec.level if risk_spec.level else 0.5), "level")
     eta, ray = quantile_shift_projection(E, portfolio.cone, level, side=side)
     t_values = _grid_from_config(cfg, eta)
     return [_scaled(

@@ -145,6 +145,25 @@ BAD_NUMBERS = {
     "generate-correlation-string": generator(correlation="0.5"),
     "generate-mean-string": generator(mean=["0", 0]),
     "generate-rate-vol-string": generator(rate={"mean": 1.5, "vol": "0.3"}),
+    "risk-level-string": {"risk": {"kind": "expected-shortfall", "level": "0.75"}},
+    "window-bool-and-string": {"window": [True, "-3", 3, 3]},
+    "explicit-gains-string": {"strategies": [{"strategy": "explicit",
+                                              "gains": [["-2", 4], [4, "-2"]]}]},
+    "explicit-gains-bool": {"strategies": [{"strategy": "explicit",
+                                            "gains": [[-2, True], [4, -2]]}]},
+    "extra-gains-string": {"portfolio": {"kind": "segment-hull",
+                                         "extra_gains": [[["1", 2], [4, -2]]]},
+                           "strategies": None},
+    "extra-gains-bool": {"portfolio": {"kind": "segment-hull",
+                                       "extra_gains": [[[1, True], [4, -2]]]},
+                         "strategies": None},
+    "quantile-shift-level-string": {"strategies": [{"strategy": "quantile-shift",
+                                                    "side": "ray1", "level": "0.5"}]},
+    "t-grid-values-string": {"strategies": [{"strategy": "quantile-shift", "side": "ray1",
+                                             "t_grid": {"values": ["0", 1]}}]},
+    "lambda-grid-values-bool": {**LIQUIDITY,
+                                "strategies": [{"strategy": "liquidity-family",
+                                                "lambda_grid": {"values": [True, 0.5]}}]},
 }
 
 

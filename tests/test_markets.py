@@ -10,6 +10,7 @@ from svrisk.markets import (
     BALL,
     CONE_DET,
     CONE_HALFPLANE_RANDOM,
+    KINDS,
     LIQUIDITY_CAPPED,
     SEGMENT_HULL,
     ExchangeCone2D,
@@ -178,6 +179,17 @@ class TestSetPortfolioValidation:
     def test_unknown_kind(self):
         with pytest.raises(ValidationError):
             SetPortfolio("swap", one_scenario(0.0, 0.0))
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_foreign_field_refused(self, kind):
+        e = one_scenario(1.0, -1.0, rate=2.0)
+        fields = {"cone": ExchangeCone2D(2.0, 2.0), "radius": 1.0, "cap": (1.0, 1.0),
+                  "extra_gains": (np.zeros((1, 2)),)}
+        own = {name: fields[name] for name in KINDS[kind].fields}
+        SetPortfolio(kind, e, **own)
+        for name in sorted(set(fields) - set(own)):
+            with pytest.raises(ValidationError, match=f"{kind} portfolios take no {name}"):
+                SetPortfolio(kind, e, **own, **{name: fields[name]})
 
 
 def reference_support(p, u):

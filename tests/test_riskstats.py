@@ -10,6 +10,8 @@ from svrisk.riskstats import (
     VAR,
     RiskSpec,
     WeightedSample,
+    _sorted_rows,
+    _tail_count,
     es_empirical,
     es_normal,
     es_var_lognormal_mean_one,
@@ -363,6 +365,26 @@ class TestRiskRows:
                     assert scratch.tobytes() == before.tobytes()
                 for got in (rows, in_place):
                     assert np.asarray(got).tobytes() == np.array(want).tobytes()
+
+    def test_tail_count_matches_whole_running_sums(self):
+        # Levels on a scenario boundary (k/n) and one ulp either side of it.
+        for n in (1, 2, 3, 7, 64, 999, 1000, 1001, 4097, 10_000):
+            for w in (np.full(n, 1.0 / n), np.full(n, 1.0 / n) * (1.0 + 1e-10)):
+                cw = np.cumsum(w)
+                levels = [0.5 / n, 0.05, 0.1, 0.25, 0.5, 0.9, 1 - 0.1 / n]
+                for k in {1, n // 10, n // 3, n // 2, n - 1}:
+                    levels += [k / n, np.nextafter(k / n, 0.0), np.nextafter(k / n, 1.0)]
+                for level in levels:
+                    if not 0.0 < level < 1.0:
+                        continue
+                    m, short = _tail_count(w, level)
+                    assert m == np.count_nonzero(cw - w < level), (n, level)
+                    assert m <= len(short) <= n
+                    assert short.tobytes() == cw[: len(short)].tobytes()
+                    _, kept, sums = _sorted_rows(np.zeros((1, n)), w, tail=level)
+                    assert sums.tobytes() == cw[: len(kept)].tobytes()
+        _, short = _tail_count(np.full(10_000, 1e-4), 0.05)
+        assert len(short) < 1_000
 
     def test_var_picks_the_zero_lexsort_picks(self):
         # Only zeros near the quantile: the sign of the answer depends on

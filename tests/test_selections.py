@@ -9,6 +9,7 @@ from svrisk.markets import (
     ExchangeCone2D,
     ScenarioEnsemble,
     SetPortfolio,
+    direction_grid,
 )
 from svrisk.riskstats import ES, NEG_ESSINF, NEG_EXPECTATION, RiskSpec, risk_rows
 from svrisk.selections import (
@@ -425,6 +426,8 @@ class TestAudit:
     def test_random_halfplane_wealth_gap_caught(self):
         e = rate_ensemble([[0.0, 0.0]], [2.0])
         p = SetPortfolio.random_halfplane(e)
+        # No audit direction is finite anywhere, so only the wealth check binds.
+        assert not np.isfinite(p.support_values(direction_grid(selections._AUDIT_DIRS))).any()
         cheat = SelectionMatrix(np.array([[0.1, 0.1]]), "cheat")
         assert audit_selection(p, cheat) > 0.1
         fair = SelectionMatrix(np.array([[0.5, -1.0]]), "fair")
@@ -474,6 +477,130 @@ class TestAudit:
             expected = [audit_selection(p, sels[i]) for i in picks]
             assert gaps[picks].tolist() == expected, p.kind
             assert gaps[-1] > 0.05, p.kind
+
+
+def audit_portfolios(n, seed):
+    """A portfolio of each kind, and of the random kind at a constant rate,
+    which has one finite audit direction."""
+    rng = np.random.default_rng(seed)
+    gains = rng.standard_normal((n, 2)) * 3.0
+    rates = rng.uniform(0.5, 2.0, n)
+    # Rates whose dual ray lies on the audit fan, so the random kind's
+    # support is finite on only some scenarios in those directions.
+    fan = np.linspace(0.0, np.pi / 2.0, selections._AUDIT_DIRS)
+    rates[:3] = 1.0 / np.tan(fan[[10, 32, 50][:n]])
+    e = ScenarioEnsemble(gains, rates=rates)
+    # One rate on the fan in every scenario: one finite audit direction.
+    one_aligned = np.full(n, rates[0])
+    return [
+        SetPortfolio.cone_det(e, ExchangeCone2D(2.0, 3.0)),
+        SetPortfolio.random_halfplane(e),
+        SetPortfolio.liquidity_capped(e, cap=(0.8, 1.2)),
+        SetPortfolio.ball(e, radius=0.6),
+        SetPortfolio.segment_hull(e, [gains[:, ::-1]]),
+        SetPortfolio.random_halfplane(ScenarioEnsemble(gains, rates=one_aligned)),
+    ]
+
+
+def audit_cases(n, seed):
+    """(portfolio, (b, n, 2) stacked gains) of each ``audit_portfolios``
+    portfolio: its default selections plus one that leaves the portfolio."""
+    spec = RiskSpec(ES, 0.25)
+    cases = []
+    for p in audit_portfolios(n, seed):
+        sels = [sel for cfg in default_strategy_configs(p) for sel in build_family(p, cfg, spec)]
+        cheat = p.ensemble.gains + np.array([0.7, 0.2])
+        cases.append((p, np.stack([sel.gains for sel in sels] + [cheat])))
+    return cases
+
+
+def per_direction_gaps(p, gains):
+    """Largest support violation of each selection of a (b, n, 2) block by
+    one product of the whole block per audit direction."""
+    E = p.ensemble
+    dirs = np.vstack([direction_grid(selections._AUDIT_DIRS)] + p.definition.exact_dirs(p))
+    worst = np.full(len(gains), -np.inf)
+    for u in dirs:
+        h = p.support_values(u)
+        if np.isfinite(h).any():
+            worst = np.maximum(worst, np.max(gains @ u - h, axis=1))
+    if p.definition.trades_at_rate:
+        pi = E.rates
+        gap = ((gains[..., 0] - E.gains[:, 0]) * pi
+               + (gains[..., 1] - E.gains[:, 1])) / np.hypot(pi, 1.0)
+        worst = np.maximum(worst, np.max(gap, axis=1))
+    return worst
+
+
+def pipeline_gaps(p, families, rows):
+    """Gaps of the families' selections audited as ``selection_points``
+    audits them: the views of a block buffer of ``rows`` selections."""
+    audit = selection_auditor(p)
+    return np.concatenate([
+        audit(block) for block, _ in selections._filled_blocks(families, p.ensemble.n, rows)
+    ])
+
+
+class TestAuditProduct:
+    @pytest.mark.parametrize("n", [1, 2, 40, 301])
+    def test_gaps_match_per_direction_loop(self, n):
+        for p, gains in audit_cases(n, seed=41):
+            got = selection_auditor(p)(gains)
+            want = per_direction_gaps(p, gains)
+            scale = 1.0 + np.abs(gains).max()
+            assert np.max(np.abs(got - want)) <= 1e-12 * scale, p.kind
+            assert got[-1] > 0.05, p.kind
+
+    @pytest.mark.parametrize(
+        "n, multiples, defaults",
+        [(301, (1, 3, 5), True), (12_476, (1, 3, 5), False), (301, (1 / 43, 1 / 3), False)],
+        ids=["selection-blocks", "long", "scenario-chunks"],
+    )
+    def test_gaps_do_not_depend_on_block_values(self, monkeypatch, n, multiples, defaults):
+        # A gap is one entry of the product, so selections that leave the
+        # portfolio at one scenario each, in eight directions, read entries
+        # of the product's first, middle and last rows, where a split of
+        # the product would change it.  Block values below k * n split the
+        # scenarios, down to two a chunk.
+        spec = RiskSpec(ES, 0.25)
+        cols = [0, 1, n // 2, n - 4, n - 3, n - 2, n - 1]
+        steps = 0.7 * direction_grid(8)
+        for p in audit_portfolios(n, seed=42):
+            x = p.ensemble.gains.T.copy()
+
+            def fill(out, lo, hi):
+                for i in range(lo, hi):
+                    j, d = divmod(i, len(steps))
+                    out[i - lo] = x
+                    out[i - lo, :, cols[j]] += steps[d]
+
+            bumps = selections.Family(len(cols) * len(steps), str, fill)
+            # Default selections in long rows or many chunks only slow it.
+            configs = default_strategy_configs(p) if defaults else []
+            families = selections._bundle_families(p, spec, configs) + [bumps]
+            count = sum(f.count for f in families)
+            runs = []
+            for values in [int(m * n) for m in multiples] + [2**30]:
+                monkeypatch.setattr(markets, "_BLOCK_VALUES", values)
+                rows = min(count, max(1, values // n))
+                runs.append(pipeline_gaps(p, families, rows))
+            for gaps in runs[1:]:
+                assert same_bits(gaps, runs[0]), p.kind
+
+    @pytest.mark.parametrize("n", [1, 7, 301])
+    def test_one_selection_and_block_calls_agree(self, n):
+        spec = RiskSpec(ES, 0.25)
+        for p in audit_portfolios(n, seed=43):
+            audit = selection_auditor(p)
+            families = selections._bundle_families(p, spec, None)
+            blocks = [block.copy() for block, _ in selections._filled_blocks(families, n, 7)]
+            view = pipeline_gaps(p, families, 7)
+            stacked = np.concatenate([audit(np.ascontiguousarray(b)) for b in blocks])
+            one = [audit(b[i : i + 1])[0] for b in blocks for i in range(len(b))]
+            assert same_bits(stacked, view), p.kind
+            assert same_bits(one, view), p.kind
+            sel = SelectionMatrix(blocks[-1][-1], "last")
+            assert same_bits(audit_selection(p, sel), view[-1]), p.kind
 
 
 def family_cases():
