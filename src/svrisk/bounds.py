@@ -27,7 +27,7 @@ from .geom2d import (
     region_from_points_plus_cone,
 )
 from .markets import PortfolioKind, tail_slope_cone
-from .riskstats import WeightedSample, es_var_lognormal_mean_one, risk_eval, var_empirical
+from .riskstats import es_var_lognormal_mean_one, risk_rows, var_empirical
 from .selections import gather_selections, selection_points  # noqa: F401 (re-exported)
 
 # Largest slack sandwich_violation may show before compute_bundle refuses
@@ -38,11 +38,9 @@ _SANDWICH_TOL = 1e-9
 
 
 def risk_point(gains, weights, risk_spec):
-    """Coordinatewise scalar risk of a payoff matrix."""
-    gains = np.asarray(gains, dtype=float)
-    return np.array(
-        [risk_eval(risk_spec, WeightedSample(gains[:, j], weights)) for j in (0, 1)]
-    )
+    """Coordinatewise scalar risk of an (n, 2) payoff matrix under
+    probability weights (n,)."""
+    return risk_rows(risk_spec, np.asarray(gains, dtype=float).T, weights)
 
 
 def risk_of_selection(selection, weights, risk_spec):

@@ -125,28 +125,6 @@ def _check_level(alpha):
 #   50000        277 / 92.3    289 / 143
 PARTITION_MIN_N = 1000
 
-# numpy sums a contiguous float64 row pairwise: a run of more than
-# _PAIRWISE_BLOCK terms is split at half its length rounded down to a
-# multiple of _PAIRWISE_UNROLL, and each part is summed the same way.
-_PAIRWISE_BLOCK = 128
-_PAIRWISE_UNROLL = 8
-
-
-def _pairwise_prefix(n, m):
-    """Length of the smallest leading run of numpy's pairwise sum of n terms
-    that holds the first m of them.  When every later term is a zero, the
-    sum of that run has the bits of the whole sum: adding a zero changes no
-    partial sum but -0.0, and numpy starts every sum from +0.0.
-    """
-    p = n
-    while p > _PAIRWISE_BLOCK:
-        half = p // 2
-        half -= half % _PAIRWISE_UNROLL
-        if half < m:
-            break
-        p = half
-    return p
-
 
 def _tail_count(weights, tail):
     """The number m of scenarios whose cumulative weight before them is
@@ -172,20 +150,16 @@ def _sorted_rows(values, weights, tail=None, overwrite=False):
     bit; returns the sorted values and the weights in matching order.  With
     ``overwrite`` the rows of ``values`` may be reordered in place.
 
-    ``tail`` is an expected-shortfall level.  With equal weights it lets
-    long rows be sorted only as far as the tail reaches: the m scenarios
-    that carry tail weight come first, in order, and the rest follow in no
-    particular order, which costs O(n) + O(m log m) instead of O(n log n).
-    Those scenarios enter the tail sum with weight exactly zero, so only the
-    leading run of the pairwise sum that holds the tail is returned (see
-    ``_pairwise_prefix``), which keeps the sum's bits.  The running sums of
-    the weights that this needs are returned as the third value (None when
-    they were not needed), so that ``risk_rows`` does not sum them again.
+    ``tail`` is an expected-shortfall level.  With equal weights only the m
+    scenarios that carry tail weight are returned, in order, with their
+    weights and running weight sums (the third value; None when they were
+    not needed), and long rows are sorted only as far as the tail reaches:
+    O(n) + O(m log m) instead of O(n log n).
     """
     if weights.min() == weights.max():
         # Tied values carry equal weights, so a value sort gives lexsort's
-        # pairs up to the order of tied zeros of opposite sign, which sums
-        # ignore and only the VaR pick below has to restore.
+        # pairs up to the order of tied zeros of opposite sign, which no
+        # reduction below can tell apart.
         v = values if overwrite else values.copy()
         if tail is None:
             v.sort(axis=-1)
@@ -197,10 +171,7 @@ def _sorted_rows(values, weights, tail=None, overwrite=False):
             v[..., :m].sort(axis=-1)
         else:
             v.sort(axis=-1)
-        p = _pairwise_prefix(n, m)
-        if len(cw) < p:
-            cw = np.cumsum(weights[:p])
-        return v[..., :p], weights[:p], cw[:p]
+        return v[..., :m], weights[:m], cw[:m]
     order = np.lexsort((np.broadcast_to(weights, values.shape), values), axis=-1)
     return np.take_along_axis(values, order, axis=-1), weights[order], None
 
@@ -209,25 +180,28 @@ def risk_rows(spec, values, weights, overwrite_input=False):
     """Risk of every row of a (k, n) array of scenario values under shared
     probability weights (n,); the functional is described by ``spec``.
 
-    Equal-weight expected shortfall on long rows selects its tail instead of
-    sorting the whole row (see ``_sorted_rows``); every functional gives the
-    same bits as a full sort by (value, weight).  ``values`` is not modified
-    unless ``overwrite_input`` is set: then a caller that owns the rows as
-    scratch lets the sort reorder them and the weights scale them in place,
-    which saves a copy of every row.  Value at risk always sorts a copy, as
-    its pick of a zero reads the input order.
+    Every functional is defined on the rows sorted by (value, weight), so
+    it does not depend on the scenario order, bit for bit.  Equal-weight
+    expected shortfall sums the products of the m scenarios that carry tail
+    weight and selects them instead of sorting long rows (see
+    ``_sorted_rows``); unequal weights sum the whole row, whose tail length
+    differs from row to row.  Value at risk and neg-essinf return +0.0 for
+    a zero, whichever sign of zero the row holds there.  ``values`` is not
+    modified unless ``overwrite_input`` is set: then a caller that owns the
+    rows as scratch lets the sort reorder them and the weights scale them in
+    place, which saves a copy of every row.
     """
     values = np.asarray(values, dtype=float)
     if spec.kind == NEG_ESSINF:
         live = weights > 0
         if not np.any(live):
             raise ValidationError("sample has no positive-weight scenario")
-        return -np.min(values[:, live], axis=-1)
+        return 0.0 - np.min(values[:, live], axis=-1)
     v, w, cw = _sorted_rows(
         values,
         weights,
         tail=spec.level if spec.kind == ES else None,
-        overwrite=overwrite_input and spec.kind != VAR,
+        overwrite=overwrite_input,
     )
     # The sorted rows are a copy, the kernel's own gather or the caller's
     # scratch, so the weights are multiplied into them in place.
@@ -241,14 +215,8 @@ def risk_rows(spec, values, weights, overwrite_input=False):
         v *= np.clip(alpha - (cw - w), 0.0, w)
         return -v.sum(axis=-1) / alpha
     k, n = v.shape
-    idx = np.broadcast_to(np.minimum(np.sum(cw < alpha - 1e-12, axis=-1), n - 1), (k,))
-    picked = v[np.arange(k), idx]
-    if w is weights:
-        # lexsort keeps tied zeros in input order; pick the zero it would.
-        for r in np.flatnonzero(picked == 0.0):
-            zeros = values[r][values[r] == 0.0]
-            picked[r] = zeros[idx[r] - np.searchsorted(v[r], 0.0)]
-    return -picked
+    idx = np.minimum(np.sum(cw < alpha - 1e-12, axis=-1), n - 1)
+    return 0.0 - v[np.arange(k), idx]
 
 
 def risk_eval(spec, sample):

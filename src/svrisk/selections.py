@@ -206,7 +206,9 @@ def _scaled(ensemble, eta, t_values, ray=None, cone=None, label="shift"):
     """Family X + t * eta over a checked grid of t values.  With a ray
     partition whose two groups both move, the groups are scaled independently
     over the full (t, s) product, (X + t * m1) + s * m2 with s running
-    fastest."""
+    fastest.  Each entry of a selection is X + t * eta at one scale, which
+    is monotone in t, so no selection overflows if the largest scale does
+    not."""
     if np.any(t_values < 0):
         raise ValidationError("scale grid must be non-negative")
     if cone is not None:
@@ -214,6 +216,9 @@ def _scaled(ensemble, eta, t_values, ray=None, cone=None, label="shift"):
         if bad.size:
             raise ValidationError(f"eta leaves the exchange cone at row {bad[0]}")
     x, eta = ensemble.gains.T.copy(), eta.T.copy()
+    top = t_values.max()
+    if not np.isfinite(x + top * eta).all():
+        raise ValidationError(f"scale grid value {top:.6g} overflows the selections")
     k = len(t_values)
     if ray is not None:
         m1 = (np.asarray(ray) == 1) * eta
@@ -354,22 +359,23 @@ _AUDIT_TOL = 1e-7
 def selection_auditor(portfolio):
     """Audit function for blocks of selections of ``portfolio``.
 
-    Computes the support rows of the audit directions once: a fan over the
-    first quadrant plus the kind's exact directions, keeping the k
+    Computes the support values of the audit directions once: a fan over
+    the first quadrant plus the kind's exact directions, keeping the k
     directions ``U`` whose support is finite on some scenario and their
-    (k, n) support rows ``H``.  The returned function maps a (b, n, 2)
-    block of selection gains to each selection's largest support-function
-    violation (<= 0 is valid); for kinds that trade at the scenario rate it
-    also checks that no wealth is created at that rate.
+    support values ``H``, scenario-major (n, k).  The returned function maps
+    a (b, n, 2) block of selection gains to each selection's largest
+    support-function violation (<= 0 is valid; NaN, from a non-finite
+    selection, is carried through); for kinds that trade at the scenario
+    rate it also checks that no wealth is created at that rate.
 
     The scenarios are taken in chunks of at most _BLOCK_VALUES // k values
-    (at least two scenarios).  Per chunk, the columns of ``H`` are
-    transposed once for the whole block, and each selection costs one
-    (scenarios, 2) @ (2, k) product of its coordinates with all k
-    directions, a subtraction and a maximum.  BLAS rounds a product by its
-    shape, so its entries keep their bits under a split of the scenarios
-    only in this orientation and with at least two rows and two columns;
-    that keeps every gap independent of the block size and thread count.
+    (at least two scenarios), whose support values are a view of ``H``.
+    Per chunk each selection costs one (scenarios, 2) @ (2, k) product of
+    its coordinates with all k directions, a subtraction and a maximum.
+    BLAS rounds a product by its shape, so its entries keep their bits under
+    a split of the scenarios only in this orientation and with at least two
+    rows and two columns; that keeps every gap independent of the block size
+    and thread count.
     """
     E = portfolio.ensemble
     n = E.n
@@ -383,7 +389,8 @@ def selection_auditor(portfolio):
         kept = np.count_nonzero(fin)
         np.compress(fin, rows, axis=0, out=H[k : k + kept])
         k += kept
-    U, H = dirs[np.concatenate(finite)], H[:k]
+    # Scenario-major, so that a chunk's support values are a contiguous view.
+    U, H = dirs[np.concatenate(finite)], np.ascontiguousarray(H[:k].T)
     # A lone direction is taken twice, so that no product has one column.
     Ut = np.ascontiguousarray((np.vstack([U, U]) if k == 1 else U).T)
     width = min(n, max(2, markets._BLOCK_VALUES // max(k, 1)))
@@ -392,7 +399,6 @@ def selection_auditor(portfolio):
         # The last scenario is taken with the one before it.
         starts[-1] -= 1
     product = np.empty((width, Ut.shape[1]))
-    support = np.empty((width, k))
     x0, x1 = E.gains.T
     pi = E.rates if portfolio.definition.trades_at_rate else None
     if pi is not None:
@@ -406,15 +412,16 @@ def selection_auditor(portfolio):
         # of the pipeline's block buffer already is.
         coords = np.ascontiguousarray(gains.transpose(0, 2, 1))
         worst = np.full(len(coords), -math.inf)
+        chunk_worst = np.empty(len(coords))
         for lo in (starts if k else ()):
             hi = min(n, lo + width)
-            h, s = support[: hi - lo], product[: hi - lo]
-            h[...] = H[:, lo:hi].T
+            s = product[: hi - lo]
             for i, g in enumerate(coords):
                 np.matmul(g[:, lo:hi].T, Ut, out=s)
-                # Gains are finite, so a scenario with infinite support
-                # gives -inf here and never binds.
-                worst[i] = max(worst[i], np.subtract(s, h, out=s).max())
+                # A finite entry against infinite support gives -inf here
+                # and never binds.
+                chunk_worst[i] = np.subtract(s, H[lo:hi], out=s).max()
+            np.maximum(worst, chunk_worst, out=worst)
         if pi is not None:
             gap = (coords[:, 0] - x0) * pi + (coords[:, 1] - x1)
             gap /= norm
@@ -522,27 +529,11 @@ _STRATEGIES = {
 }
 
 
-def _strategy_error(name, exc):
-    return ValidationError(f"strategy {name!r}: {exc}")
-
-
-def _checked(name, family):
-    """The family, with what goes wrong while it fills reported in the name
-    of its strategy: config values of the wrong type, and arithmetic that
-    overflows when the caller's numpy error state raises on it."""
-
-    def fill(out, lo, hi):
-        try:
-            family.fill(out, lo, hi)
-        except (TypeError, ValueError, FloatingPointError) as exc:
-            raise _strategy_error(name, exc) from exc
-
-    return family._replace(fill=fill)
-
-
 def _families(portfolio, config, risk_spec):
     """Check and parse one strategy configuration at once; return its
-    families, whose selections are made when they fill a block."""
+    families, whose selections are made when they fill a block.  What the
+    parse refuses is reported in the name of the strategy; it refuses every
+    grid that would make a selection overflow, so no fill can."""
     if not isinstance(config, dict):
         raise ValidationError(f"a strategy must be an object, got {config!r}")
     cfg = dict(config)
@@ -559,10 +550,9 @@ def _families(portfolio, config, risk_spec):
             f"strategy {name!r} does not apply to {portfolio.kind} portfolios"
         )
     try:
-        families = build(portfolio, cfg, risk_spec)
+        return build(portfolio, cfg, risk_spec)
     except (TypeError, ValueError, FloatingPointError) as exc:
-        raise _strategy_error(name, exc) from exc
-    return [_checked(name, family) for family in families]
+        raise ValidationError(f"strategy {name!r}: {exc}") from exc
 
 
 def _bundle_families(portfolio, risk_spec, strategies):
@@ -606,7 +596,7 @@ def selection_points(portfolio, risk_spec, strategies=None, audit=False):
     for block, parts in _filled_blocks(families, n, size):
         if auditor is not None:
             gaps = auditor(block)
-            bad = np.flatnonzero(gaps > _AUDIT_TOL)
+            bad = np.flatnonzero(~(gaps <= _AUDIT_TOL))
             if bad.size:
                 first, family, lo = next(p for p in reversed(parts) if p[0] <= bad[0])
                 raise ValidationError(

@@ -38,7 +38,16 @@ from svrisk.markets import (
     direction_grid,
     solvency_cone,
 )
-from svrisk.riskstats import ES, NEG_EXPECTATION, VAR, RiskSpec, WeightedSample, risk_rows
+from svrisk.riskstats import (
+    ES,
+    NEG_ESSINF,
+    NEG_EXPECTATION,
+    VAR,
+    RiskSpec,
+    WeightedSample,
+    risk_rows,
+)
+from svrisk.scenarios import GenSpec, generate
 from svrisk.selections import SelectionMatrix, audit_selection
 
 NONMARGIN_GAINS = np.array([[-2.0, 4.0], [4.0, -2.0]])
@@ -330,6 +339,18 @@ class TestOverflowingGrid:
         with np.errstate(all="ignore"), pytest.raises(ValidationError):
             compute_bundle(portfolio(), ES05, strategies=[config], audit=audit)
 
+    @pytest.mark.parametrize("state", ["ignore", "raise"])
+    @pytest.mark.parametrize("audit", [False, True])
+    def test_overflow_past_the_tail_refused_by_name(self, state, audit):
+        # The largest scale overflows at one scenario only (236, coordinate
+        # 1), which carries no tail weight, so only the grid check sees it.
+        e = generate(GenSpec(n=300, seed=2, correlation=-0.5, rate_mean=1.5, rate_vol=0.4))
+        config = {"strategy": "frictionless", "t_grid": {"values": [0.0, 6.329158951360567e307]}}
+        with np.errstate(all=state), pytest.raises(ValidationError, match="'frictionless'"):
+            compute_bundle(
+                SetPortfolio.random_halfplane(e), ES05, strategies=[config], audit=audit
+            )
+
 
 class TestSandwich:
     @pytest.mark.parametrize("kind", sorted(ALL_KIND_BUILDERS))
@@ -462,6 +483,17 @@ class TestBundleSerialization:
         b = ScenarioEnsemble(gains[perm], rates=rates[perm], weights=w[perm])
         ja = compute_bundle(ALL_KIND_BUILDERS[kind](a), ES05).to_json()
         jb = compute_bundle(ALL_KIND_BUILDERS[kind](b), ES05).to_json()
+        assert ja == jb
+
+    def test_law_invariance_of_signed_zeros(self):
+        # Scenarios 0 and 1 hold the minimum of the first coordinate as zeros
+        # of opposite sign; neg-essinf must not depend on which comes first.
+        gains = np.array([[0.0, 1.0], [-0.0, 2.0], [1.0, 0.0], [2.0, 3.0]])
+        spec = RiskSpec(NEG_ESSINF)
+        ja, jb = (
+            compute_bundle(SetPortfolio.ball(ScenarioEnsemble(g), radius=1.0), spec).to_json()
+            for g in (gains, gains[[1, 0, 2, 3]])
+        )
         assert ja == jb
 
     def test_block_size_does_not_change_results(self, monkeypatch):

@@ -290,16 +290,19 @@ class TestAxioms:
 
 
 def _lexsort_reference(spec, values, weights):
-    # The per-sample definition: sort by (value, weight), then reduce.
+    # The per-sample definition with equal weights: sort by (value, weight),
+    # then reduce.  Expected shortfall sums the products of the m scenarios
+    # that carry tail weight; value at risk returns +0.0 for a zero.
     order = np.lexsort((weights, values))
     v, w = values[order], weights[order]
     cw = np.cumsum(w)
     if spec.kind == ES:
+        m = np.count_nonzero(cw - w < spec.level)
         taken = np.clip(spec.level - (cw - w), 0.0, w)
-        return float(-(v * taken).sum() / spec.level)
+        return float(-(v[:m] * taken[:m]).sum() / spec.level)
     if spec.kind == VAR:
         idx = min(int(np.searchsorted(cw, spec.level - 1e-12, side="left")), v.size - 1)
-        return float(-v[idx])
+        return float(0.0 - v[idx])
     return float(-(v * w).sum())
 
 
@@ -329,8 +332,7 @@ class TestRiskRows:
 
     @pytest.mark.parametrize("spec", ALL_SPECS[:-1], ids=lambda s: f"{s.kind}-{s.level}")
     def test_uniform_weights_match_lexsort_bit_for_bit(self, spec):
-        # 10_000 and 50_000 are longer than numpy's 8192-value buffer, and
-        # their tails end deep inside the pairwise sum's leading runs.
+        # 10_000 and 50_000 are longer than numpy's 8192-value buffer.
         rng = np.random.default_rng(23)
         for n in (1, 3, 64, 257, PARTITION_MIN_N - 1, PARTITION_MIN_N, 4000, 10_000, 50_000):
             values = np.round(rng.standard_normal((3, n)), 2)
@@ -338,16 +340,16 @@ class TestRiskRows:
             values[:, rng.random(n) < 0.3] = -0.0
             # Sums of untied values change bits when their order does.
             values = np.vstack([values, rng.standard_normal((8, n))])
-            # A tail of negative zeros whose sum is -0.0 before the positive
-            # terms past it, each times a zero weight, are added.
+            # A tail of negative zeros whose sum is -0.0, followed by positive
+            # terms that carry no tail weight.
             values = np.vstack([values, np.where(rng.random(n) < 0.5, -0.0, 1.0)])
             w = np.full(n, 1.0 / n)
             specs = [spec]
             if spec.level is not None:
                 # A tail of one scenario (level < 1/n), of all n (level near
                 # 1), tails that end exactly on a scenario (k/n), and tails
-                # that end just before and just after the pairwise sum's
-                # first split, at half of n rounded down to a multiple of 8.
+                # that end half a scenario either side of half of n rounded
+                # down to a multiple of 8.
                 half = n // 2 - n // 2 % 8
                 levels = (0.5 / n, 1 - 0.1 / n, 1 / n, (n // 10) / n, (n // 2 - 1) / n,
                           (half - 0.5) / n, (half + 0.5) / n)
@@ -361,8 +363,6 @@ class TestRiskRows:
                 # in place, given as the strided rows of a block buffer.
                 scratch = np.stack([values, values], axis=1)[:, 1]
                 in_place = risk_rows(s, scratch, w, overwrite_input=True)
-                if s.kind == VAR:
-                    assert scratch.tobytes() == before.tobytes()
                 for got in (rows, in_place):
                     assert np.asarray(got).tobytes() == np.array(want).tobytes()
 
@@ -386,17 +386,18 @@ class TestRiskRows:
         _, short = _tail_count(np.full(10_000, 1e-4), 0.05)
         assert len(short) < 1_000
 
-    def test_var_picks_the_zero_lexsort_picks(self):
-        # Only zeros near the quantile: the sign of the answer depends on
-        # which of the tied zeros the sort puts there.
+    def test_zero_risk_is_positive_zero_in_any_order(self):
+        # Only zeros of either sign: the answer must not depend on which of
+        # the tied zeros the sort puts at the quantile or the minimum.
         rng = np.random.default_rng(29)
-        spec = RiskSpec(VAR, 0.5)
-        for _ in range(50):
-            values = np.where(rng.random((2, 40)) < 0.5, 0.0, -0.0)
-            w = np.full(40, 1.0 / 40)
-            for r, got in enumerate(risk_rows(spec, values, w)):
-                want = _lexsort_reference(spec, values[r], w)
-                assert np.signbit(got) == np.signbit(want)
+        w = np.full(40, 1.0 / 40)
+        for spec in (RiskSpec(VAR, 0.5), RiskSpec(NEG_ESSINF)):
+            for _ in range(50):
+                row = np.where(rng.random(40) < 0.5, 0.0, -0.0)
+                got = risk_rows(spec, np.vstack([row, row[::-1]]), w)
+                assert got.tobytes() == np.zeros(2).tobytes()
+        for row in ([0.0, -0.0, 1.0, 2.0], [-0.0, 0.0, 1.0, 2.0]):
+            assert np.float64(var_empirical(sample(row), 0.5)).tobytes() == bytes(8)
 
     def test_no_live_scenario_rejected(self):
         with pytest.raises(ValidationError):

@@ -417,6 +417,35 @@ class TestAudit:
         cheat = SelectionMatrix(e.gains + np.array([2.0, 0.0]), "cheat")
         assert audit_selection(p, cheat) == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("n", [1, 40, 301])
+    def test_non_finite_selection_is_a_violation(self, n):
+        # An overflowed selection holds +inf; against a direction with a zero
+        # component its product is nan, which is a violation as well.
+        for p in audit_portfolios(n, seed=44):
+            audit = selection_auditor(p)
+            for row in {0, n // 2, n - 1}:
+                for j in (0, 1):
+                    gains = p.ensemble.gains.copy()
+                    gains[row, j] = np.inf
+                    with np.errstate(all="ignore"):
+                        gap = audit(gains[None])[0]
+                    assert not gap <= selections._AUDIT_TOL, (p.kind, row, j)
+
+    def test_pipeline_refuses_non_finite_gap(self, monkeypatch):
+        # A ball selection that equals the gains but for one +inf entry has
+        # a nan gap, and the bundle pipeline names it.
+        p = SetPortfolio.ball(ScenarioEnsemble(NONMARGIN_GAINS), radius=1.0)
+        x = p.ensemble.gains.T.copy()
+
+        def fill(out, lo, hi):
+            out[0] = x
+            out[0, 1, 0] = np.inf
+
+        overflowed = selections.Family(1, lambda i: "overflowed", fill)
+        monkeypatch.setattr(selections, "_bundle_families", lambda *args: [overflowed])
+        with np.errstate(all="ignore"), pytest.raises(ValidationError, match="'overflowed'"):
+            selections.selection_points(p, RiskSpec(ES, 0.5), audit=True)
+
     def test_cone_det_violation_caught_on_dual_ray(self):
         e = ScenarioEnsemble(np.zeros((1, 2)))
         p = SetPortfolio.cone_det(e, NONMARGIN_CONE)
