@@ -10,6 +10,7 @@ points involved.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -151,8 +152,6 @@ class RiskRegion2D:
 
     def __post_init__(self):
         verts = np.asarray(self.vertices, dtype=float)
-        if verts.ndim == 1:
-            verts = verts.reshape(1, 2)
         if verts.ndim != 2 or verts.shape[1] != 2 or verts.shape[0] == 0:
             raise ValidationError("vertices must be a non-empty (k, 2) array")
         if not np.all(np.isfinite(verts)):
@@ -265,108 +264,56 @@ class HalfSpaceSet:
         offs.setflags(write=False)
 
 
-# Point pairs per block of the pairwise dominance test: its temporaries stay
-# near a megabyte however many points reach it.
+# Point-line pairs per block of the window clip and the polygon distance:
+# their temporaries stay near a megabyte however many points reach them.
 _PAIR_BLOCK = 2**16
-
-
-def _undominated(pts, recession):
-    """The distinct points that region_from_points_plus_cone's dominance
-    rules keep, from one lexsort by the cone coordinate a = <lo x p>, then x,
-    then y, and one prefix minimum of b = <p x hi>, in which the recession
-    is the quadrant (b = a for a half-plane).  Repeated points sit next to
-    each other in that order, and only the first of them is kept.
-
-    A point that another dominates by the margin delta = 4 TOL max(1,
-    2 max|p|) in both coordinates is dropped first: delta exceeds every pair
-    tolerance TOL max(1, |p_i - p_j|) by more than rounding, and dominance
-    by delta is transitive, so each such point, and each point it dominates
-    or ties with, is strictly dominated by a kept point.  Only a point with
-    another one within delta of it in both coordinates can fail the pairwise
-    test (a pair further apart fails the pair tolerance there), so only
-    those kept rows run it, in blocks, against the kept points; of two
-    points that dominate each other, the one later in (x, y) order goes.
-    When the rules drop every point, a greedy cover is kept instead: in
-    order of a + b, then x, then y, each point that no kept point dominates.
-    """
-    lo, hi = recession.lo, recession.hi
-    a = lo[0] * pts[:, 1] - lo[1] * pts[:, 0]
-    order = np.lexsort((pts[:, 1], pts[:, 0], a))
-    pts, a = pts[order], a[order]
-    fresh = np.flatnonzero(np.r_[True, (pts[1:] != pts[:-1]).any(axis=1)])
-    pts, a = pts[fresh], a[fresh]
-    b = a if recession.is_halfplane else pts[:, 0] * hi[1] - pts[:, 1] * hi[0]
-    delta = 4.0 * TOL * max(1.0, 2.0 * float(np.max(np.abs(pts))))
-    best_b = np.minimum.accumulate(b)
-    # Points whose a is at least delta below a_i form a prefix of the order.
-    below = np.searchsorted(a, a - delta, side="right")
-    keep = np.flatnonzero((below == 0) | (best_b[below - 1] > b - delta))
-    before = np.where(keep > 0, best_b[keep - 1], np.inf)
-    above = np.searchsorted(a, a[keep] + delta, side="right") > keep + 1
-    pts, a, b = pts[keep], a[keep], b[keep]
-    rows = np.flatnonzero((before <= b + delta) | above)
-
-    m = pts.shape[0]
-    dominated = np.zeros(m, dtype=bool)
-    step = max(1, _PAIR_BLOCK // m)
-    for r0 in range(0, rows.size, step):
-        idx = rows[r0 : r0 + step]
-        diffs = pts[idx, None, :] - pts[None, :, :]
-        inside = recession.contains(diffs)
-        covers = recession.contains(-diffs)
-        # A difference of finite floats is zero only for equal ones, and
-        # otherwise has the sign of their order: this is the (x, y) order.
-        dx, dy = diffs[..., 0], diffs[..., 1]
-        earlier = (dx > 0) | ((dx == 0) & (dy > 0))
-        dominated[idx] = (inside & (~covers | earlier)).any(axis=1)
-    if not dominated.all():
-        return pts[~dominated]
-    kept = []
-    for i in np.lexsort((pts[:, 1], pts[:, 0], a + b)):
-        if not recession.contains(pts[i] - pts[kept]).any():
-            kept.append(i)
-    return pts[kept]
 
 
 def region_from_points_plus_cone(points, recession):
     """Canonical region conv(points) + recession.
 
-    Drops every point lying in the convex hull of the others plus the cone,
-    then orders the survivors along the lower-left boundary.  A point is
-    dropped when another one strictly dominates it up to the tolerance, or
-    when it and an earlier one (in lexicographic order) dominate each other.
-    A margin prefilter first drops the points that others clearly dominate,
-    and the pairwise test then runs, in blocks, only on the r survivors that
-    another point lies within that margin of: time is O(m log m) plus
-    O(r m), with r = 0 on a strictly convex front, and memory is O(m).
-
-    Tolerant dominance is not transitive, so those rules can drop every
-    point.  Then the kept points are a greedy cover instead: each input point
-    lies within the tolerance of the region, and every vertex is an input
-    point.
+    In the cone coordinates a = <lo x p> and b = <p x hi> (b = a for a
+    half-plane), the recession is the quadrant: p dominates q exactly when
+    a_p <= a_q and b_p <= b_q.  One sort by a, then b, x and y, and one
+    prefix minimum of b keep the exactly undominated front, in increasing a
+    and decreasing b; of repeated points (zeros of either sign included) the
+    first given stays.  The front's points within eps = TOL max(1, max|p|)
+    of its first point's a, or of its last point's b, lie within eps of the
+    recession ray of the innermost of them, so only that one is kept at each
+    end.  The lower-left chain then drops every point within eps of a hull
+    edge.  Time is O(m log m) and memory O(m); every vertex is an input
+    point, and every input point lies within the tolerance of the region.
     """
     pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts.reshape(1, 2)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] == 0:
         raise ValidationError("points must be a non-empty (m, 2) array")
     if not np.all(np.isfinite(pts)):
         raise ValidationError("points contain non-finite entries")
 
-    if pts.shape[0] > 1:
-        pts = _undominated(pts, recession)
-
-    pts = pts[np.lexsort((pts[:, 1], -pts[:, 0]))]
+    lo, hi = recession.lo, recession.hi
+    a = lo[0] * pts[:, 1] - lo[1] * pts[:, 0]
+    b = a if recession.is_halfplane else pts[:, 0] * hi[1] - pts[:, 1] * hi[0]
+    order = np.lexsort((pts[:, 1], pts[:, 0], b, a))
+    pts, a, b = pts[order], a[order], b[order]
+    front = np.r_[True, b[1:] < np.minimum.accumulate(b)[:-1]]
+    pts, a, b = pts[front], a[front], b[front]
+    eps = TOL * _scale_of(pts)
+    first = np.count_nonzero(a <= a[0] + eps) - 1
+    last = len(b) - np.count_nonzero(b <= b[-1] + eps)
+    if last <= first:
+        return RiskRegion2D(pts[first : first + 1], recession)
+    # The front runs in decreasing x: this is the lower-left chain's order.
+    pts = pts[first : last + 1]
 
     # Lower-left chain, on Python floats (the same operations as on arrays).
-    eps = TOL * _scale_of(pts)
     xs, ys = pts[:, 0].tolist(), pts[:, 1].tolist()
     kept = [0]
     for i in range(1, len(xs)):
         x, y = xs[i], ys[i]
         while len(kept) >= 2:
             j, k = kept[-2], kept[-1]
-            if not ((xs[k] - xs[j]) * (y - ys[k]) - (ys[k] - ys[j]) * (x - xs[k]) >= -eps):
+            dx, dy = xs[k] - xs[j], ys[k] - ys[j]
+            if not dx * (y - ys[k]) - dy * (x - xs[k]) >= -eps * math.hypot(dx, dy):
                 break
             kept.pop()
         kept.append(i)
@@ -419,21 +366,14 @@ def region_from_halfspaces(halfspaces):
     stack = [cons[0]]
     for k in cons[1:]:
         while len(stack) >= 2:
+            # The kept cut h separates i and k, so their lines are not
+            # parallel.
             i, h = stack[-2], stack[-1]
             det = ux[i] * uy[k] - uy[i] * ux[k]
-            if abs(det) <= _SNAP:
-                raise ValidationError("parallel constraint lines do not intersect")
             x = (off[i] * uy[k] - off[k] * uy[i]) / det
             y = (ux[i] * off[k] - ux[k] * off[i]) / det
-            size = max(scale, abs(x), abs(y))
-            limit = off[h] - TOL * size
-            # A 2-vector `p @ u` rounds as fma(y, u1, x * u0); the plain sum
-            # differs from it by less than 2e-15 max(1, |x|, |y|), so only a
-            # sum that close to the limit needs the exact product.
-            value = x * ux[h] + y * uy[h]
-            if not abs(value - limit) > 2e-15 * size:
-                value = float(np.array([x, y]) @ dirs[h])
-            if not value >= limit:
+            limit = off[h] - TOL * max(scale, abs(x), abs(y))
+            if not x * ux[h] + y * uy[h] >= limit:
                 break
             stack.pop()
         stack.append(k)

@@ -207,6 +207,15 @@ class TestOuterRegion:
         with pytest.raises(ValidationError, match="zero-weight"):
             outer_region_support_grid(p, RiskSpec(ES, 0.5), n_dirs=3)
 
+    def test_support_grid_unbounded_everywhere_is_whole_plane(self):
+        # A scenario's support is finite only along its dual ray (pi, 1):
+        # with three rates every direction is unbounded on some scenario, so
+        # no probed direction gives a cut.
+        e = ScenarioEnsemble(np.zeros((3, 2)), rates=np.array([1.0, 1.5, 2.0]))
+        p = SetPortfolio.random_halfplane(e)
+        with pytest.raises(WholePlaneError, match="^every probed direction has unbounded support$"):
+            outer_region_support_grid(p, RiskSpec(ES, 0.5), n_dirs=181)
+
     def test_ball_at_origin_carves_arc(self):
         e = ScenarioEnsemble(np.zeros((3, 2)))
         p = SetPortfolio.ball(e, radius=1.0)

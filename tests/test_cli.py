@@ -695,11 +695,26 @@ class TestScalarize:
         assert err == "error: malformed bundle payload: missing 'inner'\n"
 
     @pytest.mark.parametrize(
-        "spoil",
-        [lambda b: b.update(meta=5), lambda b: b["inner"].pop("vertices")],
-        ids=["meta-number", "inner-without-vertices"],
+        "spoil, message",
+        [
+            pytest.param(lambda b: b.update(meta=5), "bundle payload: ", id="meta-number"),
+            pytest.param(lambda b: b["inner"].pop("vertices"), "region payload: 'vertices'",
+                         id="inner-without-vertices"),
+            pytest.param(lambda b: b["inner"].update(vertices=[1.0, 2.0]),
+                         "region payload: vertices must be a non-empty (k, 2) array",
+                         id="inner-flat-vertex"),
+            pytest.param(lambda b: b["inner"].update(vertices=[[0.0, 1.0], [1.0, 0.0]]),
+                         "region payload: vertices must have decreasing first coordinate",
+                         id="inner-increasing-x"),
+            pytest.param(lambda b: b["inner"]["vertices"][0].__setitem__(0, math.inf),
+                         "region payload: vertices contain non-finite entries",
+                         id="inner-infinite-vertex"),
+            pytest.param(lambda b: b["inner"].update(recession=[[1.0, 0.0], [1.0, 1.0]]),
+                         "region payload: recession cone must contain the non-negative quadrant",
+                         id="inner-narrow-recession"),
+        ],
     )
-    def test_malformed_bundle_exits_two(self, tmp_path, capsys, spoil):
+    def test_malformed_bundle_exits_two(self, tmp_path, capsys, spoil, message):
         out = tmp_path / "run"
         entrypoint(["risk", "--config", nonmargin_config(tmp_path), "--out", str(out)])
         capsys.readouterr()
@@ -708,7 +723,7 @@ class TestScalarize:
         path = write_json(out / "bundle.json", bundle)
         assert entrypoint(["scalarize", "--bundle", path, "--direction", "1,1"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: malformed ") and err.count("\n") == 1, err
+        assert err.startswith("error: malformed " + message) and err.count("\n") == 1, err
 
     def test_missing_bundle(self, tmp_path):
         assert (

@@ -187,30 +187,6 @@ class TestRegionConstruction:
             region_from_points_plus_cone(pts, cone)
 
 
-def pairwise_reference_hull(points, recession):
-    """The all-pairs dominance filter and chain that the sorted prefilter
-    must reproduce bit for bit (m x m arrays; small inputs only)."""
-    pts = np.unique(np.asarray(points, dtype=float).reshape(-1, 2), axis=0)
-    m = pts.shape[0]
-    if m > 1:
-        diffs = pts[:, None, :] - pts[None, :, :]
-        inside = recession.contains(diffs.reshape(-1, 2)).reshape(m, m)
-        np.fill_diagonal(inside, False)
-        mutual = inside & inside.T
-        dominated = (inside & ~mutual).any(axis=1)
-        ii, jj = np.nonzero(mutual)
-        dominated |= np.bincount(ii[ii > jj], minlength=m).astype(bool)
-        pts = pts[~dominated]
-    pts = pts[np.lexsort((pts[:, 1], -pts[:, 0]))]
-    eps = 1e-9 * max(1.0, float(np.max(np.abs(pts))))
-    kept = [pts[0]]
-    for p in pts[1:]:
-        while len(kept) >= 2 and _cross(kept[-1] - kept[-2], p - kept[-1]) >= -eps:
-            kept.pop()
-        kept.append(p)
-    return RiskRegion2D(np.array(kept), recession)
-
-
 def fuzz_cones(rng):
     r1, r2 = rng.uniform(1.0, 5.0, 2)
     near = rng.uniform(1e-11, 1e-8, 2)
@@ -242,32 +218,36 @@ def fuzz_points(rng, family):
     return pts * 10.0 ** rng.uniform(-3.0, 6.0)
 
 
-def hull_outcome(build, pts, cone):
-    try:
-        return build(pts, cone).vertices.tobytes()
-    except ValueError as exc:  # ValidationError included
-        return type(exc), str(exc)
-
-
-# What the pairwise rules raise when they drop every point.
-TOLERANCE_CYCLE = (ValueError, "zero-size array to reduction operation maximum which has no identity")
+def check_hull(pts, cone, rng):
+    """The hull's properties on one input: every vertex is an input point,
+    byte for byte; every input point lies in the region; and the region's
+    bytes do not depend on the order of the input (which holds no zeros of
+    both signs, whose first one given stays)."""
+    region = region_from_points_plus_cone(pts, cone)
+    given = {p.tobytes() for p in pts}
+    assert all(v.tobytes() in given for v in region.vertices), (pts, cone)
+    assert all(region.contains(p) for p in pts), (pts, cone)
+    for order in (pts[::-1], pts[rng.permutation(len(pts))]):
+        again = region_from_points_plus_cone(order, cone)
+        assert again.vertices.tobytes() == region.vertices.tobytes(), (pts, cone)
 
 
 class TestSortedHull:
-    def test_matches_pairwise_reference(self):
+    def test_properties_hold_on_fuzz(self):
         rng = np.random.default_rng(20261018)
-        compared = 0
         for _ in range(300):
             family = rng.choice(["cloud", "ties", "near-duplicates", "collinear", "front"])
             pts = fuzz_points(rng, family)
             for cone in fuzz_cones(rng):
-                ref = hull_outcome(pairwise_reference_hull, pts, cone)
-                if ref == TOLERANCE_CYCLE:
-                    continue  # TestToleranceCycle covers these
-                got = hull_outcome(region_from_points_plus_cone, pts, cone)
-                assert got == ref, (family, pts, cone)
-                compared += 1
-        assert compared > 1100
+                check_hull(pts, cone, rng)
+
+    def test_chain_tolerance_is_a_distance(self):
+        # The middle point lies 5.7e-7 below the chord of the other two, far
+        # more than the tolerance: it is a vertex at any scale.
+        pts = np.array([[1e-3, 0.0], [4.996e-4, 4.996e-4], [0.0, 1e-3]])
+        for scale in (1.0, 1e3, 1e6):
+            region = region_from_points_plus_cone(pts * scale, ORTHANT)
+            assert region.vertices.tolist() == (pts * scale).tolist()
 
     def test_large_input_stays_small(self):
         import tracemalloc
@@ -284,37 +264,23 @@ class TestSortedHull:
             tracemalloc.stop()
         # All pairs of 20,000 points would take 6.4 GB of differences alone.
         assert peak < 32 * 2**20
-        assert region.vertices.tobytes() == pairwise_reference_hull(front, ORTHANT).vertices.tobytes()
+        assert region.vertices.tobytes() == region_from_points_plus_cone(front, ORTHANT).vertices.tobytes()
 
 
 class TestToleranceCycle:
     # Each pair here lies within the tolerance in one coordinate, so
-    # tolerant dominance cycles: the pairwise rules alone drop every point.
+    # tolerant dominance cycles on them; the region must still hold each.
     POINTS = np.array([[-8e-10, 0.0], [-4e-10, -8e-10], [-1.2e-9, 8e-10]])
 
-    def check_cover(self, pts, region):
-        assert len(region.vertices) >= 1
-        for v in region.vertices:
-            assert any(np.array_equal(v, p) for p in pts)
-        assert all(region.contains(p) for p in pts), pts
-
     def test_region_covers_every_point(self):
-        assert hull_outcome(pairwise_reference_hull, self.POINTS, ORTHANT) == TOLERANCE_CYCLE
-        self.check_cover(self.POINTS, region_from_points_plus_cone(self.POINTS, ORTHANT))
+        check_hull(self.POINTS, ORTHANT, np.random.default_rng(3))
 
     def test_random_cycles_cover_every_point(self):
         rng = np.random.default_rng(7)
-        cycles = 0
         for _ in range(400):
             pts = rng.uniform(-1.5e-9, 1.5e-9, (int(rng.integers(2, 7)), 2))
             for cone in fuzz_cones(rng):
-                ref = hull_outcome(pairwise_reference_hull, pts, cone)
-                if ref == TOLERANCE_CYCLE:
-                    cycles += 1
-                    self.check_cover(pts, region_from_points_plus_cone(pts, cone))
-                else:
-                    assert hull_outcome(region_from_points_plus_cone, pts, cone) == ref
-        assert cycles > 0
+                check_hull(pts, cone, rng)
 
 
 class TestRegionFromHalfspaces:
@@ -605,8 +571,8 @@ def line_intersect_reference(u1, c1, u2, c2):
 
 def sequential_reference_halfspaces(halfspaces):
     """The deletion loop that region_from_halfspaces must reproduce bit for
-    bit: one numpy product per redundancy test, one step back after each
-    deletion, and the all-pairs hull of the vertices."""
+    bit: one plain sum x u0 + y u1 per redundancy test, one step back after
+    each deletion, and the hull of the vertices."""
     dirs, offs = halfspaces.directions, halfspaces.offsets
     angles = np.arctan2(dirs[:, 1], dirs[:, 0])
     cons = []
@@ -625,8 +591,8 @@ def sequential_reference_halfspaces(halfspaces):
     i = 1
     while 1 <= i <= len(cons) - 2:
         (u0, c0, _), (u, c, _), (u2, c2, _) = cons[i - 1 : i + 2]
-        p = line_intersect_reference(u0, c0, u2, c2)
-        if float(p @ u) >= c - 1e-9 * max(scale, max(1.0, float(np.max(np.abs(p))))):
+        x, y = line_intersect_reference(u0, c0, u2, c2)
+        if x * u[0] + y * u[1] >= c - 1e-9 * max(scale, abs(x), abs(y)):
             del cons[i]
             i = max(1, i - 1)
         else:
@@ -635,7 +601,7 @@ def sequential_reference_halfspaces(halfspaces):
         line_intersect_reference(cons[j][0], cons[j][1], cons[j - 1][0], cons[j - 1][1])
         for j in range(len(cons) - 1, 0, -1)
     ]
-    return pairwise_reference_hull(np.array(verts), rec)
+    return region_from_points_plus_cone(np.array(verts), rec)
 
 
 def edge_normals_reference(vertices, recession):
@@ -718,10 +684,9 @@ def fuzz_halfspaces(rng, family):
     return HalfSpaceSet(dirs, offs * 10.0 ** rng.uniform(-3.0, 3.0))
 
 
-# Three cuts for which the plain sum x u0 + y u1 and the numpy product
-# p @ u (fma(y, u1, x u0) in OpenBLAS ddot) fall on opposite sides of the
-# redundancy limit, found by a seeded search: the middle cut must be kept
-# or dropped exactly as the sequential loop decides.
+# Three cuts for which the plain sum x u0 + y u1 and the fused product
+# fma(y, u1, x u0) fall on opposite sides of the redundancy limit, found by
+# a seeded search: the middle cut is kept or dropped as the plain sum says.
 FMA_SPLIT_CASES = [
     (
         [["0x1.e7763777e3310p-1", "0x1.393591b1ed0ecp-2"],
@@ -756,8 +721,6 @@ class TestBatchedGeometryMatchesReferences:
         compared, raised, halfplanes = 0, 0, 0
         for hs in sets:
             ref = region_outcome(sequential_reference_halfspaces, hs)
-            if ref == TOLERANCE_CYCLE:
-                continue
             got = region_outcome(region_from_halfspaces, hs)
             assert got == ref, (hs.directions.tolist(), hs.offsets.tolist())
             compared += 1
@@ -774,12 +737,10 @@ class TestBatchedGeometryMatchesReferences:
         p = line_intersect_reference(d[0], c[0], d[2], c[2])
         limit = c[1] - 1e-9 * max(1.0, float(np.max(np.abs(c))), float(np.max(np.abs(p))))
         plain = p[0] * d[1, 0] + p[1] * d[1, 1]
-        if (plain >= limit) == (float(p @ d[1]) >= limit):
-            pytest.skip("this BLAS rounds a 2-vector product like the plain sum")
-        # The middle cut stays (two vertices) exactly when the product says
+        # The middle cut stays (two vertices) exactly when the plain sum says
         # so, and the batched scan makes the same choice.
         ref = sequential_reference_halfspaces(hs)
-        assert len(ref.vertices) == (2 if float(p @ d[1]) < limit else 1)
+        assert len(ref.vertices) == (2 if plain < limit else 1)
         assert region_bytes(region_from_halfspaces(hs)) == region_bytes(ref)
 
     def test_normals_match_edge_loop(self):
@@ -816,23 +777,3 @@ class TestBatchedGeometryMatchesReferences:
             assert sandwich_violation(bundle).hex() == ref.hex()
             finite += math.isfinite(ref)
         assert finite > 500
-
-    def test_convex_front_skips_pairwise_test(self, monkeypatch):
-        t = np.linspace(np.pi, 1.5 * np.pi, 2000)
-        front = np.column_stack([np.cos(t), np.sin(t)])
-        calls = []
-        contains = ConvexCone2D.contains
-
-        def counted(self, *args, **kwargs):
-            # The region's check that its recession holds the quadrant is
-            # no pairwise test.
-            if not np.array_equal(args[0], np.eye(2)):
-                calls.append(len(args[0]))
-            return contains(self, *args, **kwargs)
-
-        monkeypatch.setattr(ConvexCone2D, "contains", counted)
-        region_from_points_plus_cone(front, ORTHANT)
-        assert calls == []
-        # A point near the front still reaches the pairwise test.
-        region_from_points_plus_cone(np.vstack([front, front[7] + 1e-12]), ORTHANT)
-        assert calls
