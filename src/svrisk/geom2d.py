@@ -136,7 +136,16 @@ class ConvexCone2D:
 
 
 def _check_upper_cone(rec):
-    if not rec.contains(np.eye(2)).all():
+    """Refuse a cone that ``contains`` says misses a unit axis: its
+    predicates at (1, 0) and (0, 1), on plain floats."""
+    (l0, l1), (h0, h1) = rec.lo.tolist(), rec.hi.tolist()
+    # At the unit axes contains' eps is TOL, <lo x e> is (-l1, l0) and
+    # <e x hi> is (h1, -h0).  A ray would need |l0|, |l1| <= TOL, which no
+    # unit vector has.
+    ok = not rec.is_ray and -l1 >= -TOL and l0 >= -TOL
+    if ok and not rec.is_halfplane:
+        ok = h1 >= -TOL and -h0 >= -TOL
+    if not ok:
         raise ValidationError("recession cone must contain the non-negative quadrant")
 
 

@@ -35,7 +35,8 @@ _LEVEL_KINDS = (ES, VAR)
 
 
 def _as_float_vector(x, name):
-    arr = np.asarray(x, dtype=float)
+    """A float copy of ``x``, which the caller's later writes cannot reach."""
+    arr = np.array(x, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise ValidationError(f"{name} must be a non-empty 1-d array")
     if not np.all(np.isfinite(arr)):
@@ -56,7 +57,8 @@ def _settle_weight_sum(weights):
 
 @dataclass(frozen=True)
 class WeightedSample:
-    """Finite scenario sample with probability weights summing to one."""
+    """Finite scenario sample with probability weights summing to one; it
+    keeps read-only copies of the arrays it is given."""
 
     values: np.ndarray
     weights: np.ndarray

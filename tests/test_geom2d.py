@@ -11,6 +11,7 @@ from svrisk.geom2d import (
     ConvexCone2D,
     HalfSpaceSet,
     RiskRegion2D,
+    _check_upper_cone,
     _clip_to_window,
     _cross,
     canonical_json,
@@ -173,6 +174,39 @@ class TestRegionConstruction:
     def test_recession_must_cover_orthant(self):
         with pytest.raises(ValidationError):
             RiskRegion2D(np.array([[0.0, 0.0]]), ConvexCone2D((1.0, 0.0), (1.0, 1.0)))
+
+    def test_orthant_check_agrees_with_contains(self):
+        # The check evaluates contains' predicates at the two unit axes on
+        # plain floats; it must refuse exactly the cones contains refuses.
+        rng = np.random.default_rng(17)
+        angles = np.concatenate([
+            rng.uniform(-np.pi, np.pi, 300),
+            np.pi / 2 * rng.integers(-2, 3, 40),  # axis-aligned
+            # just off an axis, inside and outside the tolerance
+            rng.choice([0.0, np.pi / 2, -np.pi / 2, np.pi], 60)
+            + rng.choice([-1, 1], 60) * 10.0 ** rng.uniform(-13, -7, 60),
+        ])
+        cones = [ConvexCone2D.nonneg_orthant()]
+        for a in angles:
+            lo = (math.cos(a), math.sin(a))
+            cones.append(ConvexCone2D(lo, lo))  # ray
+            cones.append(ConvexCone2D.halfplane(lo))
+            for sweep in (rng.uniform(0.0, np.pi), np.pi / 2, np.pi / 2 + 1e-10, 1e-13):
+                b = a + sweep
+                cones.append(ConvexCone2D(lo, (math.cos(b), math.sin(b))))
+        kinds = {"ray": 0, "halfplane": 0, "other": 0}
+        passed = 0
+        for cone in cones:
+            kinds["ray" if cone.is_ray else "halfplane" if cone.is_halfplane else "other"] += 1
+            expected = bool(cone.contains(np.eye(2)).all())
+            try:
+                _check_upper_cone(cone)
+                ok = True
+            except ValidationError:
+                ok = False
+            assert ok == expected, (cone.lo, cone.hi)
+            passed += ok
+        assert min(kinds.values()) > 50 and 20 < passed < len(cones) - 20
 
     @pytest.mark.parametrize("m", [1, 2, 40])
     @pytest.mark.parametrize(

@@ -20,6 +20,7 @@ from svrisk.markets import (
     dual_cone,
     solvency_cone,
 )
+from svrisk.riskstats import ES, RiskSpec
 
 
 def one_scenario(x1, x2, rate=None):
@@ -144,6 +145,29 @@ class TestScenarioEnsemble:
         with pytest.raises(ValidationError):
             e.require_rates()
 
+    def test_callers_arrays_stay_writable_and_apart(self):
+        gains, rates, weights = np.ones((3, 2)), np.ones(3), np.full(3, 1.0 / 3.0)
+        base = np.zeros((3, 4))
+        e = ScenarioEnsemble(base[:, 1:3], rates=rates, weights=weights)
+        f = ScenarioEnsemble(gains, rates=rates, weights=weights)
+        for a in (gains, rates, weights, base):
+            assert a.flags.writeable
+            a[0] = 123.0
+        assert e.gains[0, 0] == 0.0 and f.gains[0, 0] == 1.0
+        assert e.rates[0] == f.rates[0] == 1.0
+        assert e.weights[0] == f.weights[0] == 1.0 / 3.0
+        for a in (f.gains, f.rates, f.weights):
+            assert not a.flags.writeable
+
+    def test_gains_are_row_major(self):
+        # Support rows of a gathered subset round as whole rows only when the
+        # gains and extra gains are laid out alike.
+        gains = np.asfortranarray(np.random.default_rng(3).standard_normal((5, 2)))
+        e = ScenarioEnsemble(gains)
+        assert e.gains.flags.c_contiguous and np.array_equal(e.gains, gains)
+        p = SetPortfolio.segment_hull(e, [gains[:, ::-1]])
+        assert p.extra_gains[0].flags.c_contiguous
+
 
 class TestSetPortfolioValidation:
     def test_cone_required(self):
@@ -232,6 +256,8 @@ def support_cases():
         "liquidity-capped": SetPortfolio.liquidity_capped(e, cap=(0.8, 1.2)),
         "ball": SetPortfolio.ball(e, radius=0.7),
         "segment-hull": SetPortfolio.segment_hull(e, [gains[:, ::-1], -0.5 * gains]),
+        # Extra vertices inside the gains' circle: the gains set the reach.
+        "segment-hull-inner": SetPortfolio.segment_hull(e, [0.25 * gains[:, ::-1]]),
     }
 
 
@@ -358,3 +384,160 @@ class TestSupportValues:
                     p.support_values(u + v)
                     <= p.support_values(u) + p.support_values(v) + 1e-9
                 )
+
+
+class TestReach:
+    def test_bounded_kinds_of_the_support_grid_define_reach(self):
+        # A kind whose outer cuts are the support grid builds only the rows
+        # that can reach the tail when it defines a reach; a new bounded kind
+        # without one would silently build every row.
+        grid = markets.PortfolioKind.outer_cuts
+        for name, kind in KINDS.items():
+            if type(kind).outer_cuts is grid:
+                assert type(kind).reach is not markets.PortfolioKind.reach, name
+
+    @pytest.mark.parametrize("case", sorted(support_cases()))
+    def test_reach_bounds_every_support_value(self, case):
+        p = support_cases()[case]
+        reach = p.definition.reach(p)
+        if reach is None:
+            assert case.startswith("cone-")
+            return
+        U = np.vstack([direction_grid(181), 3.0 * np.random.default_rng(4).random((50, 2))])
+        rows = p.support_values(U)
+        norms = np.hypot(U[:, 0], U[:, 1])[:, None]
+        assert reach.shape == (p.ensemble.n,)
+        assert np.all(np.abs(rows) <= reach * norms * (1 + 1e-12))
+
+
+PRUNED_KINDS = {
+    "ball": lambda e: SetPortfolio.ball(e, radius=0.7),
+    "liquidity-capped": lambda e: SetPortfolio.liquidity_capped(e, cap=(0.8, 1.2)),
+    "segment-hull": lambda e: SetPortfolio.segment_hull(e, [e.gains[:, ::-1], -0.5 * e.gains]),
+}
+
+
+def grid_ensemble(n, seed=5, scale=1.0, ties=False, weights=None):
+    rng = np.random.default_rng(seed)
+    gains = scale * rng.standard_normal((n, 2)) * (1.0, 1.3)
+    rates = rng.lognormal(np.log(1.5), 0.3, n)
+    if ties:
+        gains, rates = np.repeat(gains[::4], 4, axis=0)[:n], np.repeat(rates[::4], 4)[:n]
+    return ScenarioEnsemble(gains, rates=rates, weights=weights)
+
+
+class TestPrunedSupportGrid:
+    """The support grid builds rows only where they can reach the ES tail,
+    and gives every offset the bits of whole rows."""
+
+    @staticmethod
+    def cuts(monkeypatch, p, spec, whole=False):
+        # The cuts of the 181-direction grid and the number of support values
+        # the kind computed for them.
+        counted = []
+        kind = type(p.definition)
+        support = kind.support
+
+        def counting(self, p, U, base, at):
+            counted.append(base.size)
+            return support(self, p, U, base, at)
+
+        with monkeypatch.context() as m:
+            m.setattr(kind, "support", counting)
+            if whole:
+                m.setattr(markets, "PRUNE_MIN_N", np.inf)
+            dirs, offsets = markets._support_cuts(p, spec, direction_grid(181))
+        return dirs, np.asarray(offsets), sum(counted)
+
+    def assert_whole_bits(self, monkeypatch, p, spec):
+        dirs, offsets, values = self.cuts(monkeypatch, p, spec)
+        whole_dirs, whole, whole_values = self.cuts(monkeypatch, p, spec, whole=True)
+        assert whole_values == 181 * p.ensemble.n
+        assert np.array_equal(dirs, whole_dirs)
+        assert np.array_equal(offsets.view(np.int64), whole.view(np.int64))
+        return values / whole_values
+
+    @pytest.mark.parametrize("level", [0.01, 0.05, 0.25, 0.45])
+    @pytest.mark.parametrize("kind", sorted(PRUNED_KINDS))
+    def test_bits_at_the_threshold(self, monkeypatch, kind, level):
+        spec = RiskSpec(ES, level)
+        for n in (markets.PRUNE_MIN_N - 1, markets.PRUNE_MIN_N):
+            p = PRUNED_KINDS[kind](grid_ensemble(n))
+            share = self.assert_whole_bits(monkeypatch, p, spec)
+            assert (share < 1) == (n >= markets.PRUNE_MIN_N and level <= markets.PRUNE_MAX_TAIL)
+
+    @pytest.mark.parametrize("level", [0.01, 0.25])
+    @pytest.mark.parametrize("kind", sorted(PRUNED_KINDS))
+    def test_bits_on_large_rows(self, monkeypatch, kind, level):
+        p = PRUNED_KINDS[kind](grid_ensemble(30_000, seed=6))
+        assert self.assert_whole_bits(monkeypatch, p, RiskSpec(ES, level)) < 1
+
+    @pytest.mark.parametrize("kind", sorted(PRUNED_KINDS))
+    def test_bits_with_ties_and_large_gains(self, monkeypatch, kind):
+        spec = RiskSpec(ES, 0.05)
+        for e in (grid_ensemble(6000, ties=True), grid_ensemble(6000, scale=1e6)):
+            assert self.assert_whole_bits(monkeypatch, PRUNED_KINDS[kind](e), spec) < 0.5
+
+    @pytest.mark.parametrize(
+        "groups",
+        [
+            # A slow tail near the origin, and movers just above it whose
+            # gains lie far along the normal of u_a: they fall into the tail
+            # within the group's width, so their rows are built only if a
+            # support may drop by its whole reach times the distance to u_a.
+            [(300, 0.0, 0.25, 0.0), (10, 0.45, 0.6, 5.0), (10, 0.45, 0.6, -5.0)],
+            # A tail that rises by its reach times the distance, so that
+            # stationary scenarios above it enter the tail: they are kept
+            # only if tau adds the tail's reach times the distance too.
+            [(260, 0.0, 0.25, 5.0), (100, 0.25, 1.0, 0.0)],
+        ],
+    )
+    def test_bits_where_the_bound_is_tight(self, monkeypatch, groups):
+        # Groups of scenarios at s*u_a + t*normal(u_a), s uniform in
+        # [low, high], u_a the first group's middle direction; the rest sit
+        # far along u_a.
+        n = markets.PRUNE_MIN_N
+        u = direction_grid(181)[markets.PRUNE_GROUP // 2]
+        normal = np.array([-u[1], u[0]])
+        rng = np.random.default_rng(8)
+        gains = [s * u + t * normal for k, low, high, t in groups
+                 for s in rng.uniform(low, high, (k, 1))]
+        gains = np.vstack(gains + [np.tile(100.0 * u, (n - len(gains), 1))])
+        p = SetPortfolio.ball(ScenarioEnsemble(gains + 1e-3 * rng.standard_normal((n, 2))), 1e-3)
+        assert self.assert_whole_bits(monkeypatch, p, RiskSpec(ES, 0.05)) < 0.5
+
+    def test_computes_a_quarter_of_the_values(self, monkeypatch):
+        # At the size of the benchmark's support grid.
+        n = 50_000
+        p = PRUNED_KINDS["ball"](grid_ensemble(n))
+        _, _, values = self.cuts(monkeypatch, p, RiskSpec(ES, 0.05))
+        assert values <= 0.25 * 183 * n
+
+    def test_other_functionals_and_uneven_weights_build_whole_rows(self, monkeypatch):
+        n = markets.PRUNE_MIN_N
+        weights = np.random.default_rng(1).random(n)
+        uneven = PRUNED_KINDS["ball"](grid_ensemble(n, weights=weights / weights.sum()))
+        even = PRUNED_KINDS["ball"](grid_ensemble(n))
+        for p, spec in ((uneven, RiskSpec(ES, 0.05)), (even, RiskSpec("neg-expectation"))):
+            assert self.cuts(monkeypatch, p, spec)[2] == 181 * n
+
+    def test_an_overflowing_reach_keeps_the_whole_rows_and_their_errors(self, monkeypatch):
+        n = markets.PRUNE_MIN_N
+        spec = RiskSpec(ES, 0.05)
+        e = grid_ensemble(n)
+        rates = e.rates.copy()
+        rates[7] = 1e-308  # cap / rate overflows
+        p = SetPortfolio.liquidity_capped(ScenarioEnsemble(e.gains, rates=rates), cap=(0.8, 2.0))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.isfinite(p.definition.reach(p)).all()
+            assert self.assert_whole_bits(monkeypatch, p, spec) == 1
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError) as whole:
+                self.cuts(monkeypatch, p, spec, whole=True)
+            with pytest.raises(FloatingPointError) as pruned:
+                self.cuts(monkeypatch, p, spec)
+        assert str(pruned.value) == str(whole.value)
+        # A finite reach whose multiples overflow builds whole rows too.
+        huge = SetPortfolio.ball(e, radius=1e308)
+        with np.errstate(over="raise"):
+            assert self.assert_whole_bits(monkeypatch, huge, spec) == 1

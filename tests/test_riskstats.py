@@ -65,6 +65,12 @@ class TestWeightedSample:
         with pytest.raises(ValueError):
             s.values[0] = 9.0
 
+    def test_callers_arrays_stay_writable_and_apart(self):
+        values, weights = np.array([1.0, 2.0]), np.array([0.5, 0.5])
+        s = WeightedSample(values, weights)
+        values[0], weights[0] = 9.0, 0.0
+        assert s.values.tolist() == [1.0, 2.0] and s.weights.tolist() == [0.5, 0.5]
+
 
 class TestRiskSpec:
     def test_level_required_for_tail_kinds(self):
