@@ -162,25 +162,46 @@ class RiskBundle:
         )
 
 
+# The run-config blocks whose values each stage of compute_bundle reads,
+# the likeliest cause of an overflow first.
+_STAGE_INPUTS = {
+    "selection stage": '"strategies", "portfolio" and "scenarios"',
+    "outer-cut stage": '"portfolio" and "scenarios"',
+    "marginal stage": '"scenarios"',
+    "nesting check": '"scenarios", "portfolio" and "strategies"',
+}
+
+
 def compute_bundle(portfolio, risk_spec, strategies=None, n_dirs=181, audit=False):
     """Assemble the full sandwich for a portfolio, under the caller's numpy
-    error state (the command line raises on overflow); where overflow is
-    ignored, a non-finite selection or risk point ends in ValidationError."""
+    error state (the command line raises on overflow, and a raised
+    floating-point error is raised again naming the stage and the config
+    blocks it reads); where overflow is ignored, a non-finite selection or
+    risk point ends in ValidationError."""
     definition = portfolio.definition
     definition.risk_rule(risk_spec)
-    points = selection_points(portfolio, risk_spec, strategies, audit)
-    inner = region_from_points_plus_cone(points, inner_recession(portfolio, risk_spec))
-    outer = _outer(definition.outer_cuts(portfolio, risk_spec, n_dirs))
-    marginal = _marginal(portfolio, risk_spec, inner.recession)
-    meta = {
-        "portfolio": portfolio.kind,
-        "risk": {"kind": risk_spec.kind, "level": risk_spec.level},
-        "scenarios": portfolio.ensemble.n,
-        "selections": len(points),
-        "directions": int(n_dirs),
-    }
-    bundle = RiskBundle(inner=inner, outer=outer, marginal=marginal, meta=meta)
-    violation = sandwich_violation(bundle)
+    stage = "selection stage"
+    try:
+        points = selection_points(portfolio, risk_spec, strategies, audit)
+        inner = region_from_points_plus_cone(points, inner_recession(portfolio, risk_spec))
+        stage = "outer-cut stage"
+        outer = _outer(definition.outer_cuts(portfolio, risk_spec, n_dirs))
+        stage = "marginal stage"
+        marginal = _marginal(portfolio, risk_spec, inner.recession)
+        meta = {
+            "portfolio": portfolio.kind,
+            "risk": {"kind": risk_spec.kind, "level": risk_spec.level},
+            "scenarios": portfolio.ensemble.n,
+            "selections": len(points),
+            "directions": int(n_dirs),
+        }
+        bundle = RiskBundle(inner=inner, outer=outer, marginal=marginal, meta=meta)
+        stage = "nesting check"
+        violation = sandwich_violation(bundle)
+    except FloatingPointError as exc:
+        raise FloatingPointError(
+            f"{exc} in the {stage}, which reads config {_STAGE_INPUTS[stage]}"
+        ) from exc
     scale = max(_scale_of(r.vertices) for r in (inner, outer, marginal))
     if not violation <= _SANDWICH_TOL * scale:
         raise ValidationError(f"regions do not nest (sandwich violation {violation:.3e})")

@@ -60,6 +60,7 @@ class ConvexCone2D:
 
     lo: np.ndarray
     hi: np.ndarray
+    _dual: ConvexCone2D | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lo = _unit(self.lo)
@@ -125,8 +126,11 @@ class ConvexCone2D:
         return inside if inside.ndim else bool(inside)
 
     def positive_dual(self):
-        """Cone of directions with non-negative inner product on this cone."""
-        return ConvexCone2D(_rot_cw(self.hi), _rot_ccw(self.lo))
+        """Cone of directions with non-negative inner product on this cone,
+        made on the first call and kept: every region on this cone reads it."""
+        if self._dual is None:
+            object.__setattr__(self, "_dual", ConvexCone2D(_rot_cw(self.hi), _rot_ccw(self.lo)))
+        return self._dual
 
     def approx_equal(self, other, tol=TOL):
         return (

@@ -312,9 +312,33 @@ def _support_rows(p, U, at=slice(None)):
 #
 # At level 0.45 and n = 5e4 pruning was slower (ball 67 / 96 ms, segment
 # 75 / 119 ms); at 0.3 it was level.
+#
+# selections.selection_points prunes the scaled runs of the quantile-shift
+# and frictionless grids under the same tail rule, from
+# riskstats.PARTITION_MIN_N scenarios on.  Milliseconds for the 1225
+# selections of quantile-shift[both] on a cone-det portfolio (pi 1.5 / 1.5),
+# best of 4-7 interleaved runs, same machine; whole rows / pruned:
+#
+#   level   n = 1e3      2e3          5e3          1e4          5e4
+#   0.05    7.5 / 5.5   11.5 / 9.0   25.5 / 15.7  52.5 / 26.4  283 / 127
+#   0.25    8.5 / 7.9   15.7 / 14.4  35.7 / 31.5  73.4 / 57.6  390 / 301
+#
+# At n = 400 the two were level (4.1 / 3.8 ms at 0.05, 4.3 / 4.5 at 0.25),
+# and at n = 100 pruning took twice as long (1.3 / 2.7 ms).
 PRUNE_MIN_N = 5000
 PRUNE_GROUP = 16
 PRUNE_MAX_TAIL = 0.3
+
+
+def _prunable_tail(risk_spec, weights, min_n):
+    """The number m of scenarios in the tail of equal-weight expected
+    shortfall on at least ``min_n`` scenarios, when that tail holds at most
+    PRUNE_MAX_TAIL of them; None otherwise, where rows are built whole."""
+    n = len(weights)
+    if risk_spec.kind != ES or n < min_n or weights.min() != weights.max():
+        return None
+    m, _ = _tail_count(weights, risk_spec.level)
+    return m if m <= PRUNE_MAX_TAIL * n else None
 
 
 def _tail_cuts(p, risk_spec, U):
@@ -337,12 +361,9 @@ def _tail_cuts(p, risk_spec, U):
     its rows are not built.  S is the previous group's tail at its last
     direction, or in the first group the tail at u_a.
     """
-    E = p.ensemble
-    n, w = E.n, E.weights
-    if risk_spec.kind != ES or n < PRUNE_MIN_N or w.min() != w.max():
-        return None
-    m, _ = _tail_count(w, risk_spec.level)
-    if m > PRUNE_MAX_TAIL * n:
+    w = p.ensemble.weights
+    m = _prunable_tail(risk_spec, w, PRUNE_MIN_N)
+    if m is None:
         return None
     try:
         reach = p.definition.reach(p)

@@ -5,11 +5,15 @@ Each strategy expands into families of selections.  A family is a count,
 lo..hi-1 straight into a block buffer, so a grid of selections costs a few
 array operations per block instead of one object per selection; a selection
 that a strategy makes on its own is a one-row family.  ``selection_points``
-is the bundle's pipeline: it runs every family through one buffer, which
+is the bundle's pipeline: it runs the families through one buffer, which
 holds each coordinate of a selection as one contiguous row, audits each
 block if asked and evaluates its risk points with one kernel call, so the
-inner approximation only has to hull the points.  ``build_family`` and
-``gather_selections`` turn families into ``SelectionMatrix`` lists instead.
+inner approximation only has to hull the points.  A family of scaled runs
+(``Runs``: the quantile-shift and frictionless grids) is described by its
+runs, and under unaudited equal-weight expected shortfall each run is
+evaluated only on the scenarios that can reach its tail.  ``build_family``
+and ``gather_selections`` turn families into ``SelectionMatrix`` lists
+instead.
 Every emitted row must stay inside the scenario's attainable set, which the
 audit verifies through support-function inequalities: ``selection_auditor``
 computes the support rows of its directions once per portfolio and checks
@@ -25,7 +29,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import markets
+from . import markets, riskstats
 from .errors import ValidationError
 from .geom2d import _unit
 from .markets import _IDENTITY, _count, _real, _reals, direction_grid, dual_cone
@@ -49,17 +53,56 @@ class SelectionMatrix:
         g.setflags(write=False)
 
 
+class Runs(NamedTuple):
+    """Selections fl(fl(s * step) + base(r)) for each run r < ``count`` and
+    each non-negative scale s of ``scales``, s running fastest; ``step`` and
+    ``base(r)`` are (2, n), coordinate-major.  Rounding is monotone, so every
+    entry of a run is monotone in s: it lies between its values at the
+    smallest and at the largest scale, bit for bit."""
+
+    count: int
+    base: Callable[[int], np.ndarray]
+    step: np.ndarray
+    scales: np.ndarray
+
+
 class Family(NamedTuple):
     """``count`` selections of one strategy, made on demand.
 
     ``label(i)`` names selection i, and ``fill(out, lo, hi)`` writes the gains
     of selections lo..hi-1 into ``out[:hi - lo]`` of a (b, 2, n) buffer:
     ``out[i, j]`` is coordinate j of selection lo + i in every scenario.
+    A family of scaled runs also describes them in ``runs``, from which its
+    ``fill`` is made.
     """
 
     count: int
     label: Callable[[int], str]
     fill: Callable[[np.ndarray, int, int], None]
+    runs: Runs | None = None
+
+
+def _scale_rows(scales, step, base, out):
+    """Write the rows fl(fl(s * step) + base) of each scale s into ``out``."""
+    np.multiply(scales.reshape((-1,) + (1,) * step.ndim), step, out=out)
+    out += base
+    return out
+
+
+def _run_family(runs, label):
+    """The family of ``runs``, whose fill writes each run's rows in turn."""
+    k = len(runs.scales)
+
+    def fill(out, lo, hi):
+        first = lo
+        while first < hi:
+            r, s = divmod(first, k)
+            last = min(hi, first + k - s)
+            _scale_rows(runs.scales[s : s + last - first], runs.step, runs.base(r),
+                        out[first - lo : last - lo])
+            first = last
+
+    return Family(runs.count * k, label, fill, runs)
 
 
 def _row(selection):
@@ -203,12 +246,13 @@ def quantile_shift_projection(ensemble, cone, alpha, side="both"):
 
 
 def _scaled(ensemble, eta, t_values, ray=None, cone=None, label="shift"):
-    """Family X + t * eta over a checked grid of t values.  With a ray
-    partition whose two groups both move, the groups are scaled independently
-    over the full (t, s) product, (X + t * m1) + s * m2 with s running
-    fastest.  Each entry of a selection is X + t * eta at one scale, which
-    is monotone in t, so no selection overflows if the largest scale does
-    not."""
+    """Family X + t * eta over a checked grid of t values: one run of
+    ``Runs`` with base X and step eta.  With a ray partition whose two groups
+    both move, the groups are scaled independently over the full (t, s)
+    product, (X + t * m1) + s * m2 with s running fastest: one run per t, with
+    base X + t * m1 and step m2.  Each entry of a selection is X + t * eta at
+    one scale, which is monotone in t, so no selection overflows if the
+    largest scale does not."""
     if np.any(t_values < 0):
         raise ValidationError("scale grid must be non-negative")
     if cone is not None:
@@ -224,30 +268,13 @@ def _scaled(ensemble, eta, t_values, ray=None, cone=None, label="shift"):
         m1 = (np.asarray(ray) == 1) * eta
         m2 = (np.asarray(ray) == 2) * eta
         if np.any(m1 != 0.0) and np.any(m2 != 0.0):
-
-            def fill_product(out, lo, hi):
-                # One run of s values per t: the run's rows share X + t * m1.
-                first = lo
-                while first < hi:
-                    t, s = divmod(first, k)
-                    last = min(hi, first + k - s)
-                    rows = out[first - lo : last - lo]
-                    np.multiply(t_values[s : s + last - first, None, None], m2, out=rows)
-                    rows += x + t_values[t] * m1
-                    first = last
-
-            return Family(
-                k * k,
+            return _run_family(
+                Runs(k, lambda t: x + t_values[t] * m1, m2, t_values),
                 lambda i: f"{label}(t={t_values[i // k]:.6g},s={t_values[i % k]:.6g})",
-                fill_product,
             )
-
-    def fill(out, lo, hi):
-        rows = out[: hi - lo]
-        np.multiply(t_values[lo:hi, None, None], eta, out=rows)
-        rows += x
-
-    return Family(k, lambda i: f"{label}(t={t_values[i]:.6g})", fill)
+    return _run_family(
+        Runs(1, lambda r: x, eta, t_values), lambda i: f"{label}(t={t_values[i]:.6g})"
+    )
 
 
 def liquidity_capped_projection(ensemble, cap=(1.0, 1.0)):
@@ -582,15 +609,48 @@ def gather_selections(portfolio, risk_spec, strategies=None):
     return [sel for family in families for sel in _matrices(family, portfolio.ensemble.n)]
 
 
-def selection_points(portfolio, risk_spec, strategies=None, audit=False):
-    """The (m, 2) risk points of the selections that ``gather_selections``
-    makes, in order.  Every configuration is parsed first; then the
-    selections fill one buffer in blocks of _BLOCK_VALUES // n (at least
-    one), and each block is audited if asked and evaluated with one kernel
-    call over its rows."""
-    n = portfolio.ensemble.n
-    families = _bundle_families(portfolio, risk_spec, strategies)
-    auditor = selection_auditor(portfolio) if audit else None
+def _run_points(runs, m, risk_spec, weights):
+    """The (count, 2) risk points of the selections of ``runs`` under
+    equal-weight expected shortfall with an m-scenario tail, each run and
+    coordinate evaluated only on the scenarios that can reach its tail.
+
+    Every entry of a run lies between its values at the run's smallest and
+    largest scale (see ``Runs``).  With tau the m-th smallest of the upper
+    ends, at least m entries of every row of the run are at most tau, so a
+    scenario whose lower end exceeds tau holds none of the m smallest values
+    of any row.  risk_rows on the other scenarios, with the first weights,
+    reads the same m smallest values and gives the same bits (see
+    ``markets._tail_cuts``).  Each entry is rounded on its own, so the rows
+    built on those scenarios hold the bits of the whole rows' entries.
+    """
+    scales = runs.scales
+    k = len(scales)
+    ends = scales[[scales.argmin(), scales.argmax()]]
+    edges = np.empty((2,) + runs.step.shape)
+    points = np.empty((runs.count, k, 2))
+    for r in range(runs.count):
+        base = runs.base(r)
+        _scale_rows(ends, runs.step, base, edges)
+        for j in range(2):
+            low, high = np.minimum(edges[0, j], edges[1, j]), np.maximum(edges[0, j], edges[1, j])
+            tau = np.partition(high, m - 1)[m - 1]
+            cand = np.flatnonzero(low <= tau)
+            step, at = runs.step[j, cand], base[j, cand]
+            size = max(1, markets._BLOCK_VALUES // len(cand))
+            for lo in range(0, k, size):
+                part = scales[lo : lo + size]
+                rows = _scale_rows(part, step, at, np.empty((len(part), len(cand))))
+                points[r, lo : lo + size, j] = risk_rows(
+                    risk_spec, rows, weights[: len(cand)], overwrite_input=True
+                )
+    return points.reshape(-1, 2)
+
+
+def _block_points(families, n, risk_spec, weights, auditor):
+    """The (m, 2) risk points of the families' selections, in order: they
+    fill one buffer in blocks of _BLOCK_VALUES // n (at least one), and each
+    block is audited if asked and evaluated with one kernel call over its
+    rows."""
     size = min(sum(family.count for family in families), max(1, markets._BLOCK_VALUES // n))
     points = []
     for block, parts in _filled_blocks(families, n, size):
@@ -606,8 +666,36 @@ def selection_points(portfolio, risk_spec, strategies=None, audit=False):
         # Row 2i + j of the contiguous buffer is coordinate j of selection i;
         # the block is scratch once audited, so the kernel sorts it in place.
         rows = block.transpose(0, 2, 1).reshape(2 * len(block), n)
-        values = risk_rows(risk_spec, rows, portfolio.ensemble.weights, overwrite_input=True)
-        points.append(values.reshape(-1, 2))
+        points.append(risk_rows(risk_spec, rows, weights, overwrite_input=True).reshape(-1, 2))
+    return np.concatenate(points)
+
+
+def selection_points(portfolio, risk_spec, strategies=None, audit=False):
+    """The (m, 2) risk points of the selections that ``gather_selections``
+    makes, in order.  Every configuration is parsed first.  Unaudited
+    equal-weight expected shortfall on at least riskstats.PARTITION_MIN_N
+    scenarios, whose tail holds at most markets.PRUNE_MAX_TAIL of them,
+    evaluates each family of scaled runs only on the scenarios that can
+    reach its tail (see ``_run_points``; the timings are in markets, by the
+    PRUNE_* constants); every other selection goes through the block buffer
+    of ``_block_points``."""
+    n = portfolio.ensemble.n
+    weights = portfolio.ensemble.weights
+    families = _bundle_families(portfolio, risk_spec, strategies)
+    m = None
+    if not audit and any(family.runs is not None for family in families):
+        m = markets._prunable_tail(risk_spec, weights, riskstats.PARTITION_MIN_N)
+    if m is None:
+        auditor = selection_auditor(portfolio) if audit else None
+        return _block_points(families, n, risk_spec, weights, auditor)
+    whole = _block_points([f for f in families if f.runs is None], n, risk_spec, weights, None)
+    points, taken = [], 0
+    for family in families:
+        if family.runs is not None:
+            points.append(_run_points(family.runs, m, risk_spec, weights))
+        else:
+            points.append(whole[taken : taken + family.count])
+            taken += family.count
     return np.concatenate(points)
 
 

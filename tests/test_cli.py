@@ -568,6 +568,27 @@ class TestRisk:
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert not (tmp_path / "o" / "bundle.json").exists()
 
+    @pytest.mark.parametrize(
+        "portfolio, rate, operation",
+        [
+            ({"kind": "cone-det", "pi12": 1e308, "pi21": 1e308}, 1.5, "matmul"),
+            ({"kind": "cone-det", "frictionless_rate": 1e300}, 1.5, "multiply"),
+            ({"kind": "cone-halfplane-random"}, 1e-300, "power"),
+        ],
+        ids=["pi-overflow", "frictionless-rate-overflow", "rate-mean-tiny"],
+    )
+    def test_overflow_error_names_the_stage(self, tmp_path, capsys, portfolio, rate, operation):
+        cfg = write_json(tmp_path / "config.json", {
+            "scenarios": {"generate": {"n": 40, "seed": 1, "rate": {"mean": rate, "vol": 0.3}}},
+            "portfolio": portfolio,
+            "risk": {"kind": "expected-shortfall", "level": 0.1},
+        })
+        assert entrypoint(["risk", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: overflow encountered in {operation} in the outer-cut stage, "
+            'which reads config "portfolio" and "scenarios"\n'
+        )
+
     @pytest.mark.parametrize("patch, words", BAD_GRIDS.values(), ids=list(BAD_GRIDS))
     def test_bad_grid_error_names_the_grid(self, tmp_path, capsys, patch, words):
         cfg = nonmargin_config(tmp_path, **patch)

@@ -14,6 +14,8 @@ from svrisk.geom2d import (
     _check_upper_cone,
     _clip_to_window,
     _cross,
+    _rot_ccw,
+    _rot_cw,
     canonical_json,
     hausdorff_on_window,
     region_from_halfspaces,
@@ -36,6 +38,17 @@ def halfspace_set(pairs):
 
 
 class TestConvexCone2D:
+    def test_dual_is_made_once_per_cone(self):
+        rng = np.random.default_rng(23)
+        for cone in fuzz_cones(rng):
+            dual = cone.positive_dual()
+            fresh = ConvexCone2D(_rot_cw(cone.hi), _rot_ccw(cone.lo))
+            assert dual.lo.tobytes() == fresh.lo.tobytes()
+            assert dual.hi.tobytes() == fresh.hi.tobytes()
+            regions = [region_from_points_plus_cone(rng.standard_normal((5, 2)), cone)
+                       for _ in range(3)]
+            assert all(r._dual is dual for r in regions)
+
     def test_orthant_membership(self):
         assert ORTHANT.contains((1.0, 0.0))
         assert ORTHANT.contains((0.0, 1.0))

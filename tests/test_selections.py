@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from svrisk import bounds, markets, selections
+from svrisk import bounds, markets, riskstats, selections
 from svrisk.errors import ValidationError
 from svrisk.markets import (
     ExchangeCone2D,
@@ -842,3 +842,126 @@ class TestBuildFamily:
             assert cfgs[0] == {"strategy": "identity"}
             for cfg in cfgs:
                 assert build_family(p, cfg, RiskSpec(ES, 0.25))
+
+
+def run_ensemble(n, seed=3, scale=1.0, ties=False, weights=None):
+    rng = np.random.default_rng(seed)
+    gains = scale * rng.standard_normal((n, 2)) * (1.0, 1.3)
+    if ties:
+        gains = np.repeat(gains[::3], 3, axis=0)[:n]
+    return ScenarioEnsemble(gains, rates=rng.lognormal(np.log(1.5), 0.3, n), weights=weights)
+
+
+def cone_det_runs(e):
+    return SetPortfolio.cone_det(e, ExchangeCone2D(1.2, 1.1))
+
+
+def origin_bound_runs():
+    p = SetPortfolio.cone_det(run_ensemble(3000), ExchangeCone2D(5.0, 5.0))
+    return (p, *quantile_shift_projection(p.ensemble, p.cone, 0.9))
+
+
+class TestPrunedRuns:
+    """Scaled runs are evaluated only on the scenarios that can reach their
+    expected-shortfall tail, with the bits of whole rows."""
+
+    @staticmethod
+    def points(monkeypatch, p, spec, configs, whole=False, audit=False):
+        # The points and the number of selection values that the scaled
+        # runs built for them.
+        counted = []
+        scale_rows = selections._scale_rows
+
+        def counting(scales, step, base, out):
+            counted.append(out.size)
+            return scale_rows(scales, step, base, out)
+
+        with monkeypatch.context() as m:
+            m.setattr(selections, "_scale_rows", counting)
+            if whole:
+                m.setattr(markets, "_prunable_tail", lambda *args: None)
+            points = selections.selection_points(p, spec, configs, audit=audit)
+        return points, sum(counted)
+
+    def assert_whole_bits(self, monkeypatch, p, spec, configs):
+        """The share of the whole rows' values that the pruned runs built."""
+        points, values = self.points(monkeypatch, p, spec, configs)
+        whole, whole_values = self.points(monkeypatch, p, spec, configs, whole=True)
+        count = sum(f.count for f in selections._bundle_families(p, spec, configs)
+                    if f.runs is not None)
+        assert whole_values == 2 * count * p.ensemble.n
+        assert same_bits(points, whole)
+        return values / whole_values
+
+    @pytest.mark.parametrize("level", [0.01, 0.05, 0.25, markets.PRUNE_MAX_TAIL])
+    @pytest.mark.parametrize("side", ["both", "ray1", "ray2"])
+    def test_bits_at_the_threshold(self, monkeypatch, side, level):
+        spec = RiskSpec(ES, level)
+        configs = [{"strategy": "quantile-shift", "side": side}]
+        for n in (riskstats.PARTITION_MIN_N - 1, riskstats.PARTITION_MIN_N):
+            p = cone_det_runs(run_ensemble(n))
+            share = self.assert_whole_bits(monkeypatch, p, spec, configs)
+            assert (share < 1) == (n >= riskstats.PARTITION_MIN_N), n
+
+    @pytest.mark.parametrize("level", [0.01, 0.25])
+    def test_bits_on_large_rows(self, monkeypatch, level):
+        p = cone_det_runs(run_ensemble(30_000, seed=6))
+        configs = [{"strategy": "quantile-shift", "side": "both"}]
+        assert self.assert_whole_bits(monkeypatch, p, RiskSpec(ES, level), configs) < 1
+
+    @pytest.mark.parametrize(
+        "portfolio, configs",
+        [
+            (lambda: cone_det_runs(run_ensemble(3000, ties=True)),
+             [{"strategy": "quantile-shift"}]),
+            (lambda: cone_det_runs(run_ensemble(3000, scale=1e6)),
+             [{"strategy": "quantile-shift"}]),
+            # An unsorted grid that holds 0 and 1: the run's ends are its
+            # smallest and largest scales, not its first and last.
+            (lambda: cone_det_runs(run_ensemble(3000)),
+             [{"strategy": "quantile-shift", "t_grid": {"values": [2.0, 0.0, 0.5, 1.0, 0.25]}},
+              {"strategy": "quantile-shift", "side": "ray2",
+               "t_grid": {"values": [1.0, 3.0, 0.0]}}]),
+            # Recentred at the upper quantiles under wide rates, most
+            # scenarios are bound to the origin and do not move along runs.
+            (lambda: origin_bound_runs()[0], [{"strategy": "quantile-shift", "level": 0.9}]),
+        ],
+        ids=["ties", "large-gains", "explicit-grid", "origin-bound"],
+    )
+    def test_bits_on_awkward_runs(self, monkeypatch, portfolio, configs):
+        p = portfolio()
+        assert self.assert_whole_bits(monkeypatch, p, RiskSpec(ES, 0.05), configs) < 1
+
+    def test_origin_bound_scenarios_do_not_move(self):
+        p, eta, ray = origin_bound_runs()
+        assert np.count_nonzero(ray == 0) > p.ensemble.n / 2
+        assert not eta[ray == 0].any()
+
+    def test_frictionless_runs(self, monkeypatch):
+        p = SetPortfolio.random_halfplane(run_ensemble(riskstats.PARTITION_MIN_N))
+        configs = [{"strategy": "frictionless"}, {"strategy": "axis-transfer"}]
+        assert self.assert_whole_bits(monkeypatch, p, RiskSpec(ES, 0.05), configs) < 1
+
+    def test_default_bundle_builds_a_fraction_of_the_values(self, monkeypatch):
+        # At the size of the benchmark's cone-det bundle, the 35 x 35
+        # product of quantile-shift[both].
+        n = 10_000
+        p = cone_det_runs(run_ensemble(n, seed=7))
+        configs = [{"strategy": "quantile-shift", "side": "both"}]
+        _, values = self.points(monkeypatch, p, RiskSpec(ES, 0.05), configs)
+        assert values <= 0.4 * 1225 * 2 * n
+
+    def test_audit_uneven_weights_and_other_functionals_take_whole_rows(self, monkeypatch):
+        n = riskstats.PARTITION_MIN_N
+        weights = np.random.default_rng(1).random(n)
+        even = cone_det_runs(run_ensemble(n))
+        uneven = cone_det_runs(run_ensemble(n, weights=weights / weights.sum()))
+        configs = [{"strategy": "quantile-shift"}, {"strategy": "corner-selections"}]
+        for p, spec, audit in ((even, RiskSpec(ES, 0.05), True),
+                               (uneven, RiskSpec(ES, 0.05), False),
+                               (even, RiskSpec(NEG_EXPECTATION), False)):
+            points, values = self.points(monkeypatch, p, spec, configs, audit=audit)
+            assert values == 1225 * 2 * n
+            expected = [bounds.risk_of_selection(sel, p.ensemble.weights, spec)
+                        for sel in selections.gather_selections(p, spec, configs)]
+            assert same_bits(points, expected)
