@@ -325,6 +325,18 @@ def _support_rows(p, U, at=slice(None)):
 #
 # At n = 400 the two were level (4.1 / 3.8 ms at 0.05, 4.3 / 4.5 at 0.25),
 # and at n = 100 pruning took twice as long (1.3 / 2.7 ms).
+#
+# The convex mixes of the liquidity-family and segment-vertices strategies
+# are pruned under the same rule from PRUNE_MIN_N scenarios on.  Milliseconds
+# for their 21-point default grids (liquidity-capped, cap 1: two mixes;
+# segment-hull, mirrored extra vertices: one mix), best of 7 interleaved
+# runs, same machine; whole rows / pruned:
+#
+#   kind       level   n = 1e3       5e3           1e4           5e4
+#   liquidity   0.05   0.25 / 0.24   0.93 / 0.62   1.95 / 1.21   10.2 / 5.4
+#   liquidity   0.25   0.28 / 0.38   1.31 / 1.20   2.50 / 2.43   14.1 / 13.9
+#   segment     0.05   0.13 / 0.13   0.46 / 0.35   0.93 / 0.57    5.1 / 3.1
+#   segment     0.25   0.15 / 0.20   0.60 / 0.59   1.27 / 1.26    7.5 / 7.7
 PRUNE_MIN_N = 5000
 PRUNE_GROUP = 16
 PRUNE_MAX_TAIL = 0.3
@@ -626,7 +638,15 @@ class _LiquidityCapped(PortfolioKind):
     def support(self, p, U, base, at):
         pi = p.ensemble.rates[at]
         u0, u1 = U[:, :1], U[:, 1:]
-        base += np.maximum(p.cap[0] * (u0 - pi * u1), p.cap[1] * (u1 - u0 / pi))
+        # max(cap0 * (u0 - pi * u1), cap1 * (u1 - u0 / pi)), each term
+        # written into one scratch array.
+        first = np.multiply(pi, u1, out=np.empty_like(base))
+        np.subtract(u0, first, out=first)
+        first *= p.cap[0]
+        second = np.divide(u0, pi, out=np.empty_like(base))
+        np.subtract(u1, second, out=second)
+        second *= p.cap[1]
+        base += np.maximum(first, second, out=first)
         return base
 
     def reach(self, p):

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
+import locale
 import math
 from dataclasses import dataclass
 
@@ -112,10 +114,14 @@ def generate(spec):
 
 
 _COLUMNS = ("x1", "x2", "pi", "w")
+# Rows that write_csv formats with one % call.
+_WRITE_ROWS = 1024
 
 
 def write_csv(ensemble, path):
-    """Write scenarios with 12 significant digits per value."""
+    """Write scenarios with 12 significant digits per value: the bytes that
+    csv.writer gives for f"{v:.12g}" cells, formatted _WRITE_ROWS rows at a
+    time."""
     cols = ["x1", "x2"]
     data = [ensemble.gains[:, 0], ensemble.gains[:, 1]]
     if ensemble.rates is not None:
@@ -123,33 +129,33 @@ def write_csv(ensemble, path):
         data.append(ensemble.rates)
     cols.append("w")
     data.append(ensemble.weights)
+    line = ",".join(["%.12g"] * len(cols)) + "\r\n"
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(cols)
-        # The bytes csv.writer gives for f"{v:.12g}" cells, in one call.
-        np.savetxt(fh, np.column_stack(data), fmt="%.12g", delimiter=",", newline="\r\n")
+        for lo in range(0, ensemble.n, _WRITE_ROWS):
+            block = np.column_stack([col[lo : lo + _WRITE_ROWS] for col in data])
+            fh.write(line * len(block) % tuple(block.ravel().tolist()))
 
 
 def read_csv(path):
-    """Read an ensemble written by ``write_csv`` (w and pi columns optional)."""
-    with open(path, newline="") as fh:
+    """Read an ensemble written by ``write_csv`` (w and pi columns optional).
+
+    The file is opened in binary: after the header line its rows go from
+    the handle straight to numpy, with no copy of the text.  A file whose
+    header does not decode or split as csv, or whose rows numpy rejects, is
+    read again as text and its rows parsed one cell at a time, which gives
+    the messages for empty files, undecodable bytes and bad rows."""
+    encoding = locale.getpreferredencoding(False)
+    with open(path, "rb") as fh:
         try:
-            header = next(csv.reader(fh))
-            body = fh.read()
-        except StopIteration:
-            raise ValidationError(f"{path}: empty scenario file") from None
-        except UnicodeDecodeError as exc:
-            raise ValidationError(f"{path}: {exc}") from None
-    header = [h.strip() for h in header]
-    unknown = [h for h in header if h not in _COLUMNS]
-    if unknown or "x1" not in header or "x2" not in header:
-        raise ValidationError(
-            f"{path}: header must use columns x1,x2[,pi][,w], got {header}"
-        )
-    for name in header:
-        if header.count(name) > 1:
-            raise ValidationError(f"{path}: column {name!r} appears twice in the header")
-    data = _parse_block(body, len(header))
+            header = next(csv.reader(line.decode(encoding) for line in fh))
+        except (StopIteration, UnicodeDecodeError, csv.Error):
+            data = None
+        else:
+            header = _columns(path, header)
+            data = _parse_block(fh, len(header), encoding)
     if data is None:
+        header, body = _read_text(path)
         data = _parse_rows(path, body, len(header))
     cols = {name: data[:, i] for i, name in enumerate(header)}
     gains = np.column_stack([cols["x1"], cols["x2"]])
@@ -161,15 +167,47 @@ def read_csv(path):
         raise ValidationError(f"{path}: {exc}") from None
 
 
-def _parse_block(body, width):
-    """The rows after the header as one (rows, width) array parsed by numpy,
-    or None where numpy rejects them or finds another width.  Each cell it
-    accepts it converts as ``float()`` does, bit for bit."""
-    if not body.strip():
+def _columns(path, header):
+    """The header's column names, checked."""
+    header = [h.strip() for h in header]
+    unknown = [h for h in header if h not in _COLUMNS]
+    if unknown or "x1" not in header or "x2" not in header:
+        raise ValidationError(
+            f"{path}: header must use columns x1,x2[,pi][,w], got {header}"
+        )
+    for name in header:
+        if header.count(name) > 1:
+            raise ValidationError(f"{path}: column {name!r} appears twice in the header")
+    return header
+
+
+def _read_text(path):
+    """The checked header and the text of the rows after it."""
+    with open(path, newline="") as fh:
+        try:
+            header = next(csv.reader(fh))
+            body = fh.read()
+        except StopIteration:
+            raise ValidationError(f"{path}: empty scenario file") from None
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{path}: {exc}") from None
+    return _columns(path, header), body
+
+
+def _parse_block(fh, width, encoding):
+    """The rows left in the binary handle ``fh`` as one (rows, width) array
+    parsed by numpy, or None where there are none or numpy rejects them or
+    finds another width.  Each cell it accepts it decodes as a text read
+    does and converts as ``float()`` does, bit for bit."""
+    for line in fh:
+        if line.strip():
+            break
+    else:
         return None  # numpy would warn that the input has no data
     try:
-        data = np.loadtxt(io.StringIO(body, newline=""), delimiter=",", comments=None, ndmin=2)
-    except ValueError:
+        data = np.loadtxt(itertools.chain([line], fh), delimiter=",", comments=None,
+                          ndmin=2, encoding=encoding)
+    except ValueError:  # UnicodeDecodeError included
         return None
     return data if data.shape[1] == width else None
 

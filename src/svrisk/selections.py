@@ -8,10 +8,11 @@ that a strategy makes on its own is a one-row family.  ``selection_points``
 is the bundle's pipeline: it runs the families through one buffer, which
 holds each coordinate of a selection as one contiguous row, audits each
 block if asked and evaluates its risk points with one kernel call, so the
-inner approximation only has to hull the points.  A family of scaled runs
-(``Runs``: the quantile-shift and frictionless grids) is described by its
-runs, and under unaudited equal-weight expected shortfall each run is
-evaluated only on the scenarios that can reach its tail.  ``build_family``
+inner approximation only has to hull the points.  A family of runs
+(``Runs``: the quantile-shift and frictionless grids, and the convex mixes)
+is described by its runs, with bounds on every entry, and under unaudited
+equal-weight expected shortfall each run is evaluated only on the scenarios
+that can reach its tail.  ``build_family``
 and ``gather_selections`` turn families into ``SelectionMatrix`` lists
 instead.
 Every emitted row must stay inside the scenario's attainable set, which the
@@ -54,16 +55,23 @@ class SelectionMatrix:
 
 
 class Runs(NamedTuple):
-    """Selections fl(fl(s * step) + base(r)) for each run r < ``count`` and
-    each non-negative scale s of ``scales``, s running fastest; ``step`` and
-    ``base(r)`` are (2, n), coordinate-major.  Rounding is monotone, so every
-    entry of a run is monotone in s: it lies between its values at the
-    smallest and at the largest scale, bit for bit."""
+    """Selections made entry by entry from per-run operands: for each run
+    r < ``count`` and each parameter p of ``params``, p running fastest,
+    ``rows(params, *operands(r), out)`` writes the gains of the run's
+    selections into ``out`` from its (2, n) coordinate-major operands, and
+    ``bounds(params, *operands(r))`` gives (2, n) arrays (low, high) between
+    which every entry of the run's selections lies, bit for bit.  An entry
+    depends only on the operands' entries in its place, so rows written from
+    operands gathered at some scenarios hold the bits of the whole rows'
+    entries there.  From ``min_n`` scenarios on, ``_run_points`` may
+    evaluate the runs on the scenarios that can reach their tail."""
 
     count: int
-    base: Callable[[int], np.ndarray]
-    step: np.ndarray
-    scales: np.ndarray
+    operands: Callable[[int], tuple]
+    params: np.ndarray
+    rows: Callable[..., np.ndarray]
+    bounds: Callable[..., tuple]
+    min_n: int
 
 
 class Family(NamedTuple):
@@ -72,8 +80,8 @@ class Family(NamedTuple):
     ``label(i)`` names selection i, and ``fill(out, lo, hi)`` writes the gains
     of selections lo..hi-1 into ``out[:hi - lo]`` of a (b, 2, n) buffer:
     ``out[i, j]`` is coordinate j of selection lo + i in every scenario.
-    A family of scaled runs also describes them in ``runs``, from which its
-    ``fill`` is made.
+    A family of scaled runs or convex mixes also describes them in ``runs``,
+    from which its ``fill`` is made.
     """
 
     count: int
@@ -89,17 +97,34 @@ def _scale_rows(scales, step, base, out):
     return out
 
 
+def _scale_bounds(scales, step, base):
+    """Rounding is monotone, so every entry fl(fl(s * step) + base) is
+    monotone in s: it lies between its values at the smallest and at the
+    largest scale, bit for bit."""
+    ends = scales[[scales.argmin(), scales.argmax()]]
+    edges = _scale_rows(ends, step, base, np.empty((2,) + step.shape))
+    return np.minimum(edges[0], edges[1]), np.maximum(edges[0], edges[1])
+
+
+def _scaled_runs(count, base, step, scales):
+    """Selections fl(fl(s * step) + base(r)) for each run r < ``count`` and
+    each non-negative scale s of ``scales``; ``step`` and ``base(r)`` are
+    (2, n), coordinate-major."""
+    return Runs(count, lambda r: (step, base(r)), scales, _scale_rows, _scale_bounds,
+                riskstats.PARTITION_MIN_N)
+
+
 def _run_family(runs, label):
     """The family of ``runs``, whose fill writes each run's rows in turn."""
-    k = len(runs.scales)
+    k = len(runs.params)
 
     def fill(out, lo, hi):
         first = lo
         while first < hi:
             r, s = divmod(first, k)
             last = min(hi, first + k - s)
-            _scale_rows(runs.scales[s : s + last - first], runs.step, runs.base(r),
-                        out[first - lo : last - lo])
+            runs.rows(runs.params[s : s + last - first], *runs.operands(r),
+                      out[first - lo : last - lo])
             first = last
 
     return Family(runs.count * k, label, fill, runs)
@@ -246,8 +271,8 @@ def quantile_shift_projection(ensemble, cone, alpha, side="both"):
 
 
 def _scaled(ensemble, eta, t_values, ray=None, cone=None, label="shift"):
-    """Family X + t * eta over a checked grid of t values: one run of
-    ``Runs`` with base X and step eta.  With a ray partition whose two groups
+    """Family X + t * eta over a checked grid of t values: one scaled run
+    with base X and step eta.  With a ray partition whose two groups
     both move, the groups are scaled independently over the full (t, s)
     product, (X + t * m1) + s * m2 with s running fastest: one run per t, with
     base X + t * m1 and step m2.  Each entry of a selection is X + t * eta at
@@ -269,11 +294,11 @@ def _scaled(ensemble, eta, t_values, ray=None, cone=None, label="shift"):
         m2 = (np.asarray(ray) == 2) * eta
         if np.any(m1 != 0.0) and np.any(m2 != 0.0):
             return _run_family(
-                Runs(k, lambda t: x + t_values[t] * m1, m2, t_values),
+                _scaled_runs(k, lambda t: x + t_values[t] * m1, m2, t_values),
                 lambda i: f"{label}(t={t_values[i // k]:.6g},s={t_values[i % k]:.6g})",
             )
     return _run_family(
-        Runs(1, lambda r: x, eta, t_values), lambda i: f"{label}(t={t_values[i]:.6g})"
+        _scaled_runs(1, lambda r: x, eta, t_values), lambda i: f"{label}(t={t_values[i]:.6g})"
     )
 
 
@@ -360,20 +385,54 @@ def boost_worst_coordinate(ensemble, radius):
     return SelectionMatrix(x + boost, "boost-worst")
 
 
+def _mix_rows(lams, a, b, out):
+    """Write the rows fl(fl(l * a) + fl(fl(1 - l) * b)) of each l into ``out``."""
+    lams = lams.reshape((-1,) + (1,) * a.ndim)
+    np.multiply(lams, a, out=out)
+    out += (1.0 - lams) * b
+    return out
+
+
+def _mix_bounds(lams, a, b):
+    """(min(a, b) - d, max(a, b) + d) with d = 4 eps M + tiny, where
+    M = max(|a|, |b|): bounds on every entry of the mixes of a and b with
+    weights l in [0, 1].
+
+    Write u = eps / 2 for the unit roundoff and mu = fl(1 - l) =
+    (1 - l)(1 + e0).  The products round as fl(l a) = l a (1 + e1) + d1 and
+    fl(mu b) = mu b (1 + e2) + d2, and their sum as (p + q)(1 + e3), with
+    |e_i| <= u and |d_i| <= 2**-1075 (underflow; a sum of subnormals is
+    exact).  The exact mix l a + (1 - l) b lies in [min(a, b), max(a, b)],
+    and the rounded one differs from it by at most
+    (2u + u**2) M + u (1 + u)**2 M + 2 * 2**-1075 < 2 eps M + tiny / 2.
+    d leaves room for the roundings of d itself (4 eps is a power of two)
+    and of min(a, b) - d and max(a, b) + d, each at most u times its
+    result.  Where M reaches half the largest float, the bounds would not
+    be finite, and every scenario is taken: the run gets infinite bounds.
+    """
+    low, high = np.minimum(a, b), np.maximum(a, b)
+    # M = max(|low|, high): where high < 0, |high| <= |low|.
+    d = np.abs(low)
+    np.maximum(d, high, out=d)
+    if not d.max() < np.finfo(float).max / 2:
+        return np.full_like(a, -np.inf), np.full_like(a, np.inf)
+    d *= 4 * np.finfo(float).eps
+    d += np.finfo(float).tiny
+    low -= d
+    high += d
+    return low, high
+
+
 def _mix(first, second, lam):
     """Family l * first + (1 - l) * second over a checked grid of l values:
-    convex combinations of two selections of the same convex portfolio."""
+    convex combinations of two selections of the same convex portfolio, as
+    one run of ``Runs`` over l."""
     if np.any(lam < 0) or np.any(lam > 1):
         raise ValidationError("lambda grid must lie inside [0, 1]")
-    a, b = first.gains.T.copy(), second.gains.T.copy()
-
-    def fill(out, lo, hi):
-        rows = out[: hi - lo]
-        np.multiply(lam[lo:hi, None, None], a, out=rows)
-        rows += (1.0 - lam[lo:hi, None, None]) * b
-
-    return Family(
-        len(lam), lambda i: f"mix({first.label},{second.label},lam={lam[i]:.6g})", fill
+    ops = first.gains.T.copy(), second.gains.T.copy()
+    return _run_family(
+        Runs(1, lambda r: ops, lam, _mix_rows, _mix_bounds, markets.PRUNE_MIN_N),
+        lambda i: f"mix({first.label},{second.label},lam={lam[i]:.6g})",
     )
 
 
@@ -614,32 +673,29 @@ def _run_points(runs, m, risk_spec, weights):
     equal-weight expected shortfall with an m-scenario tail, each run and
     coordinate evaluated only on the scenarios that can reach its tail.
 
-    Every entry of a run lies between its values at the run's smallest and
-    largest scale (see ``Runs``).  With tau the m-th smallest of the upper
-    ends, at least m entries of every row of the run are at most tau, so a
-    scenario whose lower end exceeds tau holds none of the m smallest values
-    of any row.  risk_rows on the other scenarios, with the first weights,
-    reads the same m smallest values and gives the same bits (see
-    ``markets._tail_cuts``).  Each entry is rounded on its own, so the rows
-    built on those scenarios hold the bits of the whole rows' entries.
+    Every entry of a run lies between its bounds (see ``Runs``).  With tau
+    the m-th smallest of the upper bounds, at least m entries of every row
+    of the run are at most tau, so a scenario whose lower bound exceeds tau
+    holds none of the m smallest values of any row.  risk_rows on the other
+    scenarios, with the first weights, reads the same m smallest values and
+    gives the same bits (see ``markets._tail_cuts``), and the rows written
+    from the operands on those scenarios hold the bits of the whole rows'
+    entries.
     """
-    scales = runs.scales
-    k = len(scales)
-    ends = scales[[scales.argmin(), scales.argmax()]]
-    edges = np.empty((2,) + runs.step.shape)
+    params = runs.params
+    k = len(params)
     points = np.empty((runs.count, k, 2))
     for r in range(runs.count):
-        base = runs.base(r)
-        _scale_rows(ends, runs.step, base, edges)
+        ops = runs.operands(r)
+        low, high = runs.bounds(params, *ops)
         for j in range(2):
-            low, high = np.minimum(edges[0, j], edges[1, j]), np.maximum(edges[0, j], edges[1, j])
-            tau = np.partition(high, m - 1)[m - 1]
-            cand = np.flatnonzero(low <= tau)
-            step, at = runs.step[j, cand], base[j, cand]
+            tau = np.partition(high[j], m - 1)[m - 1]
+            cand = np.flatnonzero(low[j] <= tau)
+            at = [op[j, cand] for op in ops]
             size = max(1, markets._BLOCK_VALUES // len(cand))
             for lo in range(0, k, size):
-                part = scales[lo : lo + size]
-                rows = _scale_rows(part, step, at, np.empty((len(part), len(cand))))
+                part = params[lo : lo + size]
+                rows = runs.rows(part, *at, np.empty((len(part), len(cand))))
                 points[r, lo : lo + size, j] = risk_rows(
                     risk_spec, rows, weights[: len(cand)], overwrite_input=True
                 )
@@ -673,29 +729,31 @@ def _block_points(families, n, risk_spec, weights, auditor):
 def selection_points(portfolio, risk_spec, strategies=None, audit=False):
     """The (m, 2) risk points of the selections that ``gather_selections``
     makes, in order.  Every configuration is parsed first.  Unaudited
-    equal-weight expected shortfall on at least riskstats.PARTITION_MIN_N
-    scenarios, whose tail holds at most markets.PRUNE_MAX_TAIL of them,
-    evaluates each family of scaled runs only on the scenarios that can
-    reach its tail (see ``_run_points``; the timings are in markets, by the
-    PRUNE_* constants); every other selection goes through the block buffer
-    of ``_block_points``."""
+    equal-weight expected shortfall whose tail holds at most
+    markets.PRUNE_MAX_TAIL of the scenarios evaluates each family of runs
+    (the quantile-shift and frictionless grids from riskstats.PARTITION_MIN_N
+    scenarios on, the convex mixes from markets.PRUNE_MIN_N on) only on the
+    scenarios that can reach its tail (see ``_run_points``; the timings are
+    in markets, by the PRUNE_* constants); every other selection goes
+    through the block buffer of ``_block_points``."""
     n = portfolio.ensemble.n
     weights = portfolio.ensemble.weights
     families = _bundle_families(portfolio, risk_spec, strategies)
-    m = None
-    if not audit and any(family.runs is not None for family in families):
-        m = markets._prunable_tail(risk_spec, weights, riskstats.PARTITION_MIN_N)
-    if m is None:
-        auditor = selection_auditor(portfolio) if audit else None
-        return _block_points(families, n, risk_spec, weights, auditor)
-    whole = _block_points([f for f in families if f.runs is None], n, risk_spec, weights, None)
+    tails = [
+        None if audit or f.runs is None
+        else markets._prunable_tail(risk_spec, weights, f.runs.min_n)
+        for f in families
+    ]
+    auditor = selection_auditor(portfolio) if audit else None
+    whole = _block_points([f for f, m in zip(families, tails) if m is None],
+                          n, risk_spec, weights, auditor)
     points, taken = [], 0
-    for family in families:
-        if family.runs is not None:
-            points.append(_run_points(family.runs, m, risk_spec, weights))
-        else:
+    for family, m in zip(families, tails):
+        if m is None:
             points.append(whole[taken : taken + family.count])
             taken += family.count
+        else:
+            points.append(_run_points(family.runs, m, risk_spec, weights))
     return np.concatenate(points)
 
 

@@ -279,6 +279,24 @@ class TestSupportRows:
         for k in (0, 90, len(U) - 1):
             assert np.array_equal(p.support_values(U[k]).view(np.int64), rows[k].view(np.int64))
 
+    def test_liquidity_rows_keep_their_bits_on_extreme_rates(self):
+        # Tiny, huge and unit rates, against the one-expression formula.
+        rng = np.random.default_rng(21)
+        n = 200
+        rates = 10.0 ** rng.uniform(-150.0, 150.0, n)
+        rates[:20] = 1.0
+        rates[20:30] = 10.0 ** rng.uniform(-300.0, -290.0, 10)
+        rates[30:40] = 10.0 ** rng.uniform(290.0, 300.0, 10)
+        gains = rng.standard_normal((n, 2)) * 10.0 ** rng.uniform(-5.0, 5.0, (n, 1))
+        e = ScenarioEnsemble(gains, rates=rates)
+        fan = direction_grid(37)
+        U = np.vstack([fan, 2.5 * fan[::5], [[0.0, 1e-3], [1e3, 0.0]]])
+        for cap in [(1.0, 1.0), (0.3, 7.0), (1e-3, 1e3)]:
+            p = SetPortfolio.liquidity_capped(e, cap=cap)
+            rows = p.support_values(U)
+            expected = np.stack([reference_support(p, u) for u in U])
+            assert np.array_equal(rows.view(np.int64), expected.view(np.int64))
+
     def test_fan_matches_scalar_cos_sin_bit_for_bit(self):
         # The support grid and the audit share this fan, so it must not
         # depend on whether cos and sin run per angle or on the whole array.

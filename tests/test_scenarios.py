@@ -1,8 +1,10 @@
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from svrisk import scenarios
 from svrisk.errors import ValidationError
 from svrisk.markets import ScenarioEnsemble
 from svrisk.scenarios import GenSpec, generate, read_csv, write_csv
@@ -181,8 +183,14 @@ class TestCsvRoundtrip:
 
     @pytest.mark.parametrize("with_rates", [False, True])
     def test_write_matches_csv_writer_bytes(self, tmp_path, with_rates):
-        gains = np.array([[-0.0, 5e-324], [1e300, -1e300], [0.1, 1 / 3]])
-        rates = np.array([1e300, 5e-324, 1.5]) if with_rates else None
+        # Several blocks of rows and a partial one, led by awkward values.
+        n = 2 * scenarios._WRITE_ROWS + 7
+        rng = np.random.default_rng(4)
+        gains = rng.standard_normal((n, 2)) * 10.0 ** rng.integers(-30, 30, (n, 1))
+        gains[:3] = [[-0.0, 5e-324], [1e300, -1e300], [0.1, 1 / 3]]
+        rates = rng.lognormal(0.0, 0.5, n) if with_rates else None
+        if with_rates:
+            rates[:3] = [1e300, 5e-324, 1.5]
         e = ScenarioEnsemble(gains, rates=rates)
         ref = tmp_path / "ref.csv"
         with open(ref, "w", newline="") as fh:
@@ -218,7 +226,15 @@ ODD_FILES = {
     "ragged": ("x1,x2\n1,2\n3\n", ":3: expected 2 fields, got 1"),
     "bad-cell": ("x1,x2\n1,2\nnope,4\n", ":3: could not convert string to float: 'nope'"),
     "header-only": ("x1,x2\n", ": no scenario rows"),
+    "blank-lines": ("x1,x2\n\n \r\n\t\n", ": no scenario rows"),
     "empty": ("", ": empty scenario file"),
+    "no-trailing-newline": ("x1,x2\n1,2\n3,4", [[1.0, 2.0], [3.0, 4.0]]),
+    "leading-blank-lines": ("x1,x2\n\n  \n1,2\n3,4\n", [[1.0, 2.0], [3.0, 4.0]]),
+    # Line ends a binary line read does not split at.
+    "bare-cr": ("x1,x2\r1,2\r3,4\r", [[1.0, 2.0], [3.0, 4.0]]),
+    "cr-in-rows": ("x1,x2\n1,2\r3,4\n", [[1.0, 2.0], [3.0, 4.0]]),
+    "quoted-header": ('"x1",x2\n1,2\n', [[1.0, 2.0]]),
+    "multi-line-header": ('"x1\n",x2\n1,2\n', [[1.0, 2.0]]),
 }
 
 
@@ -241,3 +257,37 @@ def test_undecodable_file_reports_path(tmp_path):
     path.write_bytes(b"x1,x2\n1,\xff2\n")
     with pytest.raises(ValidationError, match="s.csv: .*can't decode byte 0xff"):
         read_csv(path)
+
+
+@pytest.mark.parametrize(
+    "data, position",
+    [
+        (b"x1,\xff2\n1,2\n", 3),
+        # Past the first rows, and past the first 8 KiB the text read decodes.
+        (b"x1,x2\n" + b"1,2\n" * 3000 + b"3,\x824\n", 6 + 4 * 3000 - 8192 + 2),
+        # A byte numpy would read as whitespace if it decoded latin-1.
+        (b"x1,x2\n1,\xa02\n", 8),
+    ],
+    ids=["header", "late-row", "nbsp"],
+)
+def test_undecodable_bytes_name_their_position(tmp_path, capfd, data, position):
+    path = tmp_path / "s.csv"
+    path.write_bytes(data)
+    with pytest.raises(ValidationError, match=f"s.csv: .*can't decode byte 0x.. in position {position}:"):
+        read_csv(path)
+    assert capfd.readouterr().err == ""
+
+
+def test_read_holds_no_copy_of_the_text(tmp_path):
+    # A text copy of the 2.6 MB file and its StringIO took 14 MB.
+    e = generate(GenSpec(n=50_000, seed=19, rate_mean=1.2, rate_vol=0.3))
+    path = tmp_path / "s.csv"
+    write_csv(e, path)
+    tracemalloc.start()
+    try:
+        back = read_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.n == e.n
+    assert peak < 6e6

@@ -861,37 +861,43 @@ def origin_bound_runs():
     return (p, *quantile_shift_projection(p.ensemble, p.cone, 0.9))
 
 
+def pruned_points(monkeypatch, p, spec, configs, whole=False, audit=False):
+    """The points and the number of selection values that the runs (scaled
+    runs and convex mixes) built for them; with ``whole`` every selection
+    takes whole rows."""
+    counted = []
+
+    def counting(rows):
+        def count(params, x, y, out):
+            counted.append(out.size)
+            return rows(params, x, y, out)
+
+        return count
+
+    with monkeypatch.context() as m:
+        for name in ("_scale_rows", "_mix_rows"):
+            m.setattr(selections, name, counting(getattr(selections, name)))
+        if whole:
+            m.setattr(markets, "_prunable_tail", lambda *args: None)
+        points = selections.selection_points(p, spec, configs, audit=audit)
+    return points, sum(counted)
+
+
+def whole_share(monkeypatch, p, spec, configs):
+    """Check that the pruned points have the bits of whole rows; return the
+    share of the whole rows' values that the pruned runs built."""
+    points, values = pruned_points(monkeypatch, p, spec, configs)
+    whole, whole_values = pruned_points(monkeypatch, p, spec, configs, whole=True)
+    count = sum(f.count for f in selections._bundle_families(p, spec, configs)
+                if f.runs is not None)
+    assert whole_values == 2 * count * p.ensemble.n
+    assert same_bits(points, whole)
+    return values / whole_values
+
+
 class TestPrunedRuns:
     """Scaled runs are evaluated only on the scenarios that can reach their
     expected-shortfall tail, with the bits of whole rows."""
-
-    @staticmethod
-    def points(monkeypatch, p, spec, configs, whole=False, audit=False):
-        # The points and the number of selection values that the scaled
-        # runs built for them.
-        counted = []
-        scale_rows = selections._scale_rows
-
-        def counting(scales, step, base, out):
-            counted.append(out.size)
-            return scale_rows(scales, step, base, out)
-
-        with monkeypatch.context() as m:
-            m.setattr(selections, "_scale_rows", counting)
-            if whole:
-                m.setattr(markets, "_prunable_tail", lambda *args: None)
-            points = selections.selection_points(p, spec, configs, audit=audit)
-        return points, sum(counted)
-
-    def assert_whole_bits(self, monkeypatch, p, spec, configs):
-        """The share of the whole rows' values that the pruned runs built."""
-        points, values = self.points(monkeypatch, p, spec, configs)
-        whole, whole_values = self.points(monkeypatch, p, spec, configs, whole=True)
-        count = sum(f.count for f in selections._bundle_families(p, spec, configs)
-                    if f.runs is not None)
-        assert whole_values == 2 * count * p.ensemble.n
-        assert same_bits(points, whole)
-        return values / whole_values
 
     @pytest.mark.parametrize("level", [0.01, 0.05, 0.25, markets.PRUNE_MAX_TAIL])
     @pytest.mark.parametrize("side", ["both", "ray1", "ray2"])
@@ -900,14 +906,14 @@ class TestPrunedRuns:
         configs = [{"strategy": "quantile-shift", "side": side}]
         for n in (riskstats.PARTITION_MIN_N - 1, riskstats.PARTITION_MIN_N):
             p = cone_det_runs(run_ensemble(n))
-            share = self.assert_whole_bits(monkeypatch, p, spec, configs)
+            share = whole_share(monkeypatch, p, spec, configs)
             assert (share < 1) == (n >= riskstats.PARTITION_MIN_N), n
 
     @pytest.mark.parametrize("level", [0.01, 0.25])
     def test_bits_on_large_rows(self, monkeypatch, level):
         p = cone_det_runs(run_ensemble(30_000, seed=6))
         configs = [{"strategy": "quantile-shift", "side": "both"}]
-        assert self.assert_whole_bits(monkeypatch, p, RiskSpec(ES, level), configs) < 1
+        assert whole_share(monkeypatch, p, RiskSpec(ES, level), configs) < 1
 
     @pytest.mark.parametrize(
         "portfolio, configs",
@@ -930,7 +936,7 @@ class TestPrunedRuns:
     )
     def test_bits_on_awkward_runs(self, monkeypatch, portfolio, configs):
         p = portfolio()
-        assert self.assert_whole_bits(monkeypatch, p, RiskSpec(ES, 0.05), configs) < 1
+        assert whole_share(monkeypatch, p, RiskSpec(ES, 0.05), configs) < 1
 
     def test_origin_bound_scenarios_do_not_move(self):
         p, eta, ray = origin_bound_runs()
@@ -940,7 +946,7 @@ class TestPrunedRuns:
     def test_frictionless_runs(self, monkeypatch):
         p = SetPortfolio.random_halfplane(run_ensemble(riskstats.PARTITION_MIN_N))
         configs = [{"strategy": "frictionless"}, {"strategy": "axis-transfer"}]
-        assert self.assert_whole_bits(monkeypatch, p, RiskSpec(ES, 0.05), configs) < 1
+        assert whole_share(monkeypatch, p, RiskSpec(ES, 0.05), configs) < 1
 
     def test_default_bundle_builds_a_fraction_of_the_values(self, monkeypatch):
         # At the size of the benchmark's cone-det bundle, the 35 x 35
@@ -948,7 +954,7 @@ class TestPrunedRuns:
         n = 10_000
         p = cone_det_runs(run_ensemble(n, seed=7))
         configs = [{"strategy": "quantile-shift", "side": "both"}]
-        _, values = self.points(monkeypatch, p, RiskSpec(ES, 0.05), configs)
+        _, values = pruned_points(monkeypatch, p, RiskSpec(ES, 0.05), configs)
         assert values <= 0.4 * 1225 * 2 * n
 
     def test_audit_uneven_weights_and_other_functionals_take_whole_rows(self, monkeypatch):
@@ -960,8 +966,110 @@ class TestPrunedRuns:
         for p, spec, audit in ((even, RiskSpec(ES, 0.05), True),
                                (uneven, RiskSpec(ES, 0.05), False),
                                (even, RiskSpec(NEG_EXPECTATION), False)):
-            points, values = self.points(monkeypatch, p, spec, configs, audit=audit)
+            points, values = pruned_points(monkeypatch, p, spec, configs, audit=audit)
             assert values == 1225 * 2 * n
+            expected = [bounds.risk_of_selection(sel, p.ensemble.weights, spec)
+                        for sel in selections.gather_selections(p, spec, configs)]
+            assert same_bits(points, expected)
+
+
+def mix_portfolio(kind, e):
+    if kind == "liquidity":
+        return SetPortfolio.liquidity_capped(e, cap=(0.8, 1.2))
+    # Two extra vertex sets: the family holds two mixes.
+    shift = np.random.default_rng(8).standard_normal(e.gains.shape)
+    return SetPortfolio.segment_hull(e, [e.gains[:, ::-1], e.gains + shift])
+
+
+def mix_configs(kind):
+    name = {"liquidity": "liquidity-family", "segment": "segment-vertices"}[kind]
+    # The default grid, and an unsorted explicit one that repeats 0 and 1.
+    return [{"strategy": name},
+            {"strategy": name, "lambda_grid": {"values": [1.0, 0.0, 0.3, 1.0, 0.0, 0.85]}}]
+
+
+def signed_zero_ensemble(n):
+    # Non-negative gains, half of them zeros of either sign: the tail is
+    # made of zeros.
+    rng = np.random.default_rng(9)
+    gains = np.abs(rng.standard_normal((n, 2)))
+    zeros = rng.random((n, 2)) < 0.5
+    gains[zeros] = np.where(rng.random(np.count_nonzero(zeros)) < 0.5, -0.0, 0.0)
+    return ScenarioEnsemble(gains, rates=rng.lognormal(np.log(1.5), 0.3, n))
+
+
+class TestPrunedMixes:
+    """Convex mixes are evaluated only on the scenarios that can reach their
+    expected-shortfall tail, with the bits of whole rows."""
+
+    @pytest.mark.parametrize("level", [0.01, 0.05, 0.25, markets.PRUNE_MAX_TAIL])
+    @pytest.mark.parametrize("kind", ["liquidity", "segment"])
+    def test_bits_at_the_threshold(self, monkeypatch, kind, level):
+        spec = RiskSpec(ES, level)
+        for n in (markets.PRUNE_MIN_N - 1, markets.PRUNE_MIN_N):
+            p = mix_portfolio(kind, run_ensemble(n))
+            share = whole_share(monkeypatch, p, spec, mix_configs(kind))
+            # At PRUNE_MAX_TAIL the tail may round to one scenario past it.
+            fits = markets._prunable_tail(spec, p.ensemble.weights, 0) is not None
+            assert fits or level == markets.PRUNE_MAX_TAIL
+            assert (share < 1) == (fits and n >= markets.PRUNE_MIN_N), n
+
+    @pytest.mark.parametrize(
+        "ensemble",
+        [
+            lambda n: run_ensemble(n, ties=True),
+            lambda n: run_ensemble(n, scale=1e6),
+            signed_zero_ensemble,
+        ],
+        ids=["ties", "large-gains", "signed-zeros"],
+    )
+    @pytest.mark.parametrize("kind", ["liquidity", "segment"])
+    def test_bits_on_awkward_mixes(self, monkeypatch, kind, ensemble):
+        p = mix_portfolio(kind, ensemble(markets.PRUNE_MIN_N))
+        assert whole_share(monkeypatch, p, RiskSpec(ES, 0.05), mix_configs(kind)) < 1
+
+    def test_mixes_past_half_the_largest_float_take_every_scenario(self, monkeypatch):
+        e = run_ensemble(markets.PRUNE_MIN_N)
+        extra = e.gains[:, ::-1].copy()
+        extra[0] = 1.7e308
+        p = SetPortfolio.segment_hull(e, [extra])
+        configs = [{"strategy": "segment-vertices", "lambda_grid": {"values": [0.0, 1.0, 0.5]}}]
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            assert whole_share(monkeypatch, p, RiskSpec(ES, 0.05), configs) == 1
+
+    def test_bounds_hold_every_mix(self):
+        rng = np.random.default_rng(5)
+        n = 4000
+        a, b = 10.0 ** rng.uniform(-320.0, 300.0, (2, 2, n)) * rng.choice([-1.0, 1.0], (2, 2, n))
+        # Near and equal pairs, and pairs of one magnitude.
+        b[:, :500] = a[:, :500] * (1.0 + 1e-15 * rng.standard_normal((2, 500)))
+        b[:, 500:600] = a[:, 500:600]
+        b[:, 600:1000] = 10.0 ** rng.uniform(-1.0, 1.0, (2, 400)) * np.sign(b[:, 600:1000])
+        a[:, 600:1000] = 10.0 ** rng.uniform(-1.0, 1.0, (2, 400))
+        lams = np.concatenate([[0.0, 1.0, 0.5], rng.random(60), 1.0 - 2.0 ** -rng.integers(1, 54, 20)])
+        low, high = selections._mix_bounds(lams, a, b)
+        rows = selections._mix_rows(lams, a, b, np.empty((len(lams), 2, n)))
+        assert (low <= rows).all() and (rows <= high).all()
+        assert (low <= np.minimum(a, b)).all() and (np.maximum(a, b) <= high).all()
+
+    def test_support_grid_liquidity_bundle_builds_half_the_mix_values(self, monkeypatch):
+        # At the size and level of the benchmark's liquidity-capped bundle.
+        n = 50_000
+        p = SetPortfolio.liquidity_capped(run_ensemble(n, seed=7))
+        _, values = pruned_points(monkeypatch, p, RiskSpec(ES, 0.05), None)
+        assert values <= 0.5 * 2 * 21 * 2 * n
+
+    def test_audit_uneven_weights_and_other_functionals_take_whole_rows(self, monkeypatch):
+        n = markets.PRUNE_MIN_N
+        weights = np.random.default_rng(1).random(n)
+        configs = mix_configs("liquidity")
+        even = mix_portfolio("liquidity", run_ensemble(n))
+        uneven = mix_portfolio("liquidity", run_ensemble(n, weights=weights / weights.sum()))
+        for p, spec, audit in ((even, RiskSpec(ES, 0.05), True),
+                               (uneven, RiskSpec(ES, 0.05), False),
+                               (even, RiskSpec(NEG_EXPECTATION), False)):
+            points, values = pruned_points(monkeypatch, p, spec, configs, audit=audit)
+            assert values == 2 * (21 + 6) * 2 * n
             expected = [bounds.risk_of_selection(sel, p.ensemble.weights, spec)
                         for sel in selections.gather_selections(p, spec, configs)]
             assert same_bits(points, expected)
