@@ -5,12 +5,13 @@ exchanges at bid-ask rates; it contains the non-positive quadrant (free
 disposal).  A set-valued portfolio couples a scenario ensemble with the
 per-scenario set of attainable terminal positions, described here through
 its support function on the non-negative quadrant.  Each kind's record also
-makes the kind's outer cuts, from support values or reweighted scenarios.
+makes the kind's outer cuts and measures how far positions lie outside them.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -271,14 +272,6 @@ class SetPortfolio:
         rows = _support_rows(self, U)
         return rows[0] if one else rows
 
-    def support_blocks(self, U):
-        """Yield (block, rows): the (k, 2) directions ``U`` in blocks of
-        _BLOCK_VALUES // n rows (at least one), each with its support rows."""
-        size = max(1, _BLOCK_VALUES // self.ensemble.n)
-        for lo in range(0, len(U), size):
-            block = U[lo : lo + size]
-            yield block, self.support_values(block)
-
 
 def _support_rows(p, U, at=slice(None)):
     """The support rows at the (k, 2) directions ``U`` on the scenarios
@@ -408,14 +401,17 @@ def _tail_cuts(p, risk_spec, U):
 
 def _support_cuts(p, risk_spec, candidates):
     """The candidate directions whose support is finite on every live
-    scenario, and the risks of their support values (the cut offsets)."""
+    scenario, and the risks of their support values (the cut offsets), in
+    blocks of _BLOCK_VALUES // n directions (at least one)."""
     pruned = _tail_cuts(p, risk_spec, candidates)
     if pruned is not None:
         return pruned
     weights = p.ensemble.weights
     live = weights > 0
+    size = max(1, _BLOCK_VALUES // p.ensemble.n)
     dirs, offsets = [], []
-    for U, rows in p.support_blocks(candidates):
+    for U in (candidates[lo : lo + size] for lo in range(0, len(candidates), size)):
+        rows = p.support_values(U)
         fin = np.isfinite(rows)
         finite = fin.all(axis=1)
         if not finite.all():
@@ -445,25 +441,23 @@ class PortfolioKind:
     the support values of the scenarios ``at`` (a slice or an index array)
     at each row u of a (k, 2) block of directions ``U`` given the array
     ``base`` of rows ``gains[at] @ u``, which it may overwrite and return,
-    and ``parse(block, ensemble)``, which builds a portfolio from a config
-    block and pops the keys it reads.  Its ``outer_cuts`` makes the dual cuts
-    of the outer region.  ``strategies`` is the default strategy set; apart
-    from "explicit", only the strategies it names apply to the kind.  A kind
-    may leave some of them out of the defaults for a given portfolio.
+    ``excess(p, eta)``, the (..., n) least cash t in both assets that puts
+    eta - t * (1, 1) in each scenario's set less the non-negative quadrant
+    for (..., n, 2) positions ``eta`` (t <= 0 inside), and ``parse(block,
+    ensemble)``, which builds a portfolio from a config block and pops the
+    keys it reads.  Its ``outer_cuts`` makes the dual cuts of the outer
+    region.  ``strategies`` is the default strategy set; apart from
+    "explicit", only the strategies it names apply to the kind.  A kind may
+    leave some of them out of the defaults for a given portfolio.
     """
 
     strategies = ()
     # The portfolio fields besides the ensemble that the kind reads; a new
     # portfolio must leave the others unset.
     fields = ()
-    # Kinds that exchange at the scenario's rate need rates, and the audit
-    # checks that no selection creates wealth at that rate.
-    trades_at_rate = False
 
     def validate(self, p):
         """Check and normalise the kind's fields of a new portfolio."""
-        if self.trades_at_rate:
-            p.ensemble.require_rates()
 
     def recession(self, p, risk_spec):
         """Recession cone that the inner region may add for free."""
@@ -492,8 +486,8 @@ class PortfolioKind:
         return None
 
     def exact_dirs(self, p):
-        """Unit directions of exact support, which the audit and the outer
-        support grid probe besides their direction fans."""
+        """Unit directions of exact support, which the outer support grid
+        probes besides its direction fan."""
         return []
 
     def outer_cuts(self, p, risk_spec, n_dirs):
@@ -553,6 +547,14 @@ class _ConeDet(PortfolioKind):
     def exact_dirs(self, p):
         return [_unit(p.cone.a1), _unit(p.cone.a2)]
 
+    def excess(self, p, eta):
+        # The cone less the quadrant is the cone: a.(d - t(1, 1)) <= 0 at both dual
+        # generators a, d = eta - gains, so t is the larger d1 + (d0 - d1) a0 / a.(1, 1).
+        d0, d1 = _moves(p, eta)
+        gap = d0 - d1
+        w1, w2 = (a[0] / a.sum() for a in (p.cone.a1, p.cone.a2))
+        return np.maximum(gap * w1, gap * w2) + d1
+
     def outer_cuts(self, p, risk_spec, n_dirs):
         """Exact pair of dual cuts along the exchange-cone dual generators."""
         dirs = np.array([p.cone.a1, p.cone.a2], dtype=float)
@@ -564,7 +566,9 @@ class _ConeDet(PortfolioKind):
 
 class _RandomHalfplane(PortfolioKind):
     strategies = (_IDENTITY, {"strategy": "frictionless"}, {"strategy": "axis-transfer"})
-    trades_at_rate = True
+
+    def validate(self, p):
+        p.ensemble.require_rates()
 
     def support(self, p, U, base, at):
         pi = p.ensemble.rates[at]
@@ -577,6 +581,11 @@ class _RandomHalfplane(PortfolioKind):
 
     def parse(self, block, ensemble):
         return SetPortfolio.random_halfplane(ensemble)
+
+    def excess(self, p, eta):
+        # Below the exchange line through the gains.
+        d0, d1 = _moves(p, eta)
+        return (p.ensemble.rates * d0 + d1) / (p.ensemble.rates + 1.0)
 
     def recession(self, p, risk_spec):
         rates = WeightedSample(p.ensemble.require_rates(), p.ensemble.weights)
@@ -622,10 +631,9 @@ class _RandomHalfplane(PortfolioKind):
 class _LiquidityCapped(PortfolioKind):
     fields = ("cap",)
     strategies = (_IDENTITY, {"strategy": "liquidity-family"})
-    trades_at_rate = True
 
     def validate(self, p):
-        super().validate(p)
+        p.ensemble.require_rates()
         cap = (1.0, 1.0) if p.cap is None else p.cap
         if np.ndim(cap) != 1 or len(cap) != 2:
             raise ValidationError("liquidity cap must be a positive 2-vector")
@@ -658,6 +666,12 @@ class _LiquidityCapped(PortfolioKind):
     def parse(self, block, ensemble):
         return SetPortfolio.liquidity_capped(ensemble, cap=block.pop("cap", (1.0, 1.0)))
 
+    def excess(self, p, eta):
+        # The segment less the quadrant: below the exchange line and gains + cap.
+        d0, d1 = _moves(p, eta)
+        t = (p.ensemble.rates * d0 + d1) / (p.ensemble.rates + 1.0)
+        return np.maximum(np.maximum(t, d0 - p.cap[0], out=t), d1 - p.cap[1], out=t)
+
 
 class _Ball(PortfolioKind):
     fields = ("radius",)
@@ -679,6 +693,16 @@ class _Ball(PortfolioKind):
 
     def parse(self, block, ensemble):
         return SetPortfolio.ball(ensemble, radius=block.pop("radius"))
+
+    def excess(self, p, eta):
+        # With hi >= lo the entries of d = eta - gains and g = hi - lo, the least
+        # t puts hi - t at r while g >= r, and (hi - t, lo - t) on the circle else.
+        d0, d1 = _moves(p, eta)
+        r = p.radius
+        hi, lo = np.maximum(d0, d1), np.minimum(d0, d1)
+        g = hi - lo
+        arc = r * np.sqrt(2.0 - (np.minimum(g, r) / r) ** 2)
+        return np.where(g >= r, hi - r, lo + (g - arc) / 2.0)
 
 
 class _SegmentHull(PortfolioKind):
@@ -717,6 +741,28 @@ class _SegmentHull(PortfolioKind):
         else:
             extra_gains = block.pop("extra_gains")
         return SetPortfolio.segment_hull(ensemble, extra_gains)
+
+    def excess(self, p, eta):
+        # Less the quadrant, the hull is the union of the segments between its vertices.
+        pairs = itertools.combinations((p.ensemble.gains,) + p.extra_gains, 2)
+        return np.min([_segment_excess(*np.moveaxis(eta - v, -1, 0), *(w - v).T)
+                       for v, w in pairs], axis=0)
+
+
+def _moves(p, eta):
+    """The moves eta - gains of (..., n, 2) positions, as (..., n) per asset."""
+    d = np.swapaxes(eta, -1, -2) - p.ensemble.gains.T
+    return d[..., 0, :], d[..., 1, :]
+
+
+def _segment_excess(d0, d1, s0, s1):
+    """Excess over the segment from 0 to (s0, s1), less the quadrant, of the
+    moves (d0, d1): min over l in [0, 1] of max(d0 - l s0, d1 - l s1), which
+    is attained at an end or where the two terms cross."""
+    num, den = d0 - d1, s0 - s1
+    cross = np.divide(num, den, out=np.zeros_like(num), where=np.abs(num) < np.abs(den))
+    ends = [np.maximum(d0 - lam * s0, d1 - lam * s1) for lam in (0.0, 1.0, np.maximum(cross, 0))]
+    return np.min(ends, axis=0)
 
 
 KINDS = {

@@ -144,7 +144,8 @@ def read_csv(path):
     the handle straight to numpy, with no copy of the text.  A file whose
     header does not decode or split as csv, or whose rows numpy rejects, is
     read again as text and its rows parsed one cell at a time, which gives
-    the messages for empty files, undecodable bytes and bad rows."""
+    the messages for empty files, undecodable bytes, cells past the csv
+    module's field limit and bad rows."""
     encoding = locale.getpreferredencoding(False)
     with open(path, "rb") as fh:
         try:
@@ -189,7 +190,7 @@ def _read_text(path):
             body = fh.read()
         except StopIteration:
             raise ValidationError(f"{path}: empty scenario file") from None
-        except UnicodeDecodeError as exc:
+        except (UnicodeDecodeError, csv.Error) as exc:
             raise ValidationError(f"{path}: {exc}") from None
     return _columns(path, header), body
 
@@ -217,15 +218,19 @@ def _parse_rows(path, body, width):
     what numpy does not (quoted cells, rows of blank cells, ``1_0``) and
     names the line of the first row it cannot read."""
     rows = []
-    for lineno, row in enumerate(csv.reader(io.StringIO(body, newline="")), start=2):
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if len(row) != width:
-            raise ValidationError(f"{path}:{lineno}: expected {width} fields, got {len(row)}")
-        try:
-            rows.append([float(cell) for cell in row])
-        except ValueError as exc:
-            raise ValidationError(f"{path}:{lineno}: {exc}") from None
+    reader = csv.reader(io.StringIO(body, newline=""))
+    try:
+        for lineno, row in enumerate(reader, start=2):
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            if len(row) != width:
+                raise ValidationError(f"{path}:{lineno}: expected {width} fields, got {len(row)}")
+            try:
+                rows.append([float(cell) for cell in row])
+            except ValueError as exc:
+                raise ValidationError(f"{path}:{lineno}: {exc}") from None
+    except csv.Error as exc:  # the reader counts the lines after the header
+        raise ValidationError(f"{path}:{reader.line_num + 1}: {exc}") from None
     if not rows:
         raise ValidationError(f"{path}: no scenario rows")
     return np.asarray(rows, dtype=float)

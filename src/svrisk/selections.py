@@ -16,10 +16,10 @@ that can reach its tail.  ``build_family``
 and ``gather_selections`` turn families into ``SelectionMatrix`` lists
 instead.
 Every emitted row must stay inside the scenario's attainable set, which the
-audit verifies through support-function inequalities: ``selection_auditor``
-computes the support rows of its directions once per portfolio and checks
-whole blocks of selections against them, and ``audit_selection`` is its
-one-selection call.
+audit tests exactly: ``selection_auditor`` measures each selection of a block
+by its kind's ``excess``, the cash in both assets that brings it back into
+every scenario's set less the non-negative quadrant, and ``audit_selection``
+is its one-selection call.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 from . import markets, riskstats
 from .errors import ValidationError
 from .geom2d import _unit
-from .markets import _IDENTITY, _count, _real, _reals, direction_grid, dual_cone
+from .markets import _IDENTITY, _count, _real, _reals, dual_cone
 from .riskstats import NEG_ESSINF, RiskSpec, WeightedSample, es_empirical, risk_rows, var_empirical
 
 
@@ -436,90 +436,39 @@ def _mix(first, second, lam):
     )
 
 
-# Directions of the first-quadrant fan that the audit probes.
-_AUDIT_DIRS = 64
-# Largest support violation a selection may show when bundles are audited.
+# Largest excess a selection may show when bundles are audited.
 _AUDIT_TOL = 1e-7
+# The audit measures groups of _AUDIT_VALUES // n selections (at least one): one
+# at a time took 2.2x as long, whole blocks 3x (cone-det defaults, n = 2000, 2 cores).
+_AUDIT_VALUES = 2**14
 
 
 def selection_auditor(portfolio):
-    """Audit function for blocks of selections of ``portfolio``.
-
-    Computes the support values of the audit directions once: a fan over
-    the first quadrant plus the kind's exact directions, keeping the k
-    directions ``U`` whose support is finite on some scenario and their
-    support values ``H``, scenario-major (n, k).  The returned function maps
-    a (b, n, 2) block of selection gains to each selection's largest
-    support-function violation (<= 0 is valid; NaN, from a non-finite
-    selection, is carried through); for kinds that trade at the scenario
-    rate it also checks that no wealth is created at that rate.
-
-    The scenarios are taken in chunks of at most _BLOCK_VALUES // k values
-    (at least two scenarios), whose support values are a view of ``H``.
-    Per chunk each selection costs one (scenarios, 2) @ (2, k) product of
-    its coordinates with all k directions, a subtraction and a maximum.
-    BLAS rounds a product by its shape, so its entries keep their bits under
-    a split of the scenarios only in this orientation and with at least two
-    rows and two columns; that keeps every gap independent of the block size
-    and thread count.
-    """
-    E = portfolio.ensemble
-    n = E.n
-    dirs = np.vstack([direction_grid(_AUDIT_DIRS)] + portfolio.definition.exact_dirs(portfolio))
-    # Finite rows go straight into H; the rows past them are never written.
-    H = np.empty((len(dirs), n))
-    finite, k = [], 0
-    for _, rows in portfolio.support_blocks(dirs):
-        fin = np.isfinite(rows).any(axis=1)
-        finite.append(fin)
-        kept = np.count_nonzero(fin)
-        np.compress(fin, rows, axis=0, out=H[k : k + kept])
-        k += kept
-    # Scenario-major, so that a chunk's support values are a contiguous view.
-    U, H = dirs[np.concatenate(finite)], np.ascontiguousarray(H[:k].T)
-    # A lone direction is taken twice, so that no product has one column.
-    Ut = np.ascontiguousarray((np.vstack([U, U]) if k == 1 else U).T)
-    width = min(n, max(2, markets._BLOCK_VALUES // max(k, 1)))
-    starts = list(range(0, n, width))
-    if n - starts[-1] == 1 and n > 1:
-        # The last scenario is taken with the one before it.
-        starts[-1] -= 1
-    product = np.empty((width, Ut.shape[1]))
-    x0, x1 = E.gains.T
-    pi = E.rates if portfolio.definition.trades_at_rate else None
-    if pi is not None:
-        norm = np.hypot(pi, 1.0)
+    """Audit function for blocks of selections of ``portfolio``: it maps a
+    (b, n, 2) block of selection gains to each selection's largest excess
+    over the scenarios (see ``PortfolioKind.excess``; <= 0 is valid), or NaN
+    for a selection with a non-finite entry.  The excess is computed entry by
+    entry, so it does not depend on the block or on the other selections."""
+    excess = portfolio.definition.excess
+    shape = portfolio.ensemble.gains.shape
+    group = max(1, _AUDIT_VALUES // shape[0])
 
     def audit(gains):
         gains = np.asarray(gains, dtype=float)
-        if gains.shape[1:] != E.gains.shape:
+        if gains.shape[1:] != shape:
             raise ValidationError("selection does not match the ensemble")
-        # Each coordinate of a selection as one contiguous row, which a view
-        # of the pipeline's block buffer already is.
-        coords = np.ascontiguousarray(gains.transpose(0, 2, 1))
-        worst = np.full(len(coords), -math.inf)
-        chunk_worst = np.empty(len(coords))
-        for lo in (starts if k else ()):
-            hi = min(n, lo + width)
-            s = product[: hi - lo]
-            for i, g in enumerate(coords):
-                np.matmul(g[:, lo:hi].T, Ut, out=s)
-                # A finite entry against infinite support gives -inf here
-                # and never binds.
-                chunk_worst[i] = np.subtract(s, H[lo:hi], out=s).max()
-            np.maximum(worst, chunk_worst, out=worst)
-        if pi is not None:
-            gap = (coords[:, 0] - x0) * pi + (coords[:, 1] - x1)
-            gap /= norm
-            np.maximum(worst, gap.max(axis=1), out=worst)
+        worst = np.empty(len(gains))
+        for lo in range(0, len(gains), group):
+            np.max(excess(portfolio, gains[lo : lo + group]), axis=1, out=worst[lo : lo + group])
+        worst[~np.isfinite(gains).all(axis=(1, 2))] = math.nan
         return worst
 
     return audit
 
 
 def audit_selection(portfolio, selection):
-    """Largest support-function violation of the selection (<= 0 is valid);
-    see ``selection_auditor``, which audits many selections at once."""
+    """Largest excess of the selection over the portfolio's sets (<= 0 is
+    valid); see ``selection_auditor``, which audits many selections at once."""
     return float(selection_auditor(portfolio)(np.stack([selection.gains]))[0])
 
 
@@ -717,7 +666,7 @@ def _block_points(families, n, risk_spec, weights, auditor):
                 first, family, lo = next(p for p in reversed(parts) if p[0] <= bad[0])
                 raise ValidationError(
                     f"selection {family.label(lo + bad[0] - first)!r} leaves the "
-                    f"portfolio (support violation {gaps[bad[0]]:.3e})"
+                    f"portfolio (excess {gaps[bad[0]]:.3e})"
                 )
         # Row 2i + j of the contiguous buffer is coordinate j of selection i;
         # the block is scratch once audited, so the kernel sorts it in place.

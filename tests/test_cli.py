@@ -4,6 +4,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -11,10 +12,12 @@ import pytest
 import svrisk
 
 import svrisk.cli as cli
+import svrisk.scenarios
 from svrisk._repro import run_repro
 from svrisk.bounds import RiskBundle, compute_bundle, sandwich_violation
 from svrisk.cli import entrypoint
 from svrisk.errors import ValidationError
+from svrisk.markets import ScenarioEnsemble
 from svrisk.geom2d import (
     ConvexCone2D,
     RiskRegion2D,
@@ -813,3 +816,119 @@ def test_import_loads_no_scipy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+# Portfolio blocks and strategy lists of the mutated configs: small grids,
+# so that each run takes milliseconds.
+MUTATED_KINDS = [
+    ({"kind": "cone-det", "pi12": 1.5, "pi21": 1.2},
+     [{"strategy": "quantile-shift", "side": "both", "t_grid": {"count": 3}},
+      {"strategy": "corner-selections"}]),
+    ({"kind": "cone-halfplane-random"},
+     [{"strategy": "frictionless", "t_grid": {"values": [0.0, 1.0, 2.0]}}]),
+    ({"kind": "liquidity-capped", "cap": [1.0, 0.5]},
+     [{"strategy": "liquidity-family", "lambda_grid": {"count": 3}}]),
+    ({"kind": "ball", "radius": 0.7}, [{"strategy": "ball-boost"}]),
+    ({"kind": "segment-hull", "extra": "mirror"},
+     [{"strategy": "segment-vertices", "lambda_grid": {"values": [0.25, 0.5]}}]),
+]
+# What a mutated config value becomes.
+MUTANT_VALUES = [None, True, False, 0, -1, 2, 0.5, -0.5, 1e308, -1e308, 5e-324, 2**64, "x",
+                 "", [], [1.0], [1.0, 2.0, 3.0], {}, {"values": [0.0, 1.0]}]
+
+
+def mutated_config(base, rng):
+    """A deep copy of ``base`` with one value replaced or one key dropped."""
+    config = json.loads(json.dumps(base))
+    places = []
+
+    def walk(node):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, value in items:
+            places.append((node, key))
+            if isinstance(value, (dict, list)):
+                walk(value)
+
+    walk(config)
+    node, key = places[int(rng.integers(len(places)))]
+    if isinstance(node, dict) and rng.random() < 0.2:
+        del node[key]
+    else:
+        node[key] = MUTANT_VALUES[int(rng.integers(len(MUTANT_VALUES)))]
+    return config
+
+
+def mutated_bytes(data, rng):
+    """``data`` with one byte changed, a few removed or inserted, a run
+    doubled or the tail cut off."""
+    data = bytearray(data)
+    at = int(rng.integers(len(data)))
+    op = int(rng.integers(5))
+    if op == 0:
+        data[at] = int(rng.integers(256))
+    elif op == 1:
+        del data[at : at + int(rng.integers(1, 8))]
+    elif op == 2:
+        pool = b',."-+e\n\r 0123456789inan\x00\xff'
+        data[at:at] = bytes(pool[int(i)] for i in rng.integers(len(pool), size=rng.integers(1, 6)))
+    elif op == 3:
+        data[at:at] = data[at : at + int(rng.integers(1, 40))]
+    else:
+        del data[at:]
+    return bytes(data)
+
+
+def run_quietly(tmp_path, capsys, config):
+    """Exit code of ``svrisk risk`` on the config, which must end in 0, 2 or
+    3 with at most one line on stderr, no traceback and no warning."""
+    path = write_json(tmp_path / "mutant.json", config)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = entrypoint(["risk", "--config", path, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3), (code, config)
+    assert len(err.splitlines()) <= 1 and "Traceback" not in err, (err, config)
+    return code
+
+
+class TestMutatedInputs:
+    def test_mutated_configs_fail_cleanly(self, tmp_path, capsys):
+        rng = np.random.default_rng(61)
+        codes = []
+        for i in range(60):
+            portfolio, strategies = MUTATED_KINDS[i % len(MUTATED_KINDS)]
+            base = {
+                "scenarios": {"generate": {"n": 16, "seed": 3, "correlation": -0.3,
+                                           "rate": {"mean": 1.5, "vol": 0.3}}},
+                "portfolio": portfolio,
+                "risk": {"kind": "expected-shortfall", "level": 0.2},
+                "strategies": strategies,
+                "directions": 9,
+                "audit": True,
+                "window": [-5.0, -5.0, 5.0, 5.0],
+            }
+            codes.append(run_quietly(tmp_path, capsys, mutated_config(base, rng)))
+        # Most mutations are refused, and some still make a bundle.
+        assert codes.count(2) >= 20 and codes.count(0) >= 5, codes
+
+    def test_mutated_scenario_files_fail_cleanly(self, tmp_path, capsys):
+        rng = np.random.default_rng(62)
+        e = ScenarioEnsemble(rng.standard_normal((12, 2)), rates=rng.uniform(0.5, 2.0, 12))
+        clean = tmp_path / "clean.csv"
+        svrisk.scenarios.write_csv(e, clean)
+        data = clean.read_bytes()
+        path = tmp_path / "mutant.csv"
+        codes = []
+        for i in range(60):
+            portfolio, strategies = MUTATED_KINDS[i % len(MUTATED_KINDS)]
+            path.write_bytes(mutated_bytes(data, rng))
+            config = {
+                "scenarios": {"csv": str(path)},
+                "portfolio": portfolio,
+                "risk": {"kind": "expected-shortfall", "level": 0.25},
+                "strategies": strategies,
+                "directions": 9,
+                "audit": True,
+            }
+            codes.append(run_quietly(tmp_path, capsys, config))
+        assert codes.count(2) >= 10 and codes.count(0) >= 10, codes

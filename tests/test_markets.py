@@ -23,6 +23,11 @@ from svrisk.markets import (
 from svrisk.riskstats import ES, RiskSpec
 
 
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
 def one_scenario(x1, x2, rate=None):
     rates = None if rate is None else np.array([rate], dtype=float)
     return ScenarioEnsemble(np.array([[x1, x2]], dtype=float), rates=rates)
@@ -305,16 +310,6 @@ class TestSupportRows:
             scalar = np.array([[np.cos(a), np.sin(a)] for a in angles])
             assert direction_grid(n).tobytes() == scalar.tobytes()
 
-    def test_support_blocks_cover_the_directions_in_order(self, monkeypatch):
-        p = support_cases()["ball"]
-        U = direction_grid(11)
-        monkeypatch.setattr(markets, "_BLOCK_VALUES", 3 * p.ensemble.n + 1)
-        blocks = list(p.support_blocks(U))
-        assert [len(block) for block, _ in blocks] == [3, 3, 3, 2]
-        assert np.array_equal(np.vstack([block for block, _ in blocks]), U)
-        rows = np.vstack([rows for _, rows in blocks])
-        assert rows.tobytes() == p.support_values(U).tobytes()
-
     def test_block_of_directions_validated(self):
         p = SetPortfolio.ball(one_scenario(0.0, 0.0), radius=1.0)
         with pytest.raises(ValidationError, match="non-zero"):
@@ -426,6 +421,82 @@ class TestReach:
         norms = np.hypot(U[:, 0], U[:, 1])[:, None]
         assert reach.shape == (p.ensemble.n,)
         assert np.all(np.abs(rows) <= reach * norms * (1 + 1e-12))
+
+
+def with_rays(U, X, east, north, step):
+    """U and X with every third scenario from the second moved to ``east``
+    (the set's point furthest along asset 1) less ``step`` of asset 2, at
+    (1, 0), and every third from the third to ``north`` less ``step`` of
+    asset 1, at (0, 1): points on the two rays of the set less the quadrant."""
+    U, X, which = U.copy(), X.copy(), np.arange(len(X)) % 3
+    U[which == 1], X[which == 1] = (1.0, 0.0), (east - step * (0.0, 1.0))[which == 1]
+    U[which == 2], X[which == 2] = (0.0, 1.0), (north - step * (1.0, 0.0))[which == 2]
+    return U, X
+
+
+def excess_cases():
+    """(portfolio, U, X) per case: for each scenario, a direction U and a
+    point X of its set less the quadrant whose value at U is the support
+    there."""
+    rng = np.random.default_rng(23)
+    n = 60
+    gains = rng.standard_normal((n, 2)) * 2.0
+    rates = rng.uniform(0.4, 2.5, n)
+    e = ScenarioEnsemble(gains, rates=rates)
+    lam = rng.uniform(0.0, 1.0, (n, 1))
+    theta = rng.uniform(0.05, np.pi / 2.0 - 0.05, n)
+    up = np.column_stack([np.cos(theta), np.sin(theta)])
+    cases = {}
+    for name, cone in [("cone-det", ExchangeCone2D(2.0, 3.0)),
+                       ("cone-det-no-exchange", ExchangeCone2D.no_exchange())]:
+        # Along a generator of the cone, at its paired dual generator.
+        first = lam < 0.5
+        cases[name] = (SetPortfolio.cone_det(e, cone), np.where(first, cone.a1, cone.a2),
+                       gains + 3.0 * lam * np.where(first, cone.b1, cone.b2))
+    line = np.column_stack([np.ones(n), -rates])
+    dual = np.column_stack([rates, np.ones(n)])
+    cases["cone-halfplane-random"] = (
+        SetPortfolio.random_halfplane(e), dual, gains + (4.0 * lam - 2.0) * line)
+    cap = (0.8, 1.2)
+    ends = gains + cap[0] * line, gains - cap[1] / rates[:, None] * line
+    cases["liquidity-capped"] = (
+        SetPortfolio.liquidity_capped(e, cap=cap),
+        *with_rays(dual, gains + (lam * cap[0] - (1.0 - lam) * cap[1] / rates[:, None]) * line,
+                   *ends, 3.0 * lam))
+    cases["ball"] = (SetPortfolio.ball(e, radius=0.7),
+                     *with_rays(up, gains + 0.7 * up, gains + (0.7, 0.0), gains + (0.0, 0.7),
+                                3.0 * lam))
+    # Inside the mirror segment, whose normal is (1, 1).
+    mirror = gains[:, ::-1]
+    cases["segment-hull"] = (SetPortfolio.segment_hull(e, [mirror]), np.ones((n, 2)),
+                             lam * gains + (1.0 - lam) * mirror)
+    extras = [mirror, 0.5 * gains + 1.0]
+    vertices = np.stack([gains] + extras)
+    top = [vertices[np.argmax((vertices * u).sum(axis=2), axis=0), np.arange(n)]
+           for u in (up, (1.0, 0.0), (0.0, 1.0))]
+    cases["segment-hull-vertices"] = (SetPortfolio.segment_hull(e, extras),
+                                      *with_rays(up, *top, 3.0 * lam))
+    return cases
+
+
+class TestExcess:
+    @pytest.mark.parametrize("case", sorted(excess_cases()))
+    def test_boundary_points_have_excess_zero_and_shifts_their_size(self, case):
+        p, U, X = excess_cases()[case]
+        scale = 1.0 + np.abs(X).max()
+        h = np.diagonal(p.support_values(U))
+        assert np.abs((U * X).sum(axis=1) - h).max() <= 1e-12 * scale * np.abs(U).max()
+        # X lies on the boundary of the set less the quadrant, so moving it
+        # by t * (1, 1) takes t in cash to undo.
+        shifts = np.array([0.0, 0.3, -0.4, 2.5])
+        got = p.definition.excess(p, X + shifts[:, None, None])
+        assert np.abs(got - shifts[:, None]).max() <= 1e-12 * scale, case
+        for t, row in zip(shifts, got):
+            assert same_bits(p.definition.excess(p, X + t), row), case
+
+    def test_every_kind_defines_excess(self):
+        for name, kind in KINDS.items():
+            assert "excess" in type(kind).__dict__, name
 
 
 PRUNED_KINDS = {

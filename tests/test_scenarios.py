@@ -215,6 +215,8 @@ class TestCsvRoundtrip:
         assert back.weights.tobytes() == cells[:, 3].tobytes()
 
 
+TOO_LONG = f"field larger than field limit ({csv.field_size_limit()})"
+
 # Files the one-pass parse rejects or reads differently from a per-cell
 # parse: each gives the ensemble or the one-line message the row loop gives.
 ODD_FILES = {
@@ -235,6 +237,12 @@ ODD_FILES = {
     "cr-in-rows": ("x1,x2\n1,2\r3,4\n", [[1.0, 2.0], [3.0, 4.0]]),
     "quoted-header": ('"x1",x2\n1,2\n', [[1.0, 2.0]]),
     "multi-line-header": ('"x1\n",x2\n1,2\n', [[1.0, 2.0]]),
+    # Cells longer than the csv module's field limit, in the header, in a
+    # quoted body cell, and in a quoted cell that runs on past its line (the
+    # message names the line where the cell passes the limit).
+    "long-header-cell": ("x1,x2" + "1" * 200_000 + "\n1,2\n", f": {TOO_LONG}"),
+    "long-quoted-cell": ('x1,x2\n1,2\n3,"' + "4" * 200_000 + '"\n', f":3: {TOO_LONG}"),
+    "long-open-quote": ('x1,x2\n1,2\n3,"4"\n5,"6\n' + "7" * 200_000 + "\n", f":5: {TOO_LONG}"),
 }
 
 

@@ -419,17 +419,20 @@ class TestAudit:
 
     @pytest.mark.parametrize("n", [1, 40, 301])
     def test_non_finite_selection_is_a_violation(self, n):
-        # An overflowed selection holds +inf; against a direction with a zero
-        # component its product is nan, which is a violation as well.
+        # A selection with an infinite or nan entry has a nan excess, even
+        # where the kind's formula would give a finite one (a liquidity
+        # selection at -inf in one asset lies below the segment there).
         for p in audit_portfolios(n, seed=44):
             audit = selection_auditor(p)
             for row in {0, n // 2, n - 1}:
                 for j in (0, 1):
-                    gains = p.ensemble.gains.copy()
-                    gains[row, j] = np.inf
-                    with np.errstate(all="ignore"):
-                        gap = audit(gains[None])[0]
-                    assert not gap <= selections._AUDIT_TOL, (p.kind, row, j)
+                    for bad in (np.inf, -np.inf, np.nan):
+                        gains = p.ensemble.gains.copy()
+                        gains[row, j] = bad
+                        with np.errstate(all="ignore"):
+                            gaps = audit(np.stack([p.ensemble.gains, gains]))
+                        assert gaps[0] <= selections._AUDIT_TOL, p.kind
+                        assert np.isnan(gaps[1]), (p.kind, row, j, bad)
 
     def test_pipeline_refuses_non_finite_gap(self, monkeypatch):
         # A ball selection that equals the gains but for one +inf entry has
@@ -453,12 +456,12 @@ class TestAudit:
         assert audit_selection(p, cheat) > 0.5
 
     def test_random_halfplane_wealth_gap_caught(self):
+        # At rate 2 the position (0.1, 0.1) is worth 0.3 in asset 2, and
+        # 0.1 in each asset comes to the same.
         e = rate_ensemble([[0.0, 0.0]], [2.0])
         p = SetPortfolio.random_halfplane(e)
-        # No audit direction is finite anywhere, so only the wealth check binds.
-        assert not np.isfinite(p.support_values(direction_grid(selections._AUDIT_DIRS))).any()
         cheat = SelectionMatrix(np.array([[0.1, 0.1]]), "cheat")
-        assert audit_selection(p, cheat) > 0.1
+        assert audit_selection(p, cheat) == pytest.approx(0.1, abs=1e-15)
         fair = SelectionMatrix(np.array([[0.5, -1.0]]), "fair")
         assert audit_selection(p, fair) <= 1e-12
 
@@ -478,9 +481,6 @@ class TestAudit:
         n = 24
         gains = rng.standard_normal((n, 2))
         rates = rng.uniform(0.5, 2.0, n)
-        # Rates whose dual ray lies on the audit fan, so the random kind's
-        # support is finite on only some scenarios in those directions.
-        rates[:3] = 1.0 / np.tan(np.linspace(0.0, np.pi / 2.0, 64)[[10, 32, 50]])
         w = rng.random(n) if weights == "uneven" else np.ones(n)
         e = ScenarioEnsemble(gains, rates=rates, weights=w / w.sum())
         spec = RiskSpec(ES, 0.25)
@@ -499,66 +499,88 @@ class TestAudit:
             ]
             sels.append(SelectionMatrix(gains + np.array([0.7, 0.2]), "cheat"))
             gaps = selection_auditor(p)(np.stack([sel.gains for sel in sels]))
-            # Each one-selection call computes every support row again, so
-            # compare a spread of rows plus the last three.
-            picks = sorted(set(range(0, len(sels), max(1, len(sels) // 30)))
-                           | {len(sels) - 3, len(sels) - 2, len(sels) - 1})
-            expected = [audit_selection(p, sels[i]) for i in picks]
-            assert gaps[picks].tolist() == expected, p.kind
+            assert gaps.tolist() == [audit_selection(p, sel) for sel in sels], p.kind
             assert gaps[-1] > 0.05, p.kind
 
 
 def audit_portfolios(n, seed):
-    """A portfolio of each kind, and of the random kind at a constant rate,
-    which has one finite audit direction."""
+    """A portfolio of each kind, cone-det also without exchange and
+    segment-hull with two extra vertices."""
     rng = np.random.default_rng(seed)
     gains = rng.standard_normal((n, 2)) * 3.0
-    rates = rng.uniform(0.5, 2.0, n)
-    # Rates whose dual ray lies on the audit fan, so the random kind's
-    # support is finite on only some scenarios in those directions.
-    fan = np.linspace(0.0, np.pi / 2.0, selections._AUDIT_DIRS)
-    rates[:3] = 1.0 / np.tan(fan[[10, 32, 50][:n]])
-    e = ScenarioEnsemble(gains, rates=rates)
-    # One rate on the fan in every scenario: one finite audit direction.
-    one_aligned = np.full(n, rates[0])
+    e = ScenarioEnsemble(gains, rates=rng.uniform(0.5, 2.0, n))
     return [
         SetPortfolio.cone_det(e, ExchangeCone2D(2.0, 3.0)),
+        SetPortfolio.cone_det(e, ExchangeCone2D.no_exchange()),
         SetPortfolio.random_halfplane(e),
         SetPortfolio.liquidity_capped(e, cap=(0.8, 1.2)),
         SetPortfolio.ball(e, radius=0.6),
-        SetPortfolio.segment_hull(e, [gains[:, ::-1]]),
-        SetPortfolio.random_halfplane(ScenarioEnsemble(gains, rates=one_aligned)),
+        SetPortfolio.segment_hull(e, [gains[:, ::-1], 0.5 * gains + 1.0]),
     ]
 
 
 def audit_cases(n, seed):
     """(portfolio, (b, n, 2) stacked gains) of each ``audit_portfolios``
-    portfolio: its default selections plus one that leaves the portfolio."""
+    portfolio: its default selections plus one that leaves the portfolio,
+    above every vertex of the segment hull."""
     spec = RiskSpec(ES, 0.25)
     cases = []
     for p in audit_portfolios(n, seed):
         sels = [sel for cfg in default_strategy_configs(p) for sel in build_family(p, cfg, spec)]
-        cheat = p.ensemble.gains + np.array([0.7, 0.2])
+        cheat = np.max((p.ensemble.gains,) + p.extra_gains, axis=0) + np.array([0.7, 0.2])
         cases.append((p, np.stack([sel.gains for sel in sels] + [cheat])))
     return cases
 
 
-def per_direction_gaps(p, gains):
-    """Largest support violation of each selection of a (b, n, 2) block by
-    one product of the whole block per audit direction."""
+def face_normals(p, gains):
+    """Directions, each an (n, 2) array with one row per scenario, or for the
+    ball a (b, n, 2) array with one per selection too, at which the largest
+    support gap of each selection of a (b, n, 2) block is attained: the
+    normals of the faces of the attainable sets less the quadrant, and for
+    the ball the normal where eta - excess * (1, 1) meets the disk."""
     E = p.ensemble
-    dirs = np.vstack([direction_grid(selections._AUDIT_DIRS)] + p.definition.exact_dirs(p))
-    worst = np.full(len(gains), -np.inf)
-    for u in dirs:
-        h = p.support_values(u)
-        if np.isfinite(h).any():
-            worst = np.maximum(worst, np.max(gains @ u - h, axis=1))
-    if p.definition.trades_at_rate:
-        pi = E.rates
-        gap = ((gains[..., 0] - E.gains[:, 0]) * pi
-               + (gains[..., 1] - E.gains[:, 1])) / np.hypot(pi, 1.0)
-        worst = np.maximum(worst, np.max(gap, axis=1))
-    return worst
+    n = E.n
+
+    def each(u):
+        return np.tile(np.asarray(u, dtype=float), (n, 1))
+
+    normals = [each([1.0, 0.0]), each([0.0, 1.0])]
+    if p.kind == "cone-det":
+        normals += [each(p.cone.a1), each(p.cone.a2)]
+    elif p.kind in ("cone-halfplane-random", "liquidity-capped"):
+        normals.append(np.column_stack([E.rates, np.ones(n)]))
+    elif p.kind == "segment-hull":
+        vertices = (E.gains,) + p.extra_gains
+        for i, v in enumerate(vertices):
+            for w in vertices[i + 1 :]:
+                s = w - v
+                # The segment's normal that points into the quadrant, where
+                # it has one; an axis elsewhere.
+                up = np.column_stack([-s[:, 1], s[:, 0]])
+                up = np.where((up >= 0).all(axis=1)[:, None], up, -up)
+                up = np.maximum(up, 0.0)
+                up[(up == 0).all(axis=1)] = 1.0
+                normals.append(up)
+    elif p.kind == "ball":
+        touch = gains - p.definition.excess(p, gains)[..., None]
+        normals.append(np.maximum(touch - E.gains, 0.0))
+    return normals
+
+
+def per_direction_gaps(p, gains):
+    """Largest excess of each selection of a (b, n, 2) block by duality: the
+    largest support gap (u . eta - h(u)) / (u1 + u2) over a 17-direction fan
+    and ``face_normals``, one support row per scenario and direction."""
+    fan = [np.tile(u, (p.ensemble.n, 1)) for u in direction_grid(17)]
+    worst = np.full(gains.shape[:2], -np.inf)
+    for U in fan + face_normals(p, gains):
+        if U.ndim == 2:
+            h = np.diagonal(p.support_values(U))
+        else:
+            h = np.array([np.diagonal(p.support_values(V)) for V in U])
+        gap = ((gains * U).sum(axis=-1) - h) / U.sum(axis=-1)
+        np.maximum(worst, gap, out=worst)
+    return worst.max(axis=1)
 
 
 def pipeline_gaps(p, families, rows):
@@ -573,9 +595,12 @@ def pipeline_gaps(p, families, rows):
 class TestAuditProduct:
     @pytest.mark.parametrize("n", [1, 2, 40, 301])
     def test_gaps_match_per_direction_loop(self, n):
+        # The excess is the largest support gap over the directions, and
+        # the face normals attain it.
         for p, gains in audit_cases(n, seed=41):
             got = selection_auditor(p)(gains)
-            want = per_direction_gaps(p, gains)
+            with np.errstate(invalid="ignore"):
+                want = per_direction_gaps(p, gains)
             scale = 1.0 + np.abs(gains).max()
             assert np.max(np.abs(got - want)) <= 1e-12 * scale, p.kind
             assert got[-1] > 0.05, p.kind
@@ -586,11 +611,10 @@ class TestAuditProduct:
         ids=["selection-blocks", "long", "scenario-chunks"],
     )
     def test_gaps_do_not_depend_on_block_values(self, monkeypatch, n, multiples, defaults):
-        # A gap is one entry of the product, so selections that leave the
-        # portfolio at one scenario each, in eight directions, read entries
-        # of the product's first, middle and last rows, where a split of
-        # the product would change it.  Block values below k * n split the
-        # scenarios, down to two a chunk.
+        # Selections that leave the portfolio at one scenario each, in eight
+        # directions, at the first, middle and last scenarios, audited in
+        # blocks and groups of as many selections as the block values
+        # allow: below n, one selection at a time.
         spec = RiskSpec(ES, 0.25)
         cols = [0, 1, n // 2, n - 4, n - 3, n - 2, n - 1]
         steps = 0.7 * direction_grid(8)
@@ -604,13 +628,14 @@ class TestAuditProduct:
                     out[i - lo, :, cols[j]] += steps[d]
 
             bumps = selections.Family(len(cols) * len(steps), str, fill)
-            # Default selections in long rows or many chunks only slow it.
+            # Default selections in long rows or many blocks only slow it.
             configs = default_strategy_configs(p) if defaults else []
             families = selections._bundle_families(p, spec, configs) + [bumps]
             count = sum(f.count for f in families)
             runs = []
             for values in [int(m * n) for m in multiples] + [2**30]:
                 monkeypatch.setattr(markets, "_BLOCK_VALUES", values)
+                monkeypatch.setattr(selections, "_AUDIT_VALUES", values)
                 rows = min(count, max(1, values // n))
                 runs.append(pipeline_gaps(p, families, rows))
             for gaps in runs[1:]:
