@@ -26,7 +26,7 @@ from .geom2d import (
     region_from_halfspaces,
     region_from_points_plus_cone,
 )
-from .markets import PortfolioKind, tail_slope_cone
+from .markets import tail_slope_cone
 from .riskstats import es_var_lognormal_mean_one, risk_rows, var_empirical
 from .selections import gather_selections, selection_points  # noqa: F401 (re-exported)
 
@@ -102,13 +102,6 @@ def outer_region_det_cone(portfolio, risk_spec):
     if portfolio.cone is None:
         raise ValidationError("exchange-cone cuts need a portfolio with an exchange cone")
     return outer_region(portfolio, risk_spec)
-
-
-def outer_region_support_grid(portfolio, risk_spec, n_dirs=181):
-    """Dual cuts over a first-quadrant direction fan and the kind's exact
-    directions (an exchange cone's dual generators), less unbounded ones."""
-    portfolio.definition.risk_rule(risk_spec)
-    return _outer(PortfolioKind.outer_cuts(portfolio.definition, portfolio, risk_spec, n_dirs))
 
 
 def outer_region(portfolio, risk_spec, n_dirs=181):

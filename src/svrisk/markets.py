@@ -17,10 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import riskstats
 from .errors import ValidationError, WholePlaneError
 from .geom2d import TOL, ConvexCone2D, _cross, _unit
 from .riskstats import ES, VAR, WeightedSample, _settle_weight_sum, es_empirical
-from .riskstats import _tail_count, neg_expectation, risk_rows
+from .riskstats import neg_expectation, risk_rows
 
 CONE_DET = "cone-det"
 CONE_HALFPLANE_RANDOM = "cone-halfplane-random"
@@ -287,91 +288,27 @@ def _support_rows(p, U, at=slice(None)):
     return p.definition.support(p, U, base, at)
 
 
-# Equal-weight expected-shortfall support grids on at least PRUNE_MIN_N
-# scenarios, whose tail holds at most PRUNE_MAX_TAIL of them, build whole
-# support rows only at the middle one of each PRUNE_GROUP neighbouring
-# directions, and the other rows only on the scenarios that can reach the
-# tail there (see _tail_cuts).  Milliseconds for the 181-direction grid, best
-# of 7-15 runs (one process on a 2-core x86-64 VM, numpy 2.4.6, OpenBLAS
-# 0.3.31, generated normal gains, rates 1.5/0.3; whole rows / pruned):
-#
-#   kind       level   n = 1e3      2e3         5e3          1e4          5e4
-#   ball        0.05   0.9 / 1.1   1.6 / 1.4    3.2 / 2.2    6.6 / 3.3    35 / 19
-#   ball        0.25   1.6 / 2.3   3.0 / 3.4    6.3 / 6.4   12.0 / 11.1   65 / 64
-#   liquidity   0.05   4.5 / 2.3   7.8 / 2.9   19.4 / 4.6   36.7 / 8.0   183 / 34
-#   liquidity   0.25   4.6 / 3.2   8.2 / 4.9   20.7 / 10.1  30.0 / 12.3  200 / 138
-#   segment     0.05   2.0 / 2.5   3.2 / 2.8    6.4 / 4.0   12.3 / 5.9    59 / 21
-#   segment     0.25   2.2 / 3.0   3.7 / 3.8    7.7 / 6.6   14.1 / 11.2   74 / 66
-#
-# At level 0.45 and n = 5e4 pruning was slower (ball 67 / 96 ms, segment
-# 75 / 119 ms); at 0.3 it was level.
-#
-# selections.selection_points prunes the scaled runs of the quantile-shift
-# and frictionless grids under the same tail rule, from
-# riskstats.PARTITION_MIN_N scenarios on.  Milliseconds for the 1225
-# selections of quantile-shift[both] on a cone-det portfolio (pi 1.5 / 1.5),
-# best of 4-7 interleaved runs, same machine; whole rows / pruned:
-#
-#   level   n = 1e3      2e3          5e3          1e4          5e4
-#   0.05    7.5 / 5.5   11.5 / 9.0   25.5 / 15.7  52.5 / 26.4  283 / 127
-#   0.25    8.5 / 7.9   15.7 / 14.4  35.7 / 31.5  73.4 / 57.6  390 / 301
-#
-# At n = 400 the two were level (4.1 / 3.8 ms at 0.05, 4.3 / 4.5 at 0.25),
-# and at n = 100 pruning took twice as long (1.3 / 2.7 ms).
-#
-# The convex mixes of the liquidity-family and segment-vertices strategies
-# are pruned under the same rule from PRUNE_MIN_N scenarios on.  Milliseconds
-# for their 21-point default grids (liquidity-capped, cap 1: two mixes;
-# segment-hull, mirrored extra vertices: one mix), best of 7 interleaved
-# runs, same machine; whole rows / pruned:
-#
-#   kind       level   n = 1e3       5e3           1e4           5e4
-#   liquidity   0.05   0.25 / 0.24   0.93 / 0.62   1.95 / 1.21   10.2 / 5.4
-#   liquidity   0.25   0.28 / 0.38   1.31 / 1.20   2.50 / 2.43   14.1 / 13.9
-#   segment     0.05   0.13 / 0.13   0.46 / 0.35   0.93 / 0.57    5.1 / 3.1
-#   segment     0.25   0.15 / 0.20   0.60 / 0.59   1.27 / 1.26    7.5 / 7.7
-PRUNE_MIN_N = 5000
+# Neighbouring directions per group of the pruned support grid (_tail_cuts).
 PRUNE_GROUP = 16
-PRUNE_MAX_TAIL = 0.3
-
-
-def _prunable_tail(risk_spec, weights, min_n):
-    """The number m of scenarios in the tail of equal-weight expected
-    shortfall on at least ``min_n`` scenarios, when that tail holds at most
-    PRUNE_MAX_TAIL of them; None otherwise, where rows are built whole."""
-    n = len(weights)
-    if risk_spec.kind != ES or n < min_n or weights.min() != weights.max():
-        return None
-    m, _ = _tail_count(weights, risk_spec.level)
-    return m if m <= PRUNE_MAX_TAIL * n else None
 
 
 def _tail_cuts(p, risk_spec, U):
-    """The support-grid cuts of ``_support_cuts`` with support values built
-    only where they can reach the expected-shortfall tail, or None where
-    that does not apply: other risk functionals, unequal weights, short
-    rows, tails of more than PRUNE_MAX_TAIL of the scenarios, and kinds
-    without a finite ``reach``.
+    """The offsets of ``_support_cuts`` with support values built only on
+    the scenarios that can reach the expected-shortfall tail (see
+    ``riskstats.tail_risk_rows``), or None where that does not apply: where
+    ``riskstats._prunable_tail`` refuses from PRUNE_MIN_N scenarios on, and
+    for kinds without a finite ``reach``.
 
-    Equal-weight ES at level alpha reads only the m smallest values of a
-    row, so risk_rows on any subset of the row that holds them, with the
-    first weights, gives the same bits.  A scenario's attainable set lies in
-    the ball of radius R, so its support is R-Lipschitz in u: over a group
-    of directions u_j within D of its middle direction u_a,
-    h(u_j) >= h(u_a) - R*D up to rounding, which the slack in D (relative
-    to R) and in tau (among subnormals) covers.  For any m scenarios S,
-    tau = max over S of h(u_a) + R*D bounds the values of S at every u_j
-    from above, so at least m values of each u_j's row are at most tau: a
-    scenario with h(u_a) - R*D > tau lies above every tail of the group, and
-    its rows are not built.  S is the previous group's tail at its last
-    direction, or in the first group the tail at u_a.
+    A scenario's attainable set lies in the ball of radius R, so its support
+    is R-Lipschitz in u: over a group of directions u_j within D of its
+    middle direction u_a, whose row is built whole, h(u_j) lies within R*D
+    of h(u_a) up to rounding, which the slack in D (relative to R) and in
+    the upper bound (among subnormals) covers.
     """
     w = p.ensemble.weights
-    m = _prunable_tail(risk_spec, w, PRUNE_MIN_N)
-    if m is None:
-        return None
+    m = riskstats._prunable_tail(risk_spec, w, riskstats.PRUNE_MIN_N)
     try:
-        reach = p.definition.reach(p)
+        reach = None if m is None else p.definition.reach(p)
     except FloatingPointError:
         return None
     norms = np.hypot(U[:, 0], U[:, 1])
@@ -380,49 +317,37 @@ def _tail_cuts(p, risk_spec, U):
     if reach is None or not float(reach.max()) * 8.0 * float(norms.max()) < np.finfo(float).max:
         return None
     offsets = []
-    tail = None
+    low, high = np.empty(len(w)), np.empty(len(w))
     for lo in range(0, len(U), PRUNE_GROUP):
         G = U[lo : lo + PRUNE_GROUP]
         a = len(G) // 2
         anchor = p.support_values(G[a])
-        if tail is None:
-            tail = np.argpartition(anchor, m - 1)[:m]
         D = np.hypot(G[:, 0] - G[a, 0], G[:, 1] - G[a, 1]).max()
         D += 1e-12 * norms[lo : lo + PRUNE_GROUP].max()
-        tau = (anchor[tail] + reach[tail] * D).max() + np.finfo(float).tiny
-        cand = np.flatnonzero(anchor - reach * D <= tau)
-        size = max(1, _BLOCK_VALUES // len(cand))
-        for b in range(0, len(G), size):
-            rows = _support_rows(p, G[b : b + size], cand)
-            tail = cand[np.argpartition(rows[-1], m - 1)[:m]]
-            offsets += risk_rows(risk_spec, rows, w[: len(cand)], overwrite_input=True).tolist()
-    return U, offsets
+        np.subtract(anchor, np.multiply(reach, D, out=high), out=low)
+        high += anchor
+        high += np.finfo(float).tiny
+        offsets += riskstats.tail_risk_rows(
+            risk_spec, w, m, low, high, len(G),
+            lambda b, e, at: _support_rows(p, G[b:e], at), _BLOCK_VALUES,
+        ).tolist()
+    return offsets
 
 
-def _support_cuts(p, risk_spec, candidates):
-    """The candidate directions whose support is finite on every live
-    scenario, and the risks of their support values (the cut offsets), in
-    blocks of _BLOCK_VALUES // n directions (at least one)."""
-    pruned = _tail_cuts(p, risk_spec, candidates)
+def _support_cuts(p, risk_spec, U):
+    """The risks of the support values at the (k, 2) directions ``U``: the
+    offsets of their cuts, in blocks of _BLOCK_VALUES // n directions (at
+    least one)."""
+    pruned = _tail_cuts(p, risk_spec, U)
     if pruned is not None:
         return pruned
-    weights = p.ensemble.weights
-    live = weights > 0
     size = max(1, _BLOCK_VALUES // p.ensemble.n)
-    dirs, offsets = [], []
-    for U in (candidates[lo : lo + size] for lo in range(0, len(candidates), size)):
-        rows = p.support_values(U)
-        fin = np.isfinite(rows)
-        finite = fin.all(axis=1)
-        if not finite.all():
-            # Only directions with an infinite entry need the live mask.
-            if fin[~finite][:, live].all(axis=1).any():
-                raise ValidationError("support values are not finite on a zero-weight scenario")
-            U, rows = U[finite], rows[finite]
-        dirs.append(U)
-        offsets += risk_rows(risk_spec, rows, weights, overwrite_input=True).tolist()
+    offsets = []
+    for lo in range(0, len(U), size):
+        rows = p.support_values(U[lo : lo + size])
+        offsets += risk_rows(risk_spec, rows, p.ensemble.weights, overwrite_input=True).tolist()
         del rows
-    return np.concatenate(dirs), offsets
+    return offsets
 
 
 def tail_slope_cone(rate_sample, alpha):
@@ -485,21 +410,14 @@ class PortfolioKind:
         its expected-shortfall tail; None for unbounded sets."""
         return None
 
-    def exact_dirs(self, p):
-        """Unit directions of exact support, which the outer support grid
-        probes besides its direction fan."""
-        return []
-
     def outer_cuts(self, p, risk_spec, n_dirs):
         """Dual cuts (directions, offsets) whose half-spaces meet in the outer
         region, for a risk spec that passed ``risk_rule``.  By default the
-        support grid: a first-quadrant fan of ``n_dirs`` directions and the
-        exact directions, less those with unbounded support."""
-        candidates = np.vstack([direction_grid(n_dirs)] + self.exact_dirs(p))
-        dirs, offsets = _support_cuts(p, risk_spec, candidates)
-        if not len(dirs):
-            raise WholePlaneError("every probed direction has unbounded support")
-        return dirs, offsets
+        support grid on a first-quadrant fan of ``n_dirs`` directions, which
+        serves kinds whose sets are bounded, so that their support is finite
+        there."""
+        dirs = direction_grid(n_dirs)
+        return dirs, _support_cuts(p, risk_spec, dirs)
 
 
 _IDENTITY = {"strategy": "identity"}
@@ -544,9 +462,6 @@ class _ConeDet(PortfolioKind):
     def recession(self, p, risk_spec):
         return solvency_cone(p.cone)
 
-    def exact_dirs(self, p):
-        return [_unit(p.cone.a1), _unit(p.cone.a2)]
-
     def excess(self, p, eta):
         # The cone less the quadrant is the cone: a.(d - t(1, 1)) <= 0 at both dual
         # generators a, d = eta - gains, so t is the larger d1 + (d0 - d1) a0 / a.(1, 1).
@@ -558,10 +473,7 @@ class _ConeDet(PortfolioKind):
     def outer_cuts(self, p, risk_spec, n_dirs):
         """Exact pair of dual cuts along the exchange-cone dual generators."""
         dirs = np.array([p.cone.a1, p.cone.a2], dtype=float)
-        kept, offsets = _support_cuts(p, risk_spec, dirs)
-        if len(kept) < len(dirs):
-            raise WholePlaneError("support values are unbounded on the dual cone")
-        return dirs, offsets
+        return dirs, _support_cuts(p, risk_spec, dirs)
 
 
 class _RandomHalfplane(PortfolioKind):

@@ -431,7 +431,7 @@ def _mix(first, second, lam):
         raise ValidationError("lambda grid must lie inside [0, 1]")
     ops = first.gains.T.copy(), second.gains.T.copy()
     return _run_family(
-        Runs(1, lambda r: ops, lam, _mix_rows, _mix_bounds, markets.PRUNE_MIN_N),
+        Runs(1, lambda r: ops, lam, _mix_rows, _mix_bounds, riskstats.PRUNE_MIN_N),
         lambda i: f"mix({first.label},{second.label},lam={lam[i]:.6g})",
     )
 
@@ -619,35 +619,22 @@ def gather_selections(portfolio, risk_spec, strategies=None):
 
 def _run_points(runs, m, risk_spec, weights):
     """The (count, 2) risk points of the selections of ``runs`` under
-    equal-weight expected shortfall with an m-scenario tail, each run and
-    coordinate evaluated only on the scenarios that can reach its tail.
-
-    Every entry of a run lies between its bounds (see ``Runs``).  With tau
-    the m-th smallest of the upper bounds, at least m entries of every row
-    of the run are at most tau, so a scenario whose lower bound exceeds tau
-    holds none of the m smallest values of any row.  risk_rows on the other
-    scenarios, with the first weights, reads the same m smallest values and
-    gives the same bits (see ``markets._tail_cuts``), and the rows written
-    from the operands on those scenarios hold the bits of the whole rows'
-    entries.
-    """
+    equal-weight expected shortfall with an m-scenario tail: each run and
+    coordinate goes through ``riskstats.tail_risk_rows`` with the run's
+    bounds, and its rows written from the operands gathered on the
+    candidate scenarios hold the bits of the whole rows' entries there."""
     params = runs.params
-    k = len(params)
-    points = np.empty((runs.count, k, 2))
+    points = np.empty((runs.count, len(params), 2))
     for r in range(runs.count):
         ops = runs.operands(r)
         low, high = runs.bounds(params, *ops)
         for j in range(2):
-            tau = np.partition(high[j], m - 1)[m - 1]
-            cand = np.flatnonzero(low[j] <= tau)
-            at = [op[j, cand] for op in ops]
-            size = max(1, markets._BLOCK_VALUES // len(cand))
-            for lo in range(0, k, size):
-                part = params[lo : lo + size]
-                rows = runs.rows(part, *at, np.empty((len(part), len(cand))))
-                points[r, lo : lo + size, j] = risk_rows(
-                    risk_spec, rows, weights[: len(cand)], overwrite_input=True
-                )
+            points[r, :, j] = riskstats.tail_risk_rows(
+                risk_spec, weights, m, low[j], high[j], len(params),
+                lambda lo, hi, at: runs.rows(params[lo:hi], *(op[j, at] for op in ops),
+                                             np.empty((hi - lo, len(at)))),
+                markets._BLOCK_VALUES,
+            )
     return points.reshape(-1, 2)
 
 
@@ -679,18 +666,17 @@ def selection_points(portfolio, risk_spec, strategies=None, audit=False):
     """The (m, 2) risk points of the selections that ``gather_selections``
     makes, in order.  Every configuration is parsed first.  Unaudited
     equal-weight expected shortfall whose tail holds at most
-    markets.PRUNE_MAX_TAIL of the scenarios evaluates each family of runs
+    riskstats.PRUNE_MAX_TAIL of the scenarios evaluates each family of runs
     (the quantile-shift and frictionless grids from riskstats.PARTITION_MIN_N
-    scenarios on, the convex mixes from markets.PRUNE_MIN_N on) only on the
-    scenarios that can reach its tail (see ``_run_points``; the timings are
-    in markets, by the PRUNE_* constants); every other selection goes
-    through the block buffer of ``_block_points``."""
+    scenarios on, the convex mixes from riskstats.PRUNE_MIN_N on) only on the
+    scenarios that can reach its tail (see ``_run_points``); every other
+    selection goes through the block buffer of ``_block_points``."""
     n = portfolio.ensemble.n
     weights = portfolio.ensemble.weights
     families = _bundle_families(portfolio, risk_spec, strategies)
     tails = [
         None if audit or f.runs is None
-        else markets._prunable_tail(risk_spec, weights, f.runs.min_n)
+        else riskstats._prunable_tail(risk_spec, weights, f.runs.min_n)
         for f in families
     ]
     auditor = selection_auditor(portfolio) if audit else None

@@ -18,7 +18,6 @@ from svrisk.bounds import (
     marginal_region,
     outer_region,
     outer_region_det_cone,
-    outer_region_support_grid,
     risk_point,
     sandwich_violation,
     scalarize_bundle,
@@ -26,9 +25,11 @@ from svrisk.bounds import (
 from svrisk.errors import ValidationError, WholePlaneError
 from svrisk.geom2d import (
     ConvexCone2D,
+    HalfSpaceSet,
     RiskRegion2D,
     canonical_json,
     hausdorff_on_window,
+    region_from_halfspaces,
     region_from_points_plus_cone,
 )
 from svrisk.markets import (
@@ -36,6 +37,7 @@ from svrisk.markets import (
     ScenarioEnsemble,
     SetPortfolio,
     direction_grid,
+    dual_cone,
     solvency_cone,
 )
 from svrisk.riskstats import (
@@ -216,34 +218,28 @@ class TestOuterRegion:
         p = SetPortfolio.cone_det(e, ExchangeCone2D(1.5, 2.5))
         spec = RiskSpec(ES, 0.2)
         exact = outer_region_det_cone(p, spec)
-        grid = outer_region_support_grid(p, spec, n_dirs=91)
+        # The cuts of the fan directions inside the dual cone and of its generators.
+        fan = direction_grid(91)
+        dirs = np.vstack([fan[dual_cone(p.cone).contains(fan)], [p.cone.a1, p.cone.a2]])
+        grid = region_from_halfspaces(HalfSpaceSet(dirs, markets._support_cuts(p, spec, dirs)))
         v = exact.vertices[0]
         window = (v[0] - 3, v[1] - 3, v[0] + 3, v[1] + 3)
         assert hausdorff_on_window(exact, grid, window) <= 1e-9
 
-    def test_support_unbounded_only_on_dead_scenario_rejected(self):
-        # The support at (1, 1) is finite where the rate is 1 and infinite
-        # on the zero-weight scenario with rate 2.
-        e = ScenarioEnsemble(
-            np.zeros((3, 2)), rates=np.array([1.0, 1.0, 2.0]), weights=[0.5, 0.5, 0.0]
-        )
-        p = SetPortfolio.random_halfplane(e)
-        with pytest.raises(ValidationError, match="zero-weight"):
-            outer_region_support_grid(p, RiskSpec(ES, 0.5), n_dirs=3)
-
-    def test_support_grid_unbounded_everywhere_is_whole_plane(self):
-        # A scenario's support is finite only along its dual ray (pi, 1):
-        # with three rates every direction is unbounded on some scenario, so
-        # no probed direction gives a cut.
-        e = ScenarioEnsemble(np.zeros((3, 2)), rates=np.array([1.0, 1.5, 2.0]))
-        p = SetPortfolio.random_halfplane(e)
-        with pytest.raises(WholePlaneError, match="^every probed direction has unbounded support$"):
-            outer_region_support_grid(p, RiskSpec(ES, 0.5), n_dirs=181)
+    def test_overflowing_support_is_refused(self):
+        # Support values past the largest float are no unbounded support:
+        # the grid keeps every direction, and the non-finite offsets are
+        # refused instead of leaving the outer region to the axis cuts.
+        gains = 1.5e308 * (1.0 - 0.01 * np.random.default_rng(3).random((50, 2)))
+        p = SetPortfolio.ball(ScenarioEnsemble(gains), radius=1.0)
+        with np.errstate(all="ignore"):
+            with pytest.raises(ValidationError, match="^offsets must be finite$"):
+                compute_bundle(p, RiskSpec(ES, 0.1), n_dirs=181)
 
     def test_ball_at_origin_carves_arc(self):
         e = ScenarioEnsemble(np.zeros((3, 2)))
         p = SetPortfolio.ball(e, radius=1.0)
-        r = outer_region_support_grid(p, RiskSpec(ES, 0.5), n_dirs=181)
+        r = outer_region(p, RiskSpec(ES, 0.5), n_dirs=181)
         assert r.scalarize((1.0, 0.0)) == pytest.approx(-1.0, abs=1e-12)
         assert r.scalarize((0.0, 1.0)) == pytest.approx(-1.0, abs=1e-12)
         norms = np.hypot(r.vertices[:, 0], r.vertices[:, 1])
@@ -255,7 +251,7 @@ class TestOuterRegion:
         e = ScenarioEnsemble(rng.standard_normal((20, 2)))
         p = SetPortfolio.ball(e, radius=0.5)
         spec = RiskSpec(NEG_EXPECTATION)
-        r = outer_region_support_grid(p, spec, n_dirs=61)
+        r = outer_region(p, spec, n_dirs=61)
         mean = e.gains.mean(axis=0)
         for u in direction_grid(61):
             want = -(float(mean @ u) + 0.5)
@@ -428,7 +424,7 @@ class TestSandwich:
     def test_value_at_risk_refused(self, kind):
         p = ALL_KIND_BUILDERS[kind](ensemble_for_kinds(seed=5))
         for compute in (compute_bundle, inner_region, outer_region, marginal_region,
-                        outer_region_det_cone, outer_region_support_grid):
+                        outer_region_det_cone):
             with pytest.raises(ValidationError):
                 compute(p, RiskSpec(VAR, 0.2))
 
@@ -624,28 +620,22 @@ class TestBundleSerialization:
         assert len(calls) <= unaudited
 
     @pytest.mark.parametrize("block_values", [1, 2**30])
-    @pytest.mark.parametrize("kind", sorted(ALL_KIND_BUILDERS))
+    @pytest.mark.parametrize("kind", sorted(set(ALL_KIND_BUILDERS) - {"cone-halfplane-random"}))
     def test_support_cuts_match_per_direction_loop(self, monkeypatch, kind, block_values):
         # The cuts of blocks of directions against one support row and one
-        # risk evaluation per direction, with a zero-weight scenario.
+        # risk evaluation per direction, with a zero-weight scenario, on the
+        # directions that the kind's outer cuts probe: the fan, or cone-det's
+        # dual generators.
         monkeypatch.setattr(markets, "_BLOCK_VALUES", block_values)
         e = ensemble_for_kinds(seed=11)
         w = np.random.default_rng(11).random(e.n)
         w[3] = 0.0
         p = ALL_KIND_BUILDERS[kind](ScenarioEnsemble(e.gains, rates=e.rates, weights=w / w.sum()))
-        live = p.ensemble.weights > 0
-        candidates = np.vstack([direction_grid(181)] + p.definition.exact_dirs(p))
-        dirs, offsets = markets._support_cuts(p, ES05, candidates)
-        expected = [
-            (u, float(risk_rows(ES05, h[None, :], p.ensemble.weights)[0]))
-            for u, h in ((u, p.support_values(u)) for u in candidates)
-            if np.all(np.isfinite(h[live]))
-        ]
-        assert [tuple(u) for u in dirs] == [tuple(u) for u, _ in expected]
-        assert offsets == [offset for _, offset in expected]
-        # The random kind's support is finite only along each scenario's own
-        # dual ray, so no direction of the fan survives there.
-        assert bool(expected) == (kind != "cone-halfplane-random")
+        dirs = direction_grid(181) if p.cone is None else np.array([p.cone.a1, p.cone.a2])
+        expected = [float(risk_rows(ES05, p.support_values(u)[None, :], p.ensemble.weights)[0])
+                    for u in dirs]
+        assert markets._support_cuts(p, ES05, dirs) == expected
+        assert np.isfinite(expected).all()
 
 
 def test_bounds_names_no_kind_and_no_private_name():
@@ -662,7 +652,7 @@ def test_bounds_names_no_kind_and_no_private_name():
             imported += [(module, alias.name) for alias in node.names]
         elif isinstance(node, ast.Import):
             imported += [("", alias.name.rpartition(".")[2]) for alias in node.names]
-    assert ("markets", "PortfolioKind") in imported
+    assert ("markets", "tail_slope_cone") in imported
     offending = [
         (module, name) for module, name in imported
         if (module in ("markets", "selections")

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from svrisk import markets
+from svrisk import markets, riskstats
 from svrisk.errors import ValidationError
 from svrisk.geom2d import TOL, ConvexCone2D, _unit
 from svrisk.markets import (
@@ -271,9 +271,9 @@ class TestSupportRows:
     def test_rows_match_per_direction_formulas_bit_for_bit(self, case):
         p = support_cases()[case]
         fan = direction_grid(181)
-        U = np.vstack([fan, 2.5 * fan[::7]] + p.definition.exact_dirs(p))
+        U = np.vstack([fan, 2.5 * fan[::7]])
         if p.cone is not None:
-            U = np.vstack([U, [p.cone.a1, p.cone.a2]])
+            U = np.vstack([U, [_unit(p.cone.a1), _unit(p.cone.a2)], [p.cone.a1, p.cone.a2]])
         rows = p.support_values(U)
         expected = np.stack([reference_support(p, u) for u in U])
         assert rows.shape == expected.shape
@@ -401,13 +401,22 @@ class TestSupportValues:
 
 class TestReach:
     def test_bounded_kinds_of_the_support_grid_define_reach(self):
-        # A kind whose outer cuts are the support grid builds only the rows
-        # that can reach the tail when it defines a reach; a new bounded kind
-        # without one would silently build every row.
+        # The support grid has no path for unbounded support, and it builds
+        # only the rows that can reach the tail from a kind's reach: every
+        # kind on the base grid has a finite reach, and cone-det's rows at
+        # its dual generators, the only directions its cuts probe, are
+        # finite with and without exchange.
         grid = markets.PortfolioKind.outer_cuts
-        for name, kind in KINDS.items():
-            if type(kind).outer_cuts is grid:
-                assert type(kind).reach is not markets.PortfolioKind.reach, name
+        on_grid, exchange = set(), set()
+        for case, p in support_cases().items():
+            if type(p.definition).outer_cuts is grid:
+                assert np.isfinite(p.definition.reach(p)).all(), case
+                on_grid.add(p.kind)
+            if p.kind == CONE_DET:
+                assert np.isfinite(p.support_values([p.cone.a1, p.cone.a2])).all(), case
+                exchange.add(math.isfinite(p.cone.pi12))
+        assert on_grid == {k for k, kind in KINDS.items() if type(kind).outer_cuts is grid}
+        assert exchange == {True, False}
 
     @pytest.mark.parametrize("case", sorted(support_cases()))
     def test_reach_bounds_every_support_value(self, case):
@@ -534,15 +543,14 @@ class TestPrunedSupportGrid:
         with monkeypatch.context() as m:
             m.setattr(kind, "support", counting)
             if whole:
-                m.setattr(markets, "PRUNE_MIN_N", np.inf)
-            dirs, offsets = markets._support_cuts(p, spec, direction_grid(181))
-        return dirs, np.asarray(offsets), sum(counted)
+                m.setattr(riskstats, "PRUNE_MIN_N", np.inf)
+            offsets = markets._support_cuts(p, spec, direction_grid(181))
+        return np.asarray(offsets), sum(counted)
 
     def assert_whole_bits(self, monkeypatch, p, spec):
-        dirs, offsets, values = self.cuts(monkeypatch, p, spec)
-        whole_dirs, whole, whole_values = self.cuts(monkeypatch, p, spec, whole=True)
+        offsets, values = self.cuts(monkeypatch, p, spec)
+        whole, whole_values = self.cuts(monkeypatch, p, spec, whole=True)
         assert whole_values == 181 * p.ensemble.n
-        assert np.array_equal(dirs, whole_dirs)
         assert np.array_equal(offsets.view(np.int64), whole.view(np.int64))
         return values / whole_values
 
@@ -550,10 +558,10 @@ class TestPrunedSupportGrid:
     @pytest.mark.parametrize("kind", sorted(PRUNED_KINDS))
     def test_bits_at_the_threshold(self, monkeypatch, kind, level):
         spec = RiskSpec(ES, level)
-        for n in (markets.PRUNE_MIN_N - 1, markets.PRUNE_MIN_N):
+        for n in (riskstats.PRUNE_MIN_N - 1, riskstats.PRUNE_MIN_N):
             p = PRUNED_KINDS[kind](grid_ensemble(n))
             share = self.assert_whole_bits(monkeypatch, p, spec)
-            assert (share < 1) == (n >= markets.PRUNE_MIN_N and level <= markets.PRUNE_MAX_TAIL)
+            assert (share < 1) == (n >= riskstats.PRUNE_MIN_N and level <= riskstats.PRUNE_MAX_TAIL)
 
     @pytest.mark.parametrize("level", [0.01, 0.25])
     @pytest.mark.parametrize("kind", sorted(PRUNED_KINDS))
@@ -585,7 +593,7 @@ class TestPrunedSupportGrid:
         # Groups of scenarios at s*u_a + t*normal(u_a), s uniform in
         # [low, high], u_a the first group's middle direction; the rest sit
         # far along u_a.
-        n = markets.PRUNE_MIN_N
+        n = riskstats.PRUNE_MIN_N
         u = direction_grid(181)[markets.PRUNE_GROUP // 2]
         normal = np.array([-u[1], u[0]])
         rng = np.random.default_rng(8)
@@ -599,19 +607,19 @@ class TestPrunedSupportGrid:
         # At the size of the benchmark's support grid.
         n = 50_000
         p = PRUNED_KINDS["ball"](grid_ensemble(n))
-        _, _, values = self.cuts(monkeypatch, p, RiskSpec(ES, 0.05))
+        _, values = self.cuts(monkeypatch, p, RiskSpec(ES, 0.05))
         assert values <= 0.25 * 183 * n
 
     def test_other_functionals_and_uneven_weights_build_whole_rows(self, monkeypatch):
-        n = markets.PRUNE_MIN_N
+        n = riskstats.PRUNE_MIN_N
         weights = np.random.default_rng(1).random(n)
         uneven = PRUNED_KINDS["ball"](grid_ensemble(n, weights=weights / weights.sum()))
         even = PRUNED_KINDS["ball"](grid_ensemble(n))
         for p, spec in ((uneven, RiskSpec(ES, 0.05)), (even, RiskSpec("neg-expectation"))):
-            assert self.cuts(monkeypatch, p, spec)[2] == 181 * n
+            assert self.cuts(monkeypatch, p, spec)[1] == 181 * n
 
     def test_an_overflowing_reach_keeps_the_whole_rows_and_their_errors(self, monkeypatch):
-        n = markets.PRUNE_MIN_N
+        n = riskstats.PRUNE_MIN_N
         spec = RiskSpec(ES, 0.05)
         e = grid_ensemble(n)
         rates = e.rates.copy()

@@ -1,8 +1,11 @@
 import ast
+import importlib
 import re
 from pathlib import Path
 
 import numpy as np
+
+import svrisk
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -36,3 +39,16 @@ def test_quick_start_runs_and_states_its_vertices(capsys):
         got = getattr(bundle, name).vertices
         assert got.shape == stated.shape, name
         assert np.allclose(got, stated, rtol=0.0, atol=1e-12), (name, got)
+
+
+def test_module_references_resolve():
+    # Every backticked `module.name` of an svrisk module names something that
+    # module defines; file names such as `markets.py` are skipped.
+    modules = {path.stem for path in Path(svrisk.__file__).parent.glob("*.py")}
+    refs = sorted({(module, name) for module, name in
+                   re.findall(r"`([A-Za-z_]\w*)\.([A-Za-z_]\w*)`", README.read_text())
+                   if module in modules and name not in ("py", "csv", "json")})
+    assert refs
+    missing = [f"{module}.{name}" for module, name in refs
+               if not hasattr(importlib.import_module(f"svrisk.{module}"), name)]
+    assert missing == []

@@ -19,6 +19,7 @@ from svrisk.riskstats import (
     neg_expectation,
     risk_eval,
     risk_rows,
+    tail_risk_rows,
     var_empirical,
 )
 
@@ -408,3 +409,82 @@ class TestRiskRows:
     def test_no_live_scenario_rejected(self):
         with pytest.raises(ValidationError):
             risk_rows(RiskSpec(NEG_ESSINF), np.ones((2, 2)), np.zeros(2))
+
+
+def _tail_rows(spec, values, low, high, block_values=2**18):
+    """tail_risk_rows on the rows of ``values`` with the given bounds,
+    checked bit for bit against risk_rows on the whole rows; returns the
+    (lo, hi, candidates) of each block it built."""
+    k, n = values.shape
+    w = np.full(n, 1.0 / n)
+    m, _ = _tail_count(w, spec.level)
+    blocks = []
+
+    def rows(lo, hi, at):
+        blocks.append((lo, hi, len(at)))
+        return np.ascontiguousarray(values[lo:hi, at])
+
+    got = tail_risk_rows(spec, w, m, low, high.copy(), k, rows, block_values)
+    want = risk_rows(spec, values, w)
+    assert got.tobytes() == want.tobytes()
+    # The blocks cover the rows in order.
+    assert [b[0] for b in blocks] + [k] == [0] + [b[1] for b in blocks]
+    return blocks
+
+
+class TestTailRiskRows:
+    """Equal-weight expected shortfall on the tail candidates only has the
+    bits of whole rows."""
+
+    @pytest.mark.parametrize("level", [0.5 / 2000, 0.01, 0.05, 0.3])
+    @pytest.mark.parametrize("n", [40, 2000])
+    def test_random_rows_and_bounds(self, n, level):
+        rng = np.random.default_rng(31)
+        values = rng.standard_normal((9, n)) + 3.0 * rng.standard_normal(n)
+        low = values.min(axis=0) - rng.random(n)
+        high = values.max(axis=0) + rng.random(n)
+        (block,) = _tail_rows(RiskSpec(ES, level), values, low, high)
+        assert block[2] < n or n == 40
+
+    def test_ties_at_tau(self):
+        # Integer rows between tight integer bounds: many scenarios tie with
+        # the m-th smallest upper bound, by their values and by their lower
+        # bounds.
+        rng = np.random.default_rng(32)
+        n = 1000
+        low = rng.integers(0, 6, n).astype(float)
+        values = low + rng.integers(0, 2, (5, n))
+        for spec in (RiskSpec(ES, 0.05), RiskSpec(ES, 0.2), RiskSpec(ES, 0.25)):
+            (block,) = _tail_rows(spec, values, low, low + 1.0)
+            assert block[2] < n
+
+    def test_exactly_m_candidates(self):
+        # The m scenarios below 1 can hold the tail; the others lie above 2.
+        rng = np.random.default_rng(33)
+        n, spec = 400, RiskSpec(ES, 0.05)
+        m, _ = _tail_count(np.full(n, 1.0 / n), spec.level)
+        below = rng.permutation(n) < m
+        values = np.where(below, 0.0, 2.0) + rng.random((6, n))
+        low, high = np.where(below, 0.0, 2.0), np.where(below, 1.0, 3.0)
+        (block,) = _tail_rows(spec, values, low, high)
+        assert block[2] == m
+
+    def test_infinite_bounds_keep_every_scenario(self):
+        rng = np.random.default_rng(34)
+        n = 300
+        values = rng.standard_normal((4, n))
+        low, high = np.full(n, -np.inf), np.full(n, np.inf)
+        (block,) = _tail_rows(RiskSpec(ES, 0.05), values, low, high)
+        assert block[2] == n
+
+    def test_blocks_of_one_row(self):
+        rng = np.random.default_rng(35)
+        n = 500
+        values = rng.standard_normal((7, n))
+        low, high = values.min(axis=0), values.max(axis=0)
+        blocks = _tail_rows(RiskSpec(ES, 0.05), values, low, high, block_values=1)
+        assert [b[:2] for b in blocks] == [(i, i + 1) for i in range(7)]
+        # Three rows of candidates per block: two full blocks and one short.
+        cand = blocks[0][2]
+        blocks = _tail_rows(RiskSpec(ES, 0.05), values, low, high, block_values=3 * cand)
+        assert [b[:2] for b in blocks] == [(0, 3), (3, 6), (6, 7)]

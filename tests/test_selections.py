@@ -903,7 +903,7 @@ def pruned_points(monkeypatch, p, spec, configs, whole=False, audit=False):
         for name in ("_scale_rows", "_mix_rows"):
             m.setattr(selections, name, counting(getattr(selections, name)))
         if whole:
-            m.setattr(markets, "_prunable_tail", lambda *args: None)
+            m.setattr(riskstats, "_prunable_tail", lambda *args: None)
         points = selections.selection_points(p, spec, configs, audit=audit)
     return points, sum(counted)
 
@@ -924,7 +924,7 @@ class TestPrunedRuns:
     """Scaled runs are evaluated only on the scenarios that can reach their
     expected-shortfall tail, with the bits of whole rows."""
 
-    @pytest.mark.parametrize("level", [0.01, 0.05, 0.25, markets.PRUNE_MAX_TAIL])
+    @pytest.mark.parametrize("level", [0.01, 0.05, 0.25, riskstats.PRUNE_MAX_TAIL])
     @pytest.mark.parametrize("side", ["both", "ray1", "ray2"])
     def test_bits_at_the_threshold(self, monkeypatch, side, level):
         spec = RiskSpec(ES, level)
@@ -1027,17 +1027,17 @@ class TestPrunedMixes:
     """Convex mixes are evaluated only on the scenarios that can reach their
     expected-shortfall tail, with the bits of whole rows."""
 
-    @pytest.mark.parametrize("level", [0.01, 0.05, 0.25, markets.PRUNE_MAX_TAIL])
+    @pytest.mark.parametrize("level", [0.01, 0.05, 0.25, riskstats.PRUNE_MAX_TAIL])
     @pytest.mark.parametrize("kind", ["liquidity", "segment"])
     def test_bits_at_the_threshold(self, monkeypatch, kind, level):
         spec = RiskSpec(ES, level)
-        for n in (markets.PRUNE_MIN_N - 1, markets.PRUNE_MIN_N):
+        for n in (riskstats.PRUNE_MIN_N - 1, riskstats.PRUNE_MIN_N):
             p = mix_portfolio(kind, run_ensemble(n))
             share = whole_share(monkeypatch, p, spec, mix_configs(kind))
             # At PRUNE_MAX_TAIL the tail may round to one scenario past it.
-            fits = markets._prunable_tail(spec, p.ensemble.weights, 0) is not None
-            assert fits or level == markets.PRUNE_MAX_TAIL
-            assert (share < 1) == (fits and n >= markets.PRUNE_MIN_N), n
+            fits = riskstats._prunable_tail(spec, p.ensemble.weights, 0) is not None
+            assert fits or level == riskstats.PRUNE_MAX_TAIL
+            assert (share < 1) == (fits and n >= riskstats.PRUNE_MIN_N), n
 
     @pytest.mark.parametrize(
         "ensemble",
@@ -1050,11 +1050,11 @@ class TestPrunedMixes:
     )
     @pytest.mark.parametrize("kind", ["liquidity", "segment"])
     def test_bits_on_awkward_mixes(self, monkeypatch, kind, ensemble):
-        p = mix_portfolio(kind, ensemble(markets.PRUNE_MIN_N))
+        p = mix_portfolio(kind, ensemble(riskstats.PRUNE_MIN_N))
         assert whole_share(monkeypatch, p, RiskSpec(ES, 0.05), mix_configs(kind)) < 1
 
     def test_mixes_past_half_the_largest_float_take_every_scenario(self, monkeypatch):
-        e = run_ensemble(markets.PRUNE_MIN_N)
+        e = run_ensemble(riskstats.PRUNE_MIN_N)
         extra = e.gains[:, ::-1].copy()
         extra[0] = 1.7e308
         p = SetPortfolio.segment_hull(e, [extra])
@@ -1085,7 +1085,7 @@ class TestPrunedMixes:
         assert values <= 0.5 * 2 * 21 * 2 * n
 
     def test_audit_uneven_weights_and_other_functionals_take_whole_rows(self, monkeypatch):
-        n = markets.PRUNE_MIN_N
+        n = riskstats.PRUNE_MIN_N
         weights = np.random.default_rng(1).random(n)
         configs = mix_configs("liquidity")
         even = mix_portfolio("liquidity", run_ensemble(n))
