@@ -20,8 +20,7 @@ import numpy as np
 from . import riskstats
 from .errors import ValidationError, WholePlaneError
 from .geom2d import TOL, ConvexCone2D, _cross, _unit
-from .riskstats import ES, VAR, WeightedSample, _settle_weight_sum, es_empirical
-from .riskstats import neg_expectation, risk_rows
+from .riskstats import ES, VAR, WeightedSample, _settle_weight_sum, es_empirical, neg_expectation
 
 CONE_DET = "cone-det"
 CONE_HALFPLANE_RANDOM = "cone-halfplane-random"
@@ -288,16 +287,18 @@ def _support_rows(p, U, at=slice(None)):
     return p.definition.support(p, U, base, at)
 
 
-# Neighbouring directions per group of the pruned support grid (_tail_cuts).
+# Neighbouring directions per group of the pruned support grid in
+# _support_cuts.
 PRUNE_GROUP = 16
 
 
-def _tail_cuts(p, risk_spec, U):
-    """The offsets of ``_support_cuts`` with support values built only on
-    the scenarios that can reach the expected-shortfall tail (see
-    ``riskstats.tail_risk_rows``), or None where that does not apply: where
-    ``riskstats._prunable_tail`` refuses from PRUNE_MIN_N scenarios on, and
-    for kinds without a finite ``reach``.
+def _support_cuts(p, risk_spec, U):
+    """The risks of the support values at the (k, 2) directions ``U``: the
+    offsets of their cuts, through ``riskstats.tail_risk_rows``.  Where
+    ``riskstats._prunable_tail`` allows it (from PRUNE_MIN_N scenarios on)
+    and the kind has a finite ``reach``, the support rows are built, in
+    groups of PRUNE_GROUP directions, only on the scenarios that can reach
+    the expected-shortfall tail; otherwise they are built whole.
 
     A scenario's attainable set lies in the ball of radius R, so its support
     is R-Lipschitz in u: over a group of directions u_j within D of its
@@ -310,12 +311,15 @@ def _tail_cuts(p, risk_spec, U):
     try:
         reach = None if m is None else p.definition.reach(p)
     except FloatingPointError:
-        return None
+        reach = None
     norms = np.hypot(U[:, 0], U[:, 1])
     # The bounds below stay finite while 8*R*|u| does.  A reach that
-    # overflows leaves the rows, and their errors, to the whole-row path.
+    # overflows leaves the rows, and their errors, to whole rows.
     if reach is None or not float(reach.max()) * 8.0 * float(norms.max()) < np.finfo(float).max:
-        return None
+        return riskstats.tail_risk_rows(
+            risk_spec, w, None, None, None, len(U),
+            lambda b, e, at: p.support_values(U[b:e]), _BLOCK_VALUES,
+        ).tolist()
     offsets = []
     low, high = np.empty(len(w)), np.empty(len(w))
     for lo in range(0, len(U), PRUNE_GROUP):
@@ -331,22 +335,6 @@ def _tail_cuts(p, risk_spec, U):
             risk_spec, w, m, low, high, len(G),
             lambda b, e, at: _support_rows(p, G[b:e], at), _BLOCK_VALUES,
         ).tolist()
-    return offsets
-
-
-def _support_cuts(p, risk_spec, U):
-    """The risks of the support values at the (k, 2) directions ``U``: the
-    offsets of their cuts, in blocks of _BLOCK_VALUES // n directions (at
-    least one)."""
-    pruned = _tail_cuts(p, risk_spec, U)
-    if pruned is not None:
-        return pruned
-    size = max(1, _BLOCK_VALUES // p.ensemble.n)
-    offsets = []
-    for lo in range(0, len(U), size):
-        rows = p.support_values(U[lo : lo + size])
-        offsets += risk_rows(risk_spec, rows, p.ensemble.weights, overwrite_input=True).tolist()
-        del rows
     return offsets
 
 

@@ -235,7 +235,10 @@ def risk_rows(spec, values, weights, overwrite_input=False):
     a zero, whichever sign of zero the row holds there.  ``values`` is not
     modified unless ``overwrite_input`` is set: then a caller that owns the
     rows as scratch lets the sort reorder them and the weights scale them in
-    place, which saves a copy of every row.
+    place, which saves a copy of every row.  That holds only for rows whose
+    values are adjacent in memory; others are copied to row-major first, as
+    without ``overwrite_input``, since a sum along rows of another layout
+    rounds in another order.
     """
     values = np.asarray(values, dtype=float)
     if spec.kind == NEG_ESSINF:
@@ -247,7 +250,7 @@ def risk_rows(spec, values, weights, overwrite_input=False):
         values,
         weights,
         tail=spec.level if spec.kind == ES else None,
-        overwrite=overwrite_input,
+        overwrite=overwrite_input and values.strides[-1] == values.itemsize,
     )
     # The sorted rows are a copy, the kernel's own gather or the caller's
     # scratch, so the weights are multiplied into them in place.
@@ -277,14 +280,17 @@ def _prunable_tail(spec, weights, min_n):
 
 
 def tail_risk_rows(spec, weights, m, low, high, count, rows, block_values):
-    """Risks of ``count`` rows under equal-weight expected shortfall whose
-    tail holds m scenarios (see ``_prunable_tail``), evaluated only on the
-    scenarios that can reach the tail.  Every entry of every row at scenario
-    i lies in [low[i], high[i]], and ``rows(lo, hi, at)`` builds rows lo..hi-1
-    on the scenarios ``at`` (an index array) as a row-major array with the
-    bits of the whole rows' entries there, in blocks of
-    ``block_values // len(at)`` rows (at least one), which the kernel may
-    overwrite; ``high`` is reordered in place.
+    """Risks of ``count`` rows, in blocks of at most ``block_values`` values
+    (at least one row) that ``rows(lo, hi, at)`` builds: rows lo..hi-1 on
+    the scenarios ``at`` as a row-major array, which the kernel may
+    overwrite.
+    With m None the rows are whole: ``at`` is slice(None), every weight is
+    used and any functional applies.  Otherwise the functional is
+    equal-weight expected shortfall whose tail holds m scenarios (see
+    ``_prunable_tail``), every entry of every row at scenario i lies in
+    [low[i], high[i]], ``high`` is reordered in place, and ``at`` is an index
+    array of the scenarios that can reach the tail, on which the rows must
+    have the bits of the whole rows' entries.
 
     With tau the m-th smallest upper bound, at least m entries of every row
     are at most tau, so a scenario whose lower bound exceeds tau holds none
@@ -295,13 +301,17 @@ def tail_risk_rows(spec, weights, m, low, high, count, rows, block_values):
     weights, gives the bits of whole rows.  Infinite bounds keep every
     scenario.
     """
-    high.partition(m - 1)
-    at = np.flatnonzero(low <= high[m - 1])
-    size = max(1, block_values // len(at))
+    if m is None:
+        at, n = slice(None), len(weights)
+    else:
+        high.partition(m - 1)
+        at = np.flatnonzero(low <= high[m - 1])
+        n = len(at)
+    size = max(1, block_values // n)
     risks = np.empty(count)
     for lo in range(0, count, size):
         hi = min(count, lo + size)
-        risks[lo:hi] = risk_rows(spec, rows(lo, hi, at), weights[: len(at)], overwrite_input=True)
+        risks[lo:hi] = risk_rows(spec, rows(lo, hi, at), weights[:n], overwrite_input=True)
     return risks
 
 

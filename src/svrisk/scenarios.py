@@ -80,18 +80,6 @@ class GenSpec:
             kwargs["rate_vol"] = rate.get("vol", 0.0)
         return cls(**kwargs)
 
-    def to_dict(self):
-        out = {
-            "n": self.n,
-            "seed": self.seed,
-            "mean": list(self.mean),
-            "stdev": list(self.stdev),
-            "correlation": self.correlation,
-        }
-        if self.rate_mean is not None:
-            out["rate"] = {"mean": self.rate_mean, "vol": self.rate_vol}
-        return out
-
 
 def generate(spec):
     """Draw an ensemble from the spec with a PCG64 stream keyed by the seed.

@@ -5,16 +5,16 @@ Each strategy expands into families of selections.  A family is a count,
 lo..hi-1 straight into a block buffer, so a grid of selections costs a few
 array operations per block instead of one object per selection; a selection
 that a strategy makes on its own is a one-row family.  ``selection_points``
-is the bundle's pipeline: it runs the families through one buffer, which
-holds each coordinate of a selection as one contiguous row, audits each
-block if asked and evaluates its risk points with one kernel call, so the
-inner approximation only has to hull the points.  A family of runs
-(``Runs``: the quantile-shift and frictionless grids, and the convex mixes)
-is described by its runs, with bounds on every entry, and under unaudited
-equal-weight expected shortfall each run is evaluated only on the scenarios
-that can reach its tail.  ``build_family``
-and ``gather_selections`` turn families into ``SelectionMatrix`` lists
-instead.
+is the bundle's pipeline and takes one family at a time: a family is filled
+into one buffer, which holds each coordinate of a selection as one
+contiguous row, block by block, and each block is audited if asked and
+evaluated with one kernel call, so the inner approximation only has to hull
+the points.  A family of runs (``Runs``: the quantile-shift and
+frictionless grids, and the convex mixes) is described by its runs, with
+bounds on every entry, and under unaudited equal-weight expected shortfall
+each run is evaluated only on the scenarios that can reach its tail.
+``build_family`` and ``gather_selections`` turn families into
+``SelectionMatrix`` lists instead.
 Every emitted row must stay inside the scenario's attainable set, which the
 audit tests exactly: ``selection_auditor`` measures each selection of a block
 by its kind's ``excess``, the cash in both assets that brings it back into
@@ -33,7 +33,7 @@ import numpy as np
 from . import markets, riskstats
 from .errors import ValidationError
 from .geom2d import _unit
-from .markets import _IDENTITY, _count, _real, _reals, dual_cone
+from .markets import _BLOCK_VALUES, _IDENTITY, _count, _real, _reals, dual_cone
 from .riskstats import NEG_ESSINF, RiskSpec, WeightedSample, es_empirical, risk_rows, var_empirical
 
 
@@ -145,37 +145,9 @@ def _rows(*selections):
 
 def _matrices(family, n):
     """The family's selections as selection matrices, filled at once."""
-    return [
-        SelectionMatrix(gains, family.label(i))
-        for block, _ in _filled_blocks([family], n, family.count)
-        for i, gains in enumerate(block)
-    ]
-
-
-def _filled_blocks(families, n, size):
-    """Fill one buffer of ``size`` selections with the families' selections
-    in order, as many at a time as it holds.  Yields each block as a (rows,
-    n, 2) view, whose coordinates ``block[..., j]`` are contiguous rows, and
-    for each family part in the block its first row, the family and the
-    part's first index.  The block is scratch: the next one overwrites it,
-    and the caller may reorder its rows in place meanwhile."""
-    # One buffer for every block keeps the allocator from handing the
-    # block's pages back and faulting them in again for every block.
-    buf = np.empty((size, 2, n))
-    rows, parts = 0, []
-    for family in families:
-        lo = 0
-        while lo < family.count:
-            hi = min(family.count, lo + size - rows)
-            family.fill(buf[rows:], lo, hi)
-            parts.append((rows, family, lo))
-            rows += hi - lo
-            lo = hi
-            if rows == size:
-                yield buf[:rows].transpose(0, 2, 1), parts
-                rows, parts = 0, []
-    if rows:
-        yield buf[:rows].transpose(0, 2, 1), parts
+    gains = np.empty((family.count, 2, n))
+    family.fill(gains, 0, family.count)
+    return [SelectionMatrix(g.T, family.label(i)) for i, g in enumerate(gains)]
 
 
 def _grid(values, name):
@@ -482,15 +454,15 @@ def _grid_object(cfg, key):
 def _grid_from_config(cfg, eta):
     t_cfg = _grid_object(cfg, "t_grid")
     if "values" in t_cfg:
-        t_values = _grid(t_cfg["values"], "scale grid")
+        return _grid(t_cfg["values"], "scale grid")
+    if "scale" in t_cfg:
+        scale = _real(t_cfg["scale"], "t_grid.scale")
+        if not 0.0 <= scale < math.inf:
+            raise ValidationError("t_grid.scale must be a non-negative finite number")
     else:
         scale = float(np.max(np.hypot(eta[:, 0], eta[:, 1]), initial=0.0))
-        t_values = default_t_grid(
-            _real(t_cfg.get("scale", scale), "t_grid.scale"),
-            t_cfg.get("count", 33),
-            _real(t_cfg.get("span", 4.0), "t_grid.span"),
-        )
-    return t_values
+    span = _real(t_cfg.get("span", 4.0), "t_grid.span")
+    return default_t_grid(scale, t_cfg.get("count", 33), span)
 
 
 def _lambda_from_config(cfg):
@@ -568,7 +540,9 @@ def _families(portfolio, config, risk_spec):
     """Check and parse one strategy configuration at once; return its
     families, whose selections are made when they fill a block.  What the
     parse refuses is reported in the name of the strategy; it refuses every
-    grid that would make a selection overflow, so no fill can."""
+    grid that would make a selection overflow, so no fill can, and every
+    family of more selections than _BLOCK_VALUES, the bound on every count
+    from outside."""
     if not isinstance(config, dict):
         raise ValidationError(f"a strategy must be an object, got {config!r}")
     cfg = dict(config)
@@ -585,9 +559,16 @@ def _families(portfolio, config, risk_spec):
             f"strategy {name!r} does not apply to {portfolio.kind} portfolios"
         )
     try:
-        return build(portfolio, cfg, risk_spec)
+        families = build(portfolio, cfg, risk_spec)
     except (TypeError, ValueError, FloatingPointError) as exc:
         raise ValidationError(f"strategy {name!r}: {exc}") from exc
+    for family in families:
+        if family.count > _BLOCK_VALUES:
+            raise ValidationError(
+                f"strategy {name!r}: {family.count} selections in one family, "
+                f"more than {_BLOCK_VALUES}"
+            )
+    return families
 
 
 def _bundle_families(portfolio, risk_spec, strategies):
@@ -638,39 +619,41 @@ def _run_points(runs, m, risk_spec, weights):
     return points.reshape(-1, 2)
 
 
-def _block_points(families, n, risk_spec, weights, auditor):
-    """The (m, 2) risk points of the families' selections, in order: they
-    fill one buffer in blocks of _BLOCK_VALUES // n (at least one), and each
-    block is audited if asked and evaluated with one kernel call over its
-    rows."""
-    size = min(sum(family.count for family in families), max(1, markets._BLOCK_VALUES // n))
-    points = []
-    for block, parts in _filled_blocks(families, n, size):
+def _family_points(family, n, risk_spec, weights, buf, auditor):
+    """The (count, 2) risk points of the family's selections: they fill the
+    (b, 2, n) buffer ``buf`` b at a time, and each block is audited if asked
+    and evaluated with one kernel call over its rows."""
+    points = np.empty((family.count, 2))
+    for lo in range(0, family.count, len(buf)):
+        hi = min(family.count, lo + len(buf))
+        block = buf[: hi - lo]
+        family.fill(block, lo, hi)
         if auditor is not None:
-            gaps = auditor(block)
+            gaps = auditor(block.transpose(0, 2, 1))
             bad = np.flatnonzero(~(gaps <= _AUDIT_TOL))
             if bad.size:
-                first, family, lo = next(p for p in reversed(parts) if p[0] <= bad[0])
                 raise ValidationError(
-                    f"selection {family.label(lo + bad[0] - first)!r} leaves the "
+                    f"selection {family.label(lo + bad[0])!r} leaves the "
                     f"portfolio (excess {gaps[bad[0]]:.3e})"
                 )
-        # Row 2i + j of the contiguous buffer is coordinate j of selection i;
-        # the block is scratch once audited, so the kernel sorts it in place.
-        rows = block.transpose(0, 2, 1).reshape(2 * len(block), n)
-        points.append(risk_rows(risk_spec, rows, weights, overwrite_input=True).reshape(-1, 2))
-    return np.concatenate(points)
+        # Row 2i + j of the contiguous block is coordinate j of selection
+        # lo + i; the block is scratch once audited, so the kernel sorts it
+        # in place.
+        rows = block.reshape(2 * len(block), n)
+        points[lo:hi] = risk_rows(risk_spec, rows, weights, overwrite_input=True).reshape(-1, 2)
+    return points
 
 
 def selection_points(portfolio, risk_spec, strategies=None, audit=False):
     """The (m, 2) risk points of the selections that ``gather_selections``
-    makes, in order.  Every configuration is parsed first.  Unaudited
-    equal-weight expected shortfall whose tail holds at most
-    riskstats.PRUNE_MAX_TAIL of the scenarios evaluates each family of runs
-    (the quantile-shift and frictionless grids from riskstats.PARTITION_MIN_N
-    scenarios on, the convex mixes from riskstats.PRUNE_MIN_N on) only on the
-    scenarios that can reach its tail (see ``_run_points``); every other
-    selection goes through the block buffer of ``_block_points``."""
+    makes, in order, one family at a time.  Every configuration is parsed
+    first.  Unaudited equal-weight expected shortfall whose tail holds at
+    most riskstats.PRUNE_MAX_TAIL of the scenarios evaluates each family of
+    runs (the quantile-shift and frictionless grids from
+    riskstats.PARTITION_MIN_N scenarios on, the convex mixes from
+    riskstats.PRUNE_MIN_N on) only on the scenarios that can reach its tail
+    (see ``_run_points``); every other family goes through one block buffer
+    of _BLOCK_VALUES // n selections (at least one) in ``_family_points``."""
     n = portfolio.ensemble.n
     weights = portfolio.ensemble.weights
     families = _bundle_families(portfolio, risk_spec, strategies)
@@ -680,16 +663,20 @@ def selection_points(portfolio, risk_spec, strategies=None, audit=False):
         for f in families
     ]
     auditor = selection_auditor(portfolio) if audit else None
-    whole = _block_points([f for f, m in zip(families, tails) if m is None],
-                          n, risk_spec, weights, auditor)
-    points, taken = [], 0
-    for family, m in zip(families, tails):
-        if m is None:
-            points.append(whole[taken : taken + family.count])
-            taken += family.count
-        else:
-            points.append(_run_points(family.runs, m, risk_spec, weights))
-    return np.concatenate(points)
+    # One buffer serves every whole-row family and is freed before the first
+    # pruned run: sized by the largest family, or kept alive across the runs,
+    # it made the allocator fault pages in again for the runs' temporaries.
+    whole = sum(f.count for f, m in zip(families, tails) if m is None)
+    buf = np.empty((min(whole, max(1, markets._BLOCK_VALUES // n)), 2, n))
+    points = [
+        _family_points(f, n, risk_spec, weights, buf, auditor) if m is None else None
+        for f, m in zip(families, tails)
+    ]
+    del buf
+    return np.concatenate([
+        _run_points(f.runs, m, risk_spec, weights) if m is not None else p
+        for f, m, p in zip(families, tails, points)
+    ])
 
 
 def default_strategy_configs(portfolio):

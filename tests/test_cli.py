@@ -88,6 +88,13 @@ BAD_GRIDS = {
     "t-grid-scale-string": (
         {"strategies": [{"strategy": "quantile-shift", "side": "ray1", "t_grid": {"scale": "x"}}]},
         "t_grid.scale must be a number"),
+    "t-grid-scale-negative": (
+        {"strategies": [{"strategy": "quantile-shift", "side": "ray1", "t_grid": {"scale": -5}}]},
+        "t_grid.scale must be a non-negative finite number"),
+    "t-grid-scale-minus-infinity": (
+        {"strategies": [{"strategy": "quantile-shift", "side": "ray1",
+                         "t_grid": {"scale": -math.inf}}]},
+        "t_grid.scale must be a non-negative finite number"),
     "t-grid-span-string": (
         {"strategies": [{"strategy": "quantile-shift", "side": "ray1", "t_grid": {"span": "x"}}]},
         "t_grid.span must be a number"),
@@ -511,6 +518,10 @@ class TestRisk:
                              "t_grid": {"count": TOO_MANY}}]},
             {**LIQUIDITY,
              "strategies": [{"strategy": "liquidity-family", "lambda_grid": {"count": TOO_MANY}}]},
+            {"strategies": [{"strategy": "quantile-shift", "side": "both",
+                             "t_grid": {"count": 1024}}]},
+            {"strategies": [{"strategy": "quantile-shift", "side": "ray1",
+                             "t_grid": {"values": [i / 1024 for i in range(TOO_MANY)]}}]},
             {"directions": TOO_MANY},
             {"strategies": [{"strategy": "quantile-shift", "side": "ray1",
                              "t_grid": {"count": 2.9}}]},
@@ -546,7 +557,8 @@ class TestRisk:
             "t-grid-scale-overflow", "t-grid-span-overflow", "t-grid-scale-infinite",
             "rates-overflow-support", "frictionless-rate-overflow", "rates-skewed",
             "rate-mean-tiny", "n-flag-unallocatable", "t-grid-count-too-large",
-            "lambda-grid-count-too-large", "directions-too-many", "t-grid-count-float",
+            "lambda-grid-count-too-large", "t-grid-both-count-too-large",
+            "t-grid-values-too-many", "directions-too-many", "t-grid-count-float",
             "lambda-grid-count-float", "lambda-grid-count-string", "lambda-grid-count-bool",
             *BAD_GRIDS, *BAD_NUMBERS, "portfolio-kind-unknown", "ball-without-radius",
             "window-flag-not-a-number", "lambda-grid-values-above-one", "strategy-number",

@@ -373,6 +373,22 @@ class TestRiskRows:
                 for got in (rows, in_place):
                     assert np.asarray(got).tobytes() == np.array(want).tobytes()
 
+    def test_overwrite_input_on_column_major_rows(self):
+        # A sum along the rows of a column-major block rounds in another
+        # order, so the kernel copies such rows before it works in place.
+        rng = np.random.default_rng(37)
+        values = rng.standard_normal((9, 40)) + 3.0 * rng.standard_normal(40)
+        uneven = _weights("uneven", 40, rng)
+        cases = [(RiskSpec(ES, 0.3), np.full(40, 1 / 40)),
+                 (RiskSpec(NEG_EXPECTATION), np.full(40, 1 / 40)),
+                 (RiskSpec(ES, 0.3), uneven), (RiskSpec(NEG_EXPECTATION), uneven)]
+        for spec, w in cases:
+            block = np.asfortranarray(values)
+            want = risk_rows(spec, block, w)
+            got = risk_rows(spec, block, w, overwrite_input=True)
+            assert got.tobytes() == want.tobytes(), spec
+            assert want.tobytes() == risk_rows(spec, values, w).tobytes(), spec
+
     def test_tail_count_matches_whole_running_sums(self):
         # Levels on a scenario boundary (k/n) and one ulp either side of it.
         for n in (1, 2, 3, 7, 64, 999, 1000, 1001, 4097, 10_000):
@@ -432,6 +448,22 @@ def _tail_rows(spec, values, low, high, block_values=2**18):
     return blocks
 
 
+def _whole_rows(spec, values, weights, block_values=2**18):
+    """tail_risk_rows with m None on the rows of ``values``, checked bit for
+    bit against risk_rows; returns the (lo, hi) of each block it built."""
+    k, n = values.shape
+    blocks = []
+
+    def rows(lo, hi, at):
+        assert at == slice(None)
+        blocks.append((lo, hi))
+        return values[lo:hi, at].copy()
+
+    got = tail_risk_rows(spec, weights, None, None, None, k, rows, block_values)
+    assert got.tobytes() == risk_rows(spec, values, weights).tobytes()
+    return blocks
+
+
 class TestTailRiskRows:
     """Equal-weight expected shortfall on the tail candidates only has the
     bits of whole rows."""
@@ -488,3 +520,27 @@ class TestTailRiskRows:
         cand = blocks[0][2]
         blocks = _tail_rows(RiskSpec(ES, 0.05), values, low, high, block_values=3 * cand)
         assert [b[:2] for b in blocks] == [(0, 3), (3, 6), (6, 7)]
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: f"{s.kind}-{s.level}")
+    def test_whole_rows_with_unequal_weights(self, spec):
+        rng = np.random.default_rng(36)
+        for mode in ("uneven", "zero"):
+            values = rng.standard_normal((6, 300))
+            (block,) = _whole_rows(spec, values, _weights(mode, 300, rng))
+            assert block == (0, 6)
+
+    def test_whole_rows_neg_expectation(self):
+        rng = np.random.default_rng(37)
+        values = rng.standard_normal((5, 2000)) + 3.0 * rng.standard_normal(2000)
+        for w in (np.full(2000, 1 / 2000), _weights("uneven", 2000, rng)):
+            _whole_rows(RiskSpec(NEG_EXPECTATION), values, w)
+
+    def test_whole_rows_in_blocks_of_one_row(self):
+        rng = np.random.default_rng(38)
+        n = 500
+        values = rng.standard_normal((7, n))
+        w = _weights("uneven", n, rng)
+        blocks = _whole_rows(RiskSpec(ES, 0.05), values, w, block_values=1)
+        assert blocks == [(i, i + 1) for i in range(7)]
+        blocks = _whole_rows(RiskSpec(ES, 0.05), values, w, block_values=3 * n)
+        assert blocks == [(0, 3), (3, 6), (6, 7)]

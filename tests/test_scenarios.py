@@ -37,18 +37,6 @@ class TestGenSpec:
         with pytest.raises(ValidationError):
             GenSpec(n=5, seed=1, rate_mean=1.0, rate_vol=-0.1)
 
-    def test_dict_roundtrip(self):
-        spec = GenSpec(
-            n=7,
-            seed=3,
-            mean=(0.5, -0.5),
-            stdev=(1.0, 2.0),
-            correlation=0.3,
-            rate_mean=1.5,
-            rate_vol=0.4,
-        )
-        assert GenSpec.from_dict(spec.to_dict()) == spec
-
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValidationError):
             GenSpec.from_dict({"n": 5, "seed": 1, "skew": 0.2})

@@ -583,12 +583,24 @@ def per_direction_gaps(p, gains):
     return worst.max(axis=1)
 
 
+def family_blocks(families, n, size):
+    """Each family's selections filled through its ``fill`` into one buffer
+    of ``size`` selections, as ``selection_points`` fills them: yields each
+    block as a (rows, n, 2) view, the family and the block's first index."""
+    buf = np.empty((size, 2, n))
+    for family in families:
+        for lo in range(0, family.count, size):
+            hi = min(family.count, lo + size)
+            family.fill(buf, lo, hi)
+            yield buf[: hi - lo].transpose(0, 2, 1), family, lo
+
+
 def pipeline_gaps(p, families, rows):
     """Gaps of the families' selections audited as ``selection_points``
     audits them: the views of a block buffer of ``rows`` selections."""
     audit = selection_auditor(p)
     return np.concatenate([
-        audit(block) for block, _ in selections._filled_blocks(families, p.ensemble.n, rows)
+        audit(block) for block, _, _ in family_blocks(families, p.ensemble.n, rows)
     ])
 
 
@@ -647,7 +659,7 @@ class TestAuditProduct:
         for p in audit_portfolios(n, seed=43):
             audit = selection_auditor(p)
             families = selections._bundle_families(p, spec, None)
-            blocks = [block.copy() for block, _ in selections._filled_blocks(families, n, 7)]
+            blocks = [block.copy() for block, _, _ in family_blocks(families, n, 7)]
             view = pipeline_gaps(p, families, 7)
             stacked = np.concatenate([audit(np.ascontiguousarray(b)) for b in blocks])
             one = [audit(b[i : i + 1])[0] for b in blocks for i in range(len(b))]
@@ -713,13 +725,11 @@ class TestFamilies:
         assert sum(f.count for f in families) == len(expected)
         for size in (1, 2, 5, 34, 35, 36, len(expected)):
             gains, labels = [], []
-            for block, parts in selections._filled_blocks(families, p.ensemble.n, size):
+            for block, family, lo in family_blocks(families, p.ensemble.n, size):
                 rows = len(block)
                 assert block.shape == (rows, p.ensemble.n, 2)
                 gains.append(block.copy())
-                ends = [first for first, _, _ in parts[1:]] + [rows]
-                for (first, family, lo), end in zip(parts, ends):
-                    labels += [family.label(lo + r) for r in range(end - first)]
+                labels += [family.label(lo + r) for r in range(rows)]
             assert labels == [label for _, label in expected], size
             assert same_bits(np.concatenate(gains), np.stack([g for g, _ in expected])), size
 
@@ -783,10 +793,11 @@ class TestSelectionPoints:
 
     def test_each_block_reaches_the_kernel_once(self, monkeypatch):
         # No segment-hull strategy evaluates a risk while it is built, so
-        # every kernel call is one block's rows: both coordinates of each
-        # of its selections, sorted in place.
+        # every kernel call is one block of one family: both coordinates of
+        # each of its selections, sorted in place.
         p, configs = family_cases()[4]
         n = p.ensemble.n
+        spec = RiskSpec(ES, 0.25)
         calls = []
 
         def counted(spec, values, weights, overwrite_input=False):
@@ -795,8 +806,12 @@ class TestSelectionPoints:
 
         monkeypatch.setattr(selections, "risk_rows", counted)
         monkeypatch.setattr(markets, "_BLOCK_VALUES", 7 * n)
-        m = len(selections.selection_points(p, RiskSpec(ES, 0.25), configs))
-        assert calls == [((2 * min(7, m - lo), n), True) for lo in range(0, m, 7)]
+        selections.selection_points(p, spec, configs)
+        counts = [f.count for f in selections._bundle_families(p, spec, configs)]
+        assert max(counts) > 7
+        assert calls == [
+            ((2 * min(7, count - lo), n), True) for count in counts for lo in range(0, count, 7)
+        ]
 
     def test_selection_matrices_own_their_gains(self, monkeypatch):
         # build_family and gather_selections hand out no view of a reused
