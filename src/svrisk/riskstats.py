@@ -114,7 +114,7 @@ def _check_level(alpha):
 
 # Equal-weight expected shortfall selects its tail with one O(n) partition
 # and sorts only the tail when the row has at least PARTITION_MIN_N scenarios
-# and the tail holds less than half of them; otherwise it sorts the whole
+# and the tail holds at most half of them; otherwise it sorts the whole
 # row.  Microseconds per row, copy included (one process on a 2-core x86-64
 # VM, numpy 2.4.6, standard normal rows; whole-row sort / partition + tail
 # sort):
@@ -125,16 +125,20 @@ def _check_level(alpha):
 #   1000        4.20 / 2.62   4.06 / 2.74
 #   10000       48.6 / 19.8   49.4 / 26.9
 #   50000        277 / 92.3    289 / 143
+#
+# With the tail at exactly half the row, as in the pairs of a two-sided
+# product's halves, partition and tail sort still won: 2.28 / 2.25 us at
+# n = 1000, 5.07 / 4.49 at 2000, 31.3 / 25.0 at 10000 and 207 / 158 at 50000.
 PARTITION_MIN_N = 1000
 
 # Under equal-weight expected shortfall whose tail holds at most
-# PRUNE_MAX_TAIL of the scenarios, tail_risk_rows evaluates the scaled runs
-# of the quantile-shift and frictionless grids from PARTITION_MIN_N
-# scenarios on, and the convex mixes and the outer support grid (in groups
-# of markets.PRUNE_GROUP directions) from PRUNE_MIN_N on.  Milliseconds for
-# the 181-direction grid, best of 7-15 runs (one process on a 2-core x86-64
-# VM, numpy 2.4.6, OpenBLAS 0.3.31, generated normal gains, rates 1.5/0.3;
-# whole rows / pruned):
+# PRUNE_MAX_TAIL of the scenarios, tail_risk_rows evaluates the one-sided
+# scaled runs of the quantile-shift and frictionless grids from
+# PARTITION_MIN_N scenarios on, and the convex mixes and the outer support
+# grid (in groups of markets.PRUNE_GROUP directions) from PRUNE_MIN_N on.
+# Milliseconds for the 181-direction grid, best of 7-15 runs (one process
+# on a 2-core x86-64 VM, numpy 2.4.6, OpenBLAS 0.3.31, generated normal
+# gains, rates 1.5/0.3; whole rows / pruned):
 #
 #   kind       level   n = 1e3      2e3         5e3          1e4          5e4
 #   ball        0.05   0.9 / 1.1   1.6 / 1.4    3.2 / 2.2    6.6 / 3.3    35 / 19
@@ -157,6 +161,21 @@ PARTITION_MIN_N = 1000
 #
 # At n = 400 the two were level (4.1 / 3.8 ms at 0.05, 4.3 / 4.5 at 0.25),
 # and at n = 100 pruning took twice as long (1.3 / 2.7 ms).
+#
+# That product is now evaluated from its two halves at any n
+# (selections._product_points).  Milliseconds on a cone-det portfolio
+# (pi 1.2 / 1.1, generated gains with correlation -0.5, seed 7), best of
+# 3 or more runs, same machine; whole rows below PARTITION_MIN_N and pruned
+# runs from it on / halves:
+#
+#   level   n = 100     1e3         5e3          1e4          5e4
+#   0.05    1.1 / 0.6   6.0 / 1.8   15.7 / 7.1   27.4 / 13.0  147 / 66
+#   0.15    1.1 / 0.7   7.2 / 3.6   22.2 / 16.2  41.1 / 31.1  227 / 190
+#   0.25    1.2 / 1.0   8.2 / 5.0   28.6 / 25.7  51.0 / 47.0  311 / 341
+#   0.3     1.2 / 0.8   8.8 / 6.4   37.5 / 37.0  70.7 / 69.0  374 / 417
+#
+# Each pair sorts the 2m values of its two tails, so from n = 5e4 at levels
+# 0.25 and above the halves were slower (805 / 919 ms at n = 1e5, 0.25).
 #
 # Milliseconds for the 21-point default grids of the convex mixes
 # (liquidity-capped, cap 1: two mixes; segment-hull, mirrored extra
@@ -212,7 +231,7 @@ def _sorted_rows(values, weights, tail=None, overwrite=False):
             return v, weights, None
         n = values.shape[-1]
         m, cw = _tail_count(weights, tail)
-        if n >= PARTITION_MIN_N and 2 * m < n:
+        if n >= PARTITION_MIN_N and 2 * m <= n:
             v.partition(m - 1, axis=-1)
             v[..., :m].sort(axis=-1)
         else:

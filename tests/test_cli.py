@@ -113,6 +113,13 @@ BAD_GRIDS = {
         {**LIQUIDITY,
          "strategies": [{"strategy": "liquidity-family", "lambda_grid": {"count": 0}}]},
         "lambda grid count must be an integer in [1,"),
+    "t-grid-unknown-key": (
+        {"strategies": [{"strategy": "quantile-shift", "t_grid": {"cuont": 3}}]},
+        "strategy 'quantile-shift': unknown keys in 't_grid': ['cuont']"),
+    "lambda-grid-unknown-key": (
+        {**LIQUIDITY,
+         "strategies": [{"strategy": "liquidity-family", "lambda_grid": {"span": 2, "count": 3}}]},
+        "strategy 'liquidity-family': unknown keys in 'lambda_grid': ['span']"),
 }
 
 

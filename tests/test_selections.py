@@ -1,9 +1,10 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from svrisk import bounds, markets, riskstats, selections
+from svrisk import bounds, markets, riskstats, scenarios, selections
 from svrisk.errors import ValidationError
 from svrisk.markets import (
     ExchangeCone2D,
@@ -944,10 +945,22 @@ class TestPrunedRuns:
     def test_bits_at_the_threshold(self, monkeypatch, side, level):
         spec = RiskSpec(ES, level)
         configs = [{"strategy": "quantile-shift", "side": side}]
-        for n in (riskstats.PARTITION_MIN_N - 1, riskstats.PARTITION_MIN_N):
+        if side != "both":
+            for n in (riskstats.PARTITION_MIN_N - 1, riskstats.PARTITION_MIN_N):
+                p = cone_det_runs(run_ensemble(n))
+                share = whole_share(monkeypatch, p, spec, configs)
+                assert (share < 1) == (n >= riskstats.PARTITION_MIN_N), n
+            return
+        # The (t, s) product is evaluated from its halves at any n: each of
+        # the k rows of each half is built once, 1 / k of whole rows' values.
+        for n in (40, riskstats.PARTITION_MIN_N - 1, riskstats.PARTITION_MIN_N, 3000):
             p = cone_det_runs(run_ensemble(n))
             share = whole_share(monkeypatch, p, spec, configs)
-            assert (share < 1) == (n >= riskstats.PARTITION_MIN_N), n
+            (product,) = selections._bundle_families(p, spec, configs)[1:]
+            # At PRUNE_MAX_TAIL the tail may round to one scenario past it.
+            fits = riskstats._prunable_tail(spec, p.ensemble.weights, 0) is not None
+            assert fits or level == riskstats.PRUNE_MAX_TAIL
+            assert share == (1 / len(product.halves[3]) if fits else 1), n
 
     @pytest.mark.parametrize("level", [0.01, 0.25])
     def test_bits_on_large_rows(self, monkeypatch, level):
@@ -971,8 +984,18 @@ class TestPrunedRuns:
             # Recentred at the upper quantiles under wide rates, most
             # scenarios are bound to the origin and do not move along runs.
             (lambda: origin_bound_runs()[0], [{"strategy": "quantile-shift", "level": 0.9}]),
+            # Without exchange each ray moves one coordinate: the product's
+            # t-half is constant in coordinate 1 and its s-half holds no
+            # scenario in coordinate 2.
+            (lambda: SetPortfolio.cone_det(run_ensemble(3000), ExchangeCone2D.no_exchange()),
+             [{"strategy": "quantile-shift"}]),
+            # One infinite rate: the s-half holds no scenario in coordinate 2,
+            # and the t-half moves in both.
+            (lambda: SetPortfolio.cone_det(run_ensemble(3000), ExchangeCone2D(np.inf, 1.1)),
+             [{"strategy": "quantile-shift"}]),
         ],
-        ids=["ties", "large-gains", "explicit-grid", "origin-bound"],
+        ids=["ties", "large-gains", "explicit-grid", "origin-bound", "no-exchange",
+             "one-way-exchange"],
     )
     def test_bits_on_awkward_runs(self, monkeypatch, portfolio, configs):
         p = portfolio()
@@ -996,6 +1019,24 @@ class TestPrunedRuns:
         configs = [{"strategy": "quantile-shift", "side": "both"}]
         _, values = pruned_points(monkeypatch, p, RiskSpec(ES, 0.05), configs)
         assert values <= 0.4 * 1225 * 2 * n
+
+    def test_default_bundle_memory_stays_bounded(self):
+        # The default cone-det bundle at n = 1e4.  Its selections peaked at
+        # 3.65 MiB here with the product as pruned runs, and at 3.9 MiB with
+        # the product's half rows built whole; with half rows and pairs in
+        # bounded blocks, at 3.54 MiB.
+        e = scenarios.generate(scenarios.GenSpec(n=10_000, seed=7, correlation=-0.5))
+        p = cone_det_runs(e)
+        spec = RiskSpec(ES, 0.05)
+        # The first call of a process allocates more, once.
+        selections.selection_points(p, spec)
+        tracemalloc.start()
+        try:
+            selections.selection_points(p, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.64 * 2**20
 
     def test_audit_uneven_weights_and_other_functionals_take_whole_rows(self, monkeypatch):
         n = riskstats.PARTITION_MIN_N
