@@ -453,10 +453,15 @@ class _ConeDet(PortfolioKind):
     def excess(self, p, eta):
         # The cone less the quadrant is the cone: a.(d - t(1, 1)) <= 0 at both dual
         # generators a, d = eta - gains, so t is the larger d1 + (d0 - d1) a0 / a.(1, 1).
+        # d0 and d1 are views of a fresh array, so the gap and its scalings
+        # reuse them: three rows per selection at most, not six.
         d0, d1 = _moves(p, eta)
-        gap = d0 - d1
+        gap = np.subtract(d0, d1, out=d0)
         w1, w2 = (a[0] / a.sum() for a in (p.cone.a1, p.cone.a2))
-        return np.maximum(gap * w1, gap * w2) + d1
+        t = gap * w1
+        np.maximum(t, np.multiply(gap, w2, out=gap), out=t)
+        t += d1
+        return t
 
     def outer_cuts(self, p, risk_spec, n_dirs):
         """Exact pair of dual cuts along the exchange-cone dual generators."""

@@ -11,10 +11,11 @@ contiguous row, block by block, and each block is audited if asked and
 evaluated with one kernel call, so the inner approximation only has to hull
 the points.  A family of runs (``Runs``: the quantile-shift and
 frictionless grids, and the convex mixes) is described by its runs, with
-bounds on every entry, and under unaudited equal-weight expected shortfall
-each run is evaluated only on the scenarios that can reach its tail; the
-two-sided (t, s) quantile-shift product is evaluated there from its two
-halves instead, which never interact (``_product_points``).
+bounds on every entry.  Under equal-weight expected shortfall the two-sided
+(t, s) quantile-shift product is evaluated from its two halves, which never
+interact (``_product_points``), and audited from them if asked
+(``_product_excess``); unaudited, each other run is evaluated only on the
+scenarios that can reach its tail.
 ``build_family`` and ``gather_selections`` turn families into
 ``SelectionMatrix`` lists instead.
 Every emitted row must stay inside the scenario's attainable set, which the
@@ -27,7 +28,7 @@ is its one-selection call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -85,7 +86,7 @@ class Family(NamedTuple):
     A family of scaled runs or convex mixes also describes them in ``runs``,
     from which its ``fill`` is made.  The two-sided (t, s) product also
     gives its ``halves`` (x, m1, m2, scales), from which
-    ``_product_points`` evaluates it.
+    ``_product_points`` evaluates it and ``_product_excess`` audits it.
     """
 
     count: int
@@ -691,6 +692,60 @@ def _product_points(halves, m, risk_spec, weights):
     return points
 
 
+def _half_excess(portfolio, scales, x, step, zero, at):
+    """The largest excess over the scenarios ``at`` (a mask) of each half
+    row fl(fl(s * step) + fl(x + zero)) of the scales s of ``scales``, built
+    there as ``_half_tails`` builds it, in groups of _AUDIT_VALUES // n rows
+    (at least one).  The kind's ``excess`` is computed scenario by scenario,
+    so on the portfolio restricted to ``at`` it has the bits of the whole
+    portfolio's; only the ensemble is restricted, which serves cone-det, the
+    one kind with a product of halves."""
+    E = portfolio.ensemble
+    rates = None if E.rates is None else E.rates[at]
+    on_at = replace(portfolio, ensemble=markets.ScenarioEnsemble(E.gains[at], rates))
+    audit = selection_auditor(on_at)
+    step, base = step[:, at], x[:, at]
+    base += zero[:, at]
+    group = min(len(scales), max(1, _AUDIT_VALUES // len(at)))
+    rows = np.empty((group,) + step.shape)
+    worst = np.empty(len(scales))
+    for lo in range(0, len(scales), group):
+        chunk = scales[lo : lo + group]
+        block = _scale_rows(chunk, step, base, rows[: len(chunk)])
+        worst[lo : lo + group] = audit(block.transpose(0, 2, 1))
+    return worst
+
+
+def _product_excess(portfolio, halves):
+    """The (k * k,) excess of the two-sided (t, s) product's selections, as
+    ``selection_auditor`` measures them, from the product's halves.
+
+    Where m2 is zero in both coordinates, selection (t, s) is t-half row t,
+    bit for bit (see ``_product_points``).  Elsewhere m1 is a zero, and the
+    selection is s-half row s in each coordinate where m2 is not zero; in a
+    coordinate where it is, both halves give x +- 0.  The excess is computed
+    scenario by scenario, so that of (t, s) is the larger of t-half row t's
+    largest excess over the scenarios where m2 is zero and s-half row s's
+    over the others, up to the sign of a zero: 2k half rows are audited
+    instead of k * k selections."""
+    x, m1, m2, scales = halves
+    moves = (m2 != 0.0).any(axis=0)
+    t_half = _half_excess(portfolio, scales, x, m1, m2, ~moves)
+    s_half = _half_excess(portfolio, scales, x, m2, m1, moves)
+    return np.maximum.outer(t_half, s_half).ravel()
+
+
+def _refuse(family, lo, gaps):
+    """Raise for the first selection lo + i whose excess ``gaps[i]`` passes
+    _AUDIT_TOL or is NaN."""
+    bad = np.flatnonzero(~(gaps <= _AUDIT_TOL))
+    if bad.size:
+        raise ValidationError(
+            f"selection {family.label(lo + bad[0])!r} leaves the "
+            f"portfolio (excess {gaps[bad[0]]:.3e})"
+        )
+
+
 def _family_points(family, n, risk_spec, weights, buf, auditor):
     """The (count, 2) risk points of the family's selections: they fill the
     (b, 2, n) buffer ``buf`` b at a time, and each block is audited if asked
@@ -701,13 +756,7 @@ def _family_points(family, n, risk_spec, weights, buf, auditor):
         block = buf[: hi - lo]
         family.fill(block, lo, hi)
         if auditor is not None:
-            gaps = auditor(block.transpose(0, 2, 1))
-            bad = np.flatnonzero(~(gaps <= _AUDIT_TOL))
-            if bad.size:
-                raise ValidationError(
-                    f"selection {family.label(lo + bad[0])!r} leaves the "
-                    f"portfolio (excess {gaps[bad[0]]:.3e})"
-                )
+            _refuse(family, lo, auditor(block.transpose(0, 2, 1)))
         # Row 2i + j of the contiguous block is coordinate j of selection
         # lo + i; the block is scratch once audited, so the kernel sorts it
         # in place.
@@ -719,19 +768,23 @@ def _family_points(family, n, risk_spec, weights, buf, auditor):
 def selection_points(portfolio, risk_spec, strategies=None, audit=False):
     """The (m, 2) risk points of the selections that ``gather_selections``
     makes, in order, one family at a time.  Every configuration is parsed
-    first.  Unaudited equal-weight expected shortfall whose tail holds at
-    most riskstats.PRUNE_MAX_TAIL of the scenarios evaluates the two-sided
-    (t, s) product from its halves at any n (``_product_points``), and each
-    other family of runs (the one-sided quantile-shift and frictionless
-    grids from riskstats.PARTITION_MIN_N scenarios on, the convex mixes from
-    riskstats.PRUNE_MIN_N on) only on the scenarios that can reach its tail
-    (``_run_points``); every other family goes through one block buffer of
-    _BLOCK_VALUES // n selections (at least one) in ``_family_points``."""
+    first.  Equal-weight expected shortfall whose tail holds at most
+    riskstats.PRUNE_MAX_TAIL of the scenarios evaluates the two-sided (t, s)
+    product from its halves at any n (``_product_points``), audited or not;
+    unaudited, it evaluates each other family of runs (the one-sided
+    quantile-shift and frictionless grids from riskstats.PARTITION_MIN_N
+    scenarios on, the convex mixes from riskstats.PRUNE_MIN_N on) only on
+    the scenarios that can reach its tail (``_run_points``).  Every other
+    family goes through one block buffer of _BLOCK_VALUES // n selections
+    (at least one) in ``_family_points``.  Audited, each family is audited
+    when its turn comes, the product from its half rows
+    (``_product_excess``), so the first selection that leaves the portfolio
+    is the one named."""
     n = portfolio.ensemble.n
     weights = portfolio.ensemble.weights
     families = _bundle_families(portfolio, risk_spec, strategies)
     tails = [
-        None if audit or f.runs is None
+        None if f.runs is None or (audit and f.halves is None)
         else riskstats._prunable_tail(risk_spec, weights, f.runs.min_n)
         for f in families
     ]
@@ -741,10 +794,11 @@ def selection_points(portfolio, risk_spec, strategies=None, audit=False):
     # it made the allocator fault pages in again for the runs' temporaries.
     whole = sum(f.count for f, m in zip(families, tails) if m is None)
     buf = np.empty((min(whole, max(1, markets._BLOCK_VALUES // n)), 2, n))
-    points = [
-        _family_points(f, n, risk_spec, weights, buf, auditor) if m is None else None
-        for f, m in zip(families, tails)
-    ]
+    points = []
+    for f, m in zip(families, tails):
+        if m is not None and audit:
+            _refuse(f, 0, _product_excess(portfolio, f.halves))
+        points.append(_family_points(f, n, risk_spec, weights, buf, auditor) if m is None else None)
     del buf
     return np.concatenate([
         p if m is None

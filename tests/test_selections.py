@@ -670,6 +670,102 @@ class TestAuditProduct:
             assert same_bits(audit_selection(p, sel), view[-1]), p.kind
 
 
+def product_cases():
+    """Cone-det portfolios whose quantile shift has a (t, s) product: the
+    default rates, and one-way exchange either way, where one ray moves
+    one coordinate only; with pi12 infinite the s-half holds no scenario
+    in coordinate 2, and under gains with zeros of either sign some of its
+    entries there are x +- 0 with x a zero."""
+    return {
+        "default": cone_det_runs(run_ensemble(300)),
+        "pi21-inf": SetPortfolio.cone_det(run_ensemble(300), ExchangeCone2D(1.2, np.inf)),
+        "pi12-inf": SetPortfolio.cone_det(run_ensemble(300), ExchangeCone2D(np.inf, 1.1)),
+        "signed-zeros": SetPortfolio.cone_det(signed_zero_ensemble(300),
+                                              ExchangeCone2D(np.inf, 1.1)),
+    }
+
+
+def product_family(p):
+    configs = [{"strategy": "quantile-shift"}]
+    (product,) = [f for f in selections._bundle_families(p, RiskSpec(ES, 0.05), configs)
+                  if f.halves is not None]
+    return product
+
+
+def product_gains(family, n):
+    """The (k * k, n, 2) selections of a (t, s) product made from its halves
+    as its fill makes them: base x + t * m1, step m2."""
+    x, m1, m2, scales = family.halves
+    k = len(scales)
+    gains = np.empty((k * k, 2, n))
+    for t in range(k):
+        selections._scale_rows(scales, m2, x + scales[t] * m1, gains[t * k : (t + 1) * k])
+    return gains.transpose(0, 2, 1)
+
+
+class TestAuditHalves:
+    """The (t, s) product is audited from its 2k half rows."""
+
+    @pytest.mark.parametrize("values", [lambda n: n, lambda n: 3 * n, lambda n: 2**30],
+                             ids=["n", "3n", "2^30"])
+    @pytest.mark.parametrize("case", ["default", "pi21-inf", "pi12-inf", "signed-zeros"])
+    def test_excess_matches_the_selections(self, monkeypatch, case, values):
+        """The excess of pair (t, s) from the halves equals that of the
+        filled selection.  The t-half row is the selection on its scenarios
+        bit for bit, and so is the s-half row in each coordinate where m2
+        moves; in an s-part coordinate where m2 is zero, both halves give
+        x +- 0, which can differ only in the sign of a zero.  So the sign of
+        a zero excess is the only possible difference, and ``==`` ignores
+        it."""
+        p = product_cases()[case]
+        n = p.ensemble.n
+        monkeypatch.setattr(selections, "_AUDIT_VALUES", values(n))
+        product = product_family(p)
+        x, _, m2, _ = product.halves
+        moves = (m2 != 0.0).any(axis=0)
+        if case == "signed-zeros":
+            assert ((m2[:, moves] == 0.0) & (x[:, moves] == 0.0)).any()
+        gains = np.empty((product.count, 2, n))
+        product.fill(gains, 0, product.count)
+        want = selection_auditor(p)(gains.transpose(0, 2, 1))
+        got = selections._product_excess(p, product.halves)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert same_bits(want, selection_auditor(p)(product_gains(product, n)))
+
+    @pytest.mark.parametrize("part", ["t", "s"])
+    def test_first_offender_is_named(self, monkeypatch, part):
+        p = cone_det_runs(run_ensemble(300))
+        spec = RiskSpec(ES, 0.05)
+        configs = [{"strategy": "quantile-shift"},
+                   {"strategy": "explicit", "gains": p.ensemble.gains + 1.0, "label": "cheat"}]
+        with pytest.raises(ValidationError, match="'cheat'"):
+            selections.selection_points(p, spec, configs, audit=True)
+        # Bump x by 1 at one scenario of one part of the product's halves:
+        # the product is audited when its turn comes, before the cheat.
+        scaled, bumped = selections._scaled, []
+
+        def bump(*args, **kwargs):
+            family = scaled(*args, **kwargs)
+            if family.halves is not None:
+                x, m1, m2, scales = family.halves
+                moves = (m2 != 0.0).any(axis=0)
+                at = np.flatnonzero(moves if part == "s" else ~moves)
+                x = x.copy()
+                x[:, at[len(at) // 2]] += 1.0
+                family = family._replace(halves=(x, m1, m2, scales))
+                bumped.append(family)
+            return family
+
+        monkeypatch.setattr(selections, "_scaled", bump)
+        with pytest.raises(ValidationError) as err:
+            selections.selection_points(p, spec, configs, audit=True)
+        (family,) = bumped
+        gaps = selection_auditor(p)(product_gains(family, p.ensemble.n))
+        first = np.flatnonzero(~(gaps <= selections._AUDIT_TOL))[0]
+        assert str(err.value) == (f"selection {family.label(first)!r} leaves the portfolio "
+                                  f"(excess {gaps[first]:.3e})")
+
+
 def family_cases():
     rng = np.random.default_rng(39)
     n = 30
@@ -1038,17 +1134,38 @@ class TestPrunedRuns:
             tracemalloc.stop()
         assert peak <= 3.64 * 2**20
 
-    def test_audit_uneven_weights_and_other_functionals_take_whole_rows(self, monkeypatch):
+    def test_audited_default_bundle_memory_stays_bounded(self):
+        # The audited default cone-det bundle at n = 1e4 peaked at 5.87 MiB
+        # with its product audited and evaluated on whole rows.  With the
+        # product audited from its half rows, the one-sided runs' whole-row
+        # blocks set the peak.
+        e = scenarios.generate(scenarios.GenSpec(n=10_000, seed=7, correlation=-0.5))
+        p = cone_det_runs(e)
+        spec = RiskSpec(ES, 0.05)
+        selections.selection_points(p, spec, audit=True)
+        tracemalloc.start()
+        try:
+            selections.selection_points(p, spec, audit=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5.87 * 2**20
+
+    def test_audited_product_takes_halves_others_take_whole_rows(self, monkeypatch):
         n = riskstats.PARTITION_MIN_N
         weights = np.random.default_rng(1).random(n)
         even = cone_det_runs(run_ensemble(n))
         uneven = cone_det_runs(run_ensemble(n, weights=weights / weights.sum()))
         configs = [{"strategy": "quantile-shift"}, {"strategy": "corner-selections"}]
+        k = len(selections._bundle_families(even, RiskSpec(ES, 0.05), configs)[1].halves[3])
         for p, spec, audit in ((even, RiskSpec(ES, 0.05), True),
                                (uneven, RiskSpec(ES, 0.05), False),
                                (even, RiskSpec(NEG_EXPECTATION), False)):
             points, values = pruned_points(monkeypatch, p, spec, configs, audit=audit)
-            assert values == 1225 * 2 * n
+            # Audited, the product builds the k rows of each half in each
+            # coordinate for its risks, and its 2k half rows, both
+            # coordinates on their scenarios, for the audit: 4 k n values.
+            assert values == (4 * k * n if audit else k * k * 2 * n)
             expected = [bounds.risk_of_selection(sel, p.ensemble.weights, spec)
                         for sel in selections.gather_selections(p, spec, configs)]
             assert same_bits(points, expected)
