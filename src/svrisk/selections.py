@@ -7,35 +7,34 @@ array operations per block instead of one object per selection; a selection
 that a strategy makes on its own is a one-row family.  ``selection_points``
 is the bundle's pipeline and takes one family at a time: a family is filled
 into one buffer, which holds each coordinate of a selection as one
-contiguous row, block by block, and each block is audited if asked and
-evaluated with one kernel call, so the inner approximation only has to hull
-the points.  A family of runs (``Runs``: the quantile-shift and
-frictionless grids, and the convex mixes) is described by its runs, with
-bounds on every entry.  Under equal-weight expected shortfall the two-sided
-(t, s) quantile-shift product is evaluated from its two halves, which never
-interact (``_product_points``), and audited from them if asked
-(``_product_excess``); unaudited, each other run is evaluated only on the
-scenarios that can reach its tail.
-``build_family`` and ``gather_selections`` turn families into
-``SelectionMatrix`` lists instead.
-Every emitted row must stay inside the scenario's attainable set, which the
-audit tests exactly: ``selection_auditor`` measures each selection of a block
-by its kind's ``excess``, the cash in both assets that brings it back into
+contiguous row, block by block, and each block is evaluated with one kernel
+call, so the inner approximation only has to hull the points.  A family of
+runs (``Runs``: the quantile-shift and frictionless grids, and the convex
+mixes) is described by its runs, with bounds on every entry.  Under
+equal-weight expected shortfall the two-sided (t, s) quantile-shift product
+is evaluated from its two halves, which never interact
+(``_product_points``), and each other run only on the scenarios that can
+reach its tail.  ``build_family`` and ``gather_selections`` turn families
+into ``SelectionMatrix`` lists instead.
+A selection must stay inside the scenario's attainable set, which the audit
+tests exactly: ``selection_auditor`` measures each selection of a block by
+its kind's ``excess``, the cash in both assets that brings it back into
 every scenario's set less the non-negative quadrant, and ``audit_selection``
-is its one-selection call.
+is its one-selection call.  An audited bundle audits the selections whose
+risk points can shape the inner region (``_audit_rows``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import markets, riskstats
 from .errors import ValidationError
-from .geom2d import _unit
+from .geom2d import TOL, _scale_of, _unit
 from .markets import _BLOCK_VALUES, _IDENTITY, _count, _real, _reals, dual_cone
 from .riskstats import NEG_ESSINF, RiskSpec, WeightedSample, es_empirical, risk_rows, var_empirical
 
@@ -86,7 +85,7 @@ class Family(NamedTuple):
     A family of scaled runs or convex mixes also describes them in ``runs``,
     from which its ``fill`` is made.  The two-sided (t, s) product also
     gives its ``halves`` (x, m1, m2, scales), from which
-    ``_product_points`` evaluates it and ``_product_excess`` audits it.
+    ``_product_points`` evaluates it.
     """
 
     count: int
@@ -416,7 +415,7 @@ def _mix(first, second, lam):
     )
 
 
-# Largest excess a selection may show when bundles are audited.
+# Largest excess of an audited selection, per unit of max(1, |gains|, |selection|).
 _AUDIT_TOL = 1e-7
 # The audit measures groups of _AUDIT_VALUES // n selections (at least one): one
 # at a time took 2.2x as long, whole blocks 3x (cone-det defaults, n = 2000, 2 cores).
@@ -692,74 +691,79 @@ def _product_points(halves, m, risk_spec, weights):
     return points
 
 
-def _half_excess(portfolio, scales, x, step, zero, at):
-    """The largest excess over the scenarios ``at`` (a mask) of each half
-    row fl(fl(s * step) + fl(x + zero)) of the scales s of ``scales``, built
-    there as ``_half_tails`` builds it, in groups of _AUDIT_VALUES // n rows
-    (at least one).  The kind's ``excess`` is computed scenario by scenario,
-    so on the portfolio restricted to ``at`` it has the bits of the whole
-    portfolio's; only the ensemble is restricted, which serves cone-det, the
-    one kind with a product of halves."""
-    E = portfolio.ensemble
-    rates = None if E.rates is None else E.rates[at]
-    on_at = replace(portfolio, ensemble=markets.ScenarioEnsemble(E.gains[at], rates))
-    audit = selection_auditor(on_at)
-    step, base = step[:, at], x[:, at]
-    base += zero[:, at]
-    group = min(len(scales), max(1, _AUDIT_VALUES // len(at)))
-    rows = np.empty((group,) + step.shape)
-    worst = np.empty(len(scales))
-    for lo in range(0, len(scales), group):
-        chunk = scales[lo : lo + group]
-        block = _scale_rows(chunk, step, base, rows[: len(chunk)])
-        worst[lo : lo + group] = audit(block.transpose(0, 2, 1))
-    return worst
+def _shaping_rows(points):
+    """Indices, in order, of the rows of the (m, 2) risk ``points`` that can
+    shape the inner region: the rows whose point is not finite, and those
+    whose point no other finite point beats by more than
+    delta = geom2d.TOL * max(1, max|p|) in both coordinates.
+
+    Every inner vertex is the point of one of them.  The recession cone
+    contains the quadrant, so its unit rays have lo0, -lo1, -hi0, hi1 >= 0.
+    If q = p + d with d0, d1 > delta, the hull's cone coordinates a = lo x p
+    and b = p x hi grow from p to q by lo0 d1 - lo1 d0 and hi1 d0 - hi0 d1,
+    at least min(d0, d1) > delta.  Their float values are within 2 eps
+    max|p| of that, and x - delta below rounds by at most eps max(1, max|p|),
+    both far below delta: so p sorts before q, and the prefix minimum of b
+    drops q from the exact front, which holds every vertex."""
+    finite = np.isfinite(points).all(axis=1)
+    shaping = ~finite
+    pts = points[finite]
+    if len(pts):
+        delta = TOL * _scale_of(pts)
+        order = np.argsort(pts[:, 0], kind="stable")
+        lowest = np.minimum.accumulate(pts[order, 1])
+        # The first ``left`` points in x order lie more than delta left of p.
+        left = np.searchsorted(pts[order, 0], pts[:, 0] - delta)
+        beaten = (left > 0) & (lowest[np.maximum(left, 1) - 1] < pts[:, 1] - delta)
+        shaping[finite] = ~beaten
+    return np.flatnonzero(shaping)
 
 
-def _product_excess(portfolio, halves):
-    """The (k * k,) excess of the two-sided (t, s) product's selections, as
-    ``selection_auditor`` measures them, from the product's halves.
+def _audit_rows(portfolio, families, points):
+    """Refuse, by label, the first selection in family order among the
+    ``_shaping_rows`` of ``points`` whose excess is NaN or passes _AUDIT_TOL
+    times the largest of 1 and the largest |entry| of the gains and of the
+    selection.  The rows are rebuilt in buffers of at most _AUDIT_VALUES // n
+    (at least one) selections, with one ``fill`` call per run of
+    consecutive rows of a family, and each buffer is audited with one call."""
+    n = portfolio.ensemble.n
+    audit = selection_auditor(portfolio)
+    scale = _scale_of(portfolio.ensemble.gains)
+    rows = _shaping_rows(points)
+    size = max(1, _AUDIT_VALUES // n)
+    buf = np.empty((min(len(rows), size), 2, n))
+    firsts = np.cumsum([0] + [f.count for f in families])
+    owners = np.searchsorted(firsts, rows, side="right") - 1
+    # Audited row i is selection local[i] of family owners[i].
+    local = rows - firsts[owners]
+    for lo in range(0, len(rows), size):
+        chunk, owner = local[lo : lo + size], owners[lo : lo + size]
+        cuts = np.flatnonzero((np.diff(chunk) != 1) | (np.diff(owner) != 0)) + 1
+        for a, b in zip([0, *cuts.tolist()], [*cuts.tolist(), len(chunk)]):
+            families[owner[a]].fill(buf[a:b], chunk[a], chunk[a] + b - a)
+        block = buf[: len(chunk)]
+        gaps = audit(block.transpose(0, 2, 1))
+        tol = _AUDIT_TOL * np.maximum(scale, np.abs(block).max(axis=(1, 2)))
+        bad = np.flatnonzero(~(gaps <= tol))
+        if bad.size:
+            i = bad[0]
+            raise ValidationError(
+                f"selection {families[owner[i]].label(chunk[i])!r} leaves the "
+                f"portfolio (excess {gaps[i]:.3e})"
+            )
 
-    Where m2 is zero in both coordinates, selection (t, s) is t-half row t,
-    bit for bit (see ``_product_points``).  Elsewhere m1 is a zero, and the
-    selection is s-half row s in each coordinate where m2 is not zero; in a
-    coordinate where it is, both halves give x +- 0.  The excess is computed
-    scenario by scenario, so that of (t, s) is the larger of t-half row t's
-    largest excess over the scenarios where m2 is zero and s-half row s's
-    over the others, up to the sign of a zero: 2k half rows are audited
-    instead of k * k selections."""
-    x, m1, m2, scales = halves
-    moves = (m2 != 0.0).any(axis=0)
-    t_half = _half_excess(portfolio, scales, x, m1, m2, ~moves)
-    s_half = _half_excess(portfolio, scales, x, m2, m1, moves)
-    return np.maximum.outer(t_half, s_half).ravel()
 
-
-def _refuse(family, lo, gaps):
-    """Raise for the first selection lo + i whose excess ``gaps[i]`` passes
-    _AUDIT_TOL or is NaN."""
-    bad = np.flatnonzero(~(gaps <= _AUDIT_TOL))
-    if bad.size:
-        raise ValidationError(
-            f"selection {family.label(lo + bad[0])!r} leaves the "
-            f"portfolio (excess {gaps[bad[0]]:.3e})"
-        )
-
-
-def _family_points(family, n, risk_spec, weights, buf, auditor):
+def _family_points(family, n, risk_spec, weights, buf):
     """The (count, 2) risk points of the family's selections: they fill the
-    (b, 2, n) buffer ``buf`` b at a time, and each block is audited if asked
-    and evaluated with one kernel call over its rows."""
+    (b, 2, n) buffer ``buf`` b at a time, and each block is evaluated with
+    one kernel call over its rows."""
     points = np.empty((family.count, 2))
     for lo in range(0, family.count, len(buf)):
         hi = min(family.count, lo + len(buf))
         block = buf[: hi - lo]
         family.fill(block, lo, hi)
-        if auditor is not None:
-            _refuse(family, lo, auditor(block.transpose(0, 2, 1)))
         # Row 2i + j of the contiguous block is coordinate j of selection
-        # lo + i; the block is scratch once audited, so the kernel sorts it
-        # in place.
+        # lo + i; the block is scratch, so the kernel sorts it in place.
         rows = block.reshape(2 * len(block), n)
         points[lo:hi] = risk_rows(risk_spec, rows, weights, overwrite_input=True).reshape(-1, 2)
     return points
@@ -767,45 +771,39 @@ def _family_points(family, n, risk_spec, weights, buf, auditor):
 
 def selection_points(portfolio, risk_spec, strategies=None, audit=False):
     """The (m, 2) risk points of the selections that ``gather_selections``
-    makes, in order, one family at a time.  Every configuration is parsed
-    first.  Equal-weight expected shortfall whose tail holds at most
-    riskstats.PRUNE_MAX_TAIL of the scenarios evaluates the two-sided (t, s)
-    product from its halves at any n (``_product_points``), audited or not;
-    unaudited, it evaluates each other family of runs (the one-sided
-    quantile-shift and frictionless grids from riskstats.PARTITION_MIN_N
-    scenarios on, the convex mixes from riskstats.PRUNE_MIN_N on) only on
-    the scenarios that can reach its tail (``_run_points``).  Every other
-    family goes through one block buffer of _BLOCK_VALUES // n selections
-    (at least one) in ``_family_points``.  Audited, each family is audited
-    when its turn comes, the product from its half rows
-    (``_product_excess``), so the first selection that leaves the portfolio
-    is the one named."""
+    makes, in order, one family at a time, once every configuration is
+    parsed.  Under equal-weight expected shortfall whose tail holds at most
+    riskstats.PRUNE_MAX_TAIL of the scenarios, the two-sided (t, s) product
+    is evaluated from its halves at any n (``_product_points``) and each
+    other family of runs (one-sided scaled grids from
+    riskstats.PARTITION_MIN_N scenarios on, convex mixes from
+    riskstats.PRUNE_MIN_N on) on the scenarios that can reach its tail
+    (``_run_points``); every other family goes through one buffer of
+    _BLOCK_VALUES // n selections (at least one) in ``_family_points``.
+    Audited, the selections that can shape the inner region are then
+    audited (``_audit_rows``)."""
     n = portfolio.ensemble.n
     weights = portfolio.ensemble.weights
     families = _bundle_families(portfolio, risk_spec, strategies)
-    tails = [
-        None if f.runs is None or (audit and f.halves is None)
-        else riskstats._prunable_tail(risk_spec, weights, f.runs.min_n)
-        for f in families
-    ]
-    auditor = selection_auditor(portfolio) if audit else None
+    tails = [f.runs and riskstats._prunable_tail(risk_spec, weights, f.runs.min_n)
+             for f in families]
     # One buffer serves every whole-row family and is freed before the first
     # pruned run: sized by the largest family, or kept alive across the runs,
     # it made the allocator fault pages in again for the runs' temporaries.
     whole = sum(f.count for f, m in zip(families, tails) if m is None)
     buf = np.empty((min(whole, max(1, markets._BLOCK_VALUES // n)), 2, n))
-    points = []
-    for f, m in zip(families, tails):
-        if m is not None and audit:
-            _refuse(f, 0, _product_excess(portfolio, f.halves))
-        points.append(_family_points(f, n, risk_spec, weights, buf, auditor) if m is None else None)
+    points = [_family_points(f, n, risk_spec, weights, buf) if m is None else None
+              for f, m in zip(families, tails)]
     del buf
-    return np.concatenate([
+    points = np.concatenate([
         p if m is None
         else _product_points(f.halves, m, risk_spec, weights) if f.halves is not None
         else _run_points(f.runs, m, risk_spec, weights)
         for f, m, p in zip(families, tails, points)
     ])
+    if audit:
+        _audit_rows(portfolio, families, points)
+    return points
 
 
 def default_strategy_configs(portfolio):

@@ -176,6 +176,24 @@ class TestInnerRegion:
             compute_bundle(p, ES05, strategies=outside, audit=True)
         assert str(info.value).startswith("selection 'outside' leaves the portfolio (excess")
 
+    def test_audit_tolerance_scales_with_the_gains(self):
+        # Without exchange a selection may lie below the gains.  Scenario 0
+        # makes the gains' scale 1e6, so an excess of 0.01 at scenario 1 is
+        # within 1e-7 of it and 1.0 is not; both selections sit at the
+        # identity's risk point, so both can shape the inner region.
+        e = ScenarioEnsemble(np.array([[1e6, 1e6], [0.0, 0.0]]))
+        p = SetPortfolio.cone_det(e, ExchangeCone2D.no_exchange())
+        spec = RiskSpec(ES, 0.5)
+        for step, refused in ((0.01, False), (1.0, True)):
+            gains = [[0.0, 0.0], [step, step]]
+            cfg = [{"strategy": "explicit", "gains": gains, "label": "below"}]
+            if refused:
+                with pytest.raises(ValidationError, match="'below' leaves the portfolio"):
+                    compute_bundle(p, spec, strategies=cfg, audit=True)
+            else:
+                assert (compute_bundle(p, spec, strategies=cfg, audit=True).to_json()
+                        == compute_bundle(p, spec, strategies=cfg).to_json())
+
     def test_recession_by_kind(self):
         e = ensemble_for_kinds()
         assert inner_recession(
@@ -393,10 +411,12 @@ class TestSandwich:
     def test_nested_for_every_kind_in_large_units(self, kind, scale):
         # Gains in currency units: the rounding slack between the regions
         # grows with the data, and a valid bundle must still be returned.
+        # The audit's tolerance grows with the data too, and passes it.
         e = ensemble_for_kinds(seed=5)
-        large = ScenarioEnsemble(e.gains * scale, rates=e.rates)
-        bundle = compute_bundle(ALL_KIND_BUILDERS[kind](large), ES05)
-        assert sandwich_violation(bundle) <= 1e-9 * scale
+        p = ALL_KIND_BUILDERS[kind](ScenarioEnsemble(e.gains * scale, rates=e.rates))
+        bundles = [compute_bundle(p, ES05, audit=audit) for audit in (False, True)]
+        assert sandwich_violation(bundles[0]) <= 1e-9 * scale
+        assert bundles[1].to_json() == bundles[0].to_json()
 
     def test_bundle_that_does_not_nest_is_refused(self, monkeypatch):
         # An outer cut that slices into the inner region breaks the sandwich.
@@ -560,8 +580,10 @@ class TestBundleSerialization:
             {"strategy": "explicit", "gains": (NONMARGIN_GAINS + 2.0).tolist(),
              "label": "cheat-b"},
         ]
-        gap = audit_selection(p, SelectionMatrix(NONMARGIN_GAINS + 1.0, "cheat-a"))
-        message = f"selection 'cheat-a' leaves the portfolio (excess {gap:.3e})"
+        # cheat-b's risk point beats cheat-a's by 1 in both coordinates, so
+        # cheat-a cannot shape the inner region and only cheat-b is audited.
+        gap = audit_selection(p, SelectionMatrix(NONMARGIN_GAINS + 2.0, "cheat-b"))
+        message = f"selection 'cheat-b' leaves the portfolio (excess {gap:.3e})"
         with pytest.raises(ValidationError) as info:
             inner_region(p, NONMARGIN_SPEC, strategies=cheats, audit=True)
         assert str(info.value) == message

@@ -450,6 +450,24 @@ class TestAudit:
         with np.errstate(all="ignore"), pytest.raises(ValidationError, match="'overflowed'"):
             selections.selection_points(p, RiskSpec(ES, 0.5), audit=True)
 
+    def test_pipeline_refuses_non_finite_point(self, monkeypatch):
+        # A selection with a -inf entry in the tail has an infinite risk
+        # point: the audit names it before the hull sees the point.
+        p = SetPortfolio.ball(ScenarioEnsemble(NONMARGIN_GAINS), radius=1.0)
+        x = p.ensemble.gains.T.copy()
+
+        def fill(out, lo, hi):
+            out[0] = x
+            out[0, 0, 0] = -np.inf
+
+        overflowed = selections.Family(1, lambda i: "overflowed", fill)
+        families = selections._bundle_families(p, RiskSpec(ES, 0.5), None) + [overflowed]
+        monkeypatch.setattr(selections, "_bundle_families", lambda *args: families)
+        with np.errstate(all="ignore"):
+            assert not np.isfinite(selections.selection_points(p, RiskSpec(ES, 0.5))).all()
+            with pytest.raises(ValidationError, match="'overflowed'"):
+                selections.selection_points(p, RiskSpec(ES, 0.5), audit=True)
+
     def test_cone_det_violation_caught_on_dual_ray(self):
         e = ScenarioEnsemble(np.zeros((1, 2)))
         p = SetPortfolio.cone_det(e, NONMARGIN_CONE)
@@ -586,8 +604,9 @@ def per_direction_gaps(p, gains):
 
 def family_blocks(families, n, size):
     """Each family's selections filled through its ``fill`` into one buffer
-    of ``size`` selections, as ``selection_points`` fills them: yields each
-    block as a (rows, n, 2) view, the family and the block's first index."""
+    of ``size`` selections, as ``selection_points`` fills a buffer: yields
+    each block as a (rows, n, 2) view, the family and the block's first
+    index."""
     buf = np.empty((size, 2, n))
     for family in families:
         for lo in range(0, family.count, size):
@@ -597,8 +616,9 @@ def family_blocks(families, n, size):
 
 
 def pipeline_gaps(p, families, rows):
-    """Gaps of the families' selections audited as ``selection_points``
-    audits them: the views of a block buffer of ``rows`` selections."""
+    """Gaps of the families' selections audited as views of a block buffer
+    of ``rows`` selections, the way ``selection_points`` hands its audited
+    rows to the auditor."""
     audit = selection_auditor(p)
     return np.concatenate([
         audit(block) for block, _, _ in family_blocks(families, p.ensemble.n, rows)
@@ -694,29 +714,35 @@ def product_family(p):
 
 def product_gains(family, n):
     """The (k * k, n, 2) selections of a (t, s) product made from its halves
-    as its fill makes them: base x + t * m1, step m2."""
+    as ``_product_points`` makes their rows: in coordinate j, the t-half
+    fl(fl(t * m1) + fl(x + m2)) where m2 is zero and the s-half
+    fl(fl(s * m2) + fl(x + m1)) elsewhere."""
     x, m1, m2, scales = family.halves
     k = len(scales)
-    gains = np.empty((k * k, 2, n))
-    for t in range(k):
-        selections._scale_rows(scales, m2, x + scales[t] * m1, gains[t * k : (t + 1) * k])
-    return gains.transpose(0, 2, 1)
+    gains = np.empty((k, k, 2, n))
+    for j in range(2):
+        at = m2[j] != 0.0
+        t_rows = selections._scale_rows(scales, m1[j, ~at], x[j, ~at] + m2[j, ~at],
+                                        np.empty((k, np.count_nonzero(~at))))
+        s_rows = selections._scale_rows(scales, m2[j, at], x[j, at] + m1[j, at],
+                                        np.empty((k, np.count_nonzero(at))))
+        gains[:, :, j, ~at] = t_rows[:, None]
+        gains[:, :, j, at] = s_rows[None, :]
+    return gains.reshape(k * k, 2, n).transpose(0, 2, 1)
 
 
 class TestAuditHalves:
-    """The (t, s) product is audited from its 2k half rows."""
+    """An audited bundle rebuilds the (t, s) product's rows with its fill,
+    while ``_product_points`` evaluates the selections its halves make:
+    they are the same selections, bit for bit."""
 
     @pytest.mark.parametrize("values", [lambda n: n, lambda n: 3 * n, lambda n: 2**30],
                              ids=["n", "3n", "2^30"])
     @pytest.mark.parametrize("case", ["default", "pi21-inf", "pi12-inf", "signed-zeros"])
     def test_excess_matches_the_selections(self, monkeypatch, case, values):
-        """The excess of pair (t, s) from the halves equals that of the
-        filled selection.  The t-half row is the selection on its scenarios
-        bit for bit, and so is the s-half row in each coordinate where m2
-        moves; in an s-part coordinate where m2 is zero, both halves give
-        x +- 0, which can differ only in the sign of a zero.  So the sign of
-        a zero excess is the only possible difference, and ``==`` ignores
-        it."""
+        """The halves make the filled selections, signed zeros included, so
+        the audit measures the selections whose points were evaluated, at
+        any audit group size."""
         p = product_cases()[case]
         n = p.ensemble.n
         monkeypatch.setattr(selections, "_AUDIT_VALUES", values(n))
@@ -727,43 +753,114 @@ class TestAuditHalves:
             assert ((m2[:, moves] == 0.0) & (x[:, moves] == 0.0)).any()
         gains = np.empty((product.count, 2, n))
         product.fill(gains, 0, product.count)
-        want = selection_auditor(p)(gains.transpose(0, 2, 1))
-        got = selections._product_excess(p, product.halves)
-        assert np.array_equal(got, want, equal_nan=True)
-        assert same_bits(want, selection_auditor(p)(product_gains(product, n)))
+        filled = gains.transpose(0, 2, 1)
+        halves = product_gains(product, n)
+        assert same_bits(halves, filled)
+        assert same_bits(selection_auditor(p)(halves), selection_auditor(p)(filled))
 
-    @pytest.mark.parametrize("part", ["t", "s"])
-    def test_first_offender_is_named(self, monkeypatch, part):
-        p = cone_det_runs(run_ensemble(300))
+
+AUDIT_KINDS = {
+    "cone-det": lambda e: SetPortfolio.cone_det(e, ExchangeCone2D(1.2, 1.1)),
+    "cone-det-one-way": lambda e: SetPortfolio.cone_det(e, ExchangeCone2D(np.inf, 1.1)),
+    "random": SetPortfolio.random_halfplane,
+    "liquidity": lambda e: SetPortfolio.liquidity_capped(e, cap=(1.0, 1.0)),
+    "ball": lambda e: SetPortfolio.ball(e, radius=1.0),
+    "segment": lambda e: SetPortfolio.segment_hull(e, [e.gains[:, ::-1]]),
+}
+
+
+def audited_bundle(monkeypatch, p, spec, configs):
+    """The audited bundle and the (r, n, 2) gains of the selections its audit
+    measured, recorded by wrapping ``selection_auditor``."""
+    seen = []
+    auditor = selections.selection_auditor
+
+    def recording(portfolio):
+        audit = auditor(portfolio)
+
+        def record(gains):
+            seen.append(np.array(gains))
+            return audit(gains)
+
+        return record
+
+    with monkeypatch.context() as m:
+        m.setattr(selections, "selection_auditor", recording)
+        bundle = bounds.compute_bundle(p, spec, configs, audit=True)
+    return bundle, np.concatenate(seen) if seen else np.empty((0,) + p.ensemble.gains.shape)
+
+
+class TestAuditedRows:
+    """An audited bundle audits the selections whose points no other point
+    beats in both coordinates: the inner vertices come from them, and the
+    bundle is the unaudited one."""
+
+    def test_rows_beaten_by_delta_in_both_coordinates_are_dropped(self):
+        # delta = TOL * 10, from the largest finite |coordinate|; a point
+        # that is not finite is kept and beats nothing.
+        d = 1e-8
+        points = np.array([
+            [0.0, 0.0],
+            [2 * d, 2 * d],    # beaten by row 0 in both
+            [d / 2, -1.0],     # beats row 0 by less than delta in x
+            [0.0, 0.0],        # row 0's twin
+            [1.0, d / 2 - 1],  # beaten by row 2 by less than delta in y
+            [10.0, 10.0],      # beaten by row 0 in both
+            [-np.inf, -np.inf],
+            [np.nan, 5.0],
+        ])
+        assert selections._shaping_rows(points).tolist() == [0, 2, 3, 4, 6, 7]
+
+    @pytest.mark.parametrize("values", [1, 3, 2**30], ids=["one", "three", "all"])
+    @pytest.mark.parametrize("kind", ["cone-det", "liquidity", "segment"])
+    def test_rebuilt_rows_are_the_selections(self, monkeypatch, kind, values):
+        # Whatever rows the audit takes (runs that cross families and
+        # buffers of one, three or every selection), it measures the
+        # selections that gather_selections makes at those rows.
+        e = scenarios.generate(scenarios.GenSpec(n=50, seed=2, correlation=-0.5,
+                                                 rate_mean=1.5, rate_vol=0.4))
+        p = AUDIT_KINDS[kind](e)
         spec = RiskSpec(ES, 0.05)
-        configs = [{"strategy": "quantile-shift"},
-                   {"strategy": "explicit", "gains": p.ensemble.gains + 1.0, "label": "cheat"}]
-        with pytest.raises(ValidationError, match="'cheat'"):
-            selections.selection_points(p, spec, configs, audit=True)
-        # Bump x by 1 at one scenario of one part of the product's halves:
-        # the product is audited when its turn comes, before the cheat.
-        scaled, bumped = selections._scaled, []
+        sels = selections.gather_selections(p, spec)
+        for rows in (np.arange(len(sels)), np.arange(0, len(sels), 3),
+                     np.r_[0, 2:len(sels):2], np.r_[len(sels) - 1]):
+            monkeypatch.setattr(selections, "_AUDIT_VALUES", values * p.ensemble.n)
+            monkeypatch.setattr(selections, "_shaping_rows", lambda points, rows=rows: rows)
+            _, gains = audited_bundle(monkeypatch, p, spec, None)
+            assert same_bits(gains, np.stack([sels[i].gains for i in rows])), (kind, rows)
 
-        def bump(*args, **kwargs):
-            family = scaled(*args, **kwargs)
-            if family.halves is not None:
-                x, m1, m2, scales = family.halves
-                moves = (m2 != 0.0).any(axis=0)
-                at = np.flatnonzero(moves if part == "s" else ~moves)
-                x = x.copy()
-                x[:, at[len(at) // 2]] += 1.0
-                family = family._replace(halves=(x, m1, m2, scales))
-                bumped.append(family)
-            return family
-
-        monkeypatch.setattr(selections, "_scaled", bump)
-        with pytest.raises(ValidationError) as err:
-            selections.selection_points(p, spec, configs, audit=True)
-        (family,) = bumped
-        gaps = selection_auditor(p)(product_gains(family, p.ensemble.n))
-        first = np.flatnonzero(~(gaps <= selections._AUDIT_TOL))[0]
-        assert str(err.value) == (f"selection {family.label(first)!r} leaves the portfolio "
-                                  f"(excess {gaps[first]:.3e})")
+    @pytest.mark.parametrize(
+        "kind, case",
+        # The random kind takes expected shortfall only.
+        [(kind, case) for kind in sorted(AUDIT_KINDS)
+         for case in ("n50", "n2000", "uneven", "neg-expectation", "twins")
+         if (kind, case) != ("random", "neg-expectation")],
+    )
+    def test_vertices_come_from_audited_rows(self, monkeypatch, kind, case):
+        n = 50 if case == "n50" else 2000 if case == "n2000" else 300
+        spec = RiskSpec(NEG_EXPECTATION) if case == "neg-expectation" else RiskSpec(ES, 0.05)
+        weights = None
+        if case == "uneven":
+            w = np.random.default_rng(3).random(n)
+            weights = w / w.sum()
+        e = scenarios.generate(scenarios.GenSpec(n=n, seed=1, correlation=-0.5,
+                                                 rate_mean=1.5, rate_vol=0.4))
+        p = AUDIT_KINDS[kind](ScenarioEnsemble(e.gains, rates=e.rates, weights=weights))
+        configs = default_strategy_configs(p)
+        if case == "twins":
+            # The identity's twin, ahead of the default strategies, whose
+            # t = 0 and lambda = 0, 1 selections repeat other rows.
+            configs.insert(0, {"strategy": "explicit", "gains": p.ensemble.gains, "label": "twin"})
+        bundle, gains = audited_bundle(monkeypatch, p, spec, configs)
+        assert bundle.to_json() == bounds.compute_bundle(p, spec, configs).to_json()
+        audited = {tuple(bounds.risk_point(g, p.ensemble.weights, spec)) for g in gains}
+        for vertex in bundle.inner.vertices:
+            assert tuple(vertex) in audited, (kind, case, vertex)
+        if case == "twins":
+            twins = np.count_nonzero((gains == p.ensemble.gains).all(axis=(1, 2)))
+            assert twins != 1, kind
+        if kind == "cone-det" and case == "n2000":
+            assert 0 < len(gains) < bundle.meta["selections"] / 4
 
 
 def family_cases():
@@ -1158,17 +1255,44 @@ class TestPrunedRuns:
         uneven = cone_det_runs(run_ensemble(n, weights=weights / weights.sum()))
         configs = [{"strategy": "quantile-shift"}, {"strategy": "corner-selections"}]
         k = len(selections._bundle_families(even, RiskSpec(ES, 0.05), configs)[1].halves[3])
-        for p, spec, audit in ((even, RiskSpec(ES, 0.05), True),
+        for p, spec, audit in ((even, RiskSpec(ES, 0.05), False),
+                               (even, RiskSpec(ES, 0.05), True),
                                (uneven, RiskSpec(ES, 0.05), False),
                                (even, RiskSpec(NEG_EXPECTATION), False)):
             points, values = pruned_points(monkeypatch, p, spec, configs, audit=audit)
-            # Audited, the product builds the k rows of each half in each
-            # coordinate for its risks, and its 2k half rows, both
-            # coordinates on their scenarios, for the audit: 4 k n values.
-            assert values == (4 * k * n if audit else k * k * 2 * n)
+            # The product builds the k rows of each half in each coordinate;
+            # audited, its fill also rebuilds the audited rows, 2 n values
+            # each.
+            if p is even and spec.kind == ES:
+                rebuilt = audited_counts(monkeypatch, p, spec, configs)[0] if audit else 0
+                assert values == 2 * k * n + 2 * n * rebuilt
+            else:
+                assert values == k * k * 2 * n
             expected = [bounds.risk_of_selection(sel, p.ensemble.weights, spec)
                         for sel in selections.gather_selections(p, spec, configs)]
             assert same_bits(points, expected)
+        # The audit rebuilt a few of the product's rows.
+        assert 0 < rebuilt < k * k / 10
+
+
+def audited_counts(monkeypatch, p, spec, configs):
+    """The number of audited rows of a bundle's runs families, and of all its
+    families, counted by wrapping ``_shaping_rows``."""
+    families = selections._bundle_families(p, spec, configs)
+    runs = np.concatenate([np.full(f.count, f.runs is not None) for f in families])
+    counted = []
+    shaping = selections._shaping_rows
+
+    def count(points):
+        rows = shaping(points)
+        counted.append((int(np.count_nonzero(runs[rows])), len(rows)))
+        return rows
+
+    with monkeypatch.context() as m:
+        m.setattr(selections, "_shaping_rows", count)
+        selections.selection_points(p, spec, configs, audit=True)
+    (got,) = counted
+    return got
 
 
 def mix_portfolio(kind, e):
@@ -1257,17 +1381,25 @@ class TestPrunedMixes:
         _, values = pruned_points(monkeypatch, p, RiskSpec(ES, 0.05), None)
         assert values <= 0.5 * 2 * 21 * 2 * n
 
-    def test_audit_uneven_weights_and_other_functionals_take_whole_rows(self, monkeypatch):
+    def test_uneven_weights_and_other_functionals_take_whole_rows(self, monkeypatch):
         n = riskstats.PRUNE_MIN_N
         weights = np.random.default_rng(1).random(n)
         configs = mix_configs("liquidity")
         even = mix_portfolio("liquidity", run_ensemble(n))
         uneven = mix_portfolio("liquidity", run_ensemble(n, weights=weights / weights.sum()))
+        whole = 2 * (21 + 6) * 2 * n
         for p, spec, audit in ((even, RiskSpec(ES, 0.05), True),
                                (uneven, RiskSpec(ES, 0.05), False),
                                (even, RiskSpec(NEG_EXPECTATION), False)):
             points, values = pruned_points(monkeypatch, p, spec, configs, audit=audit)
-            assert values == 2 * (21 + 6) * 2 * n
+            if audit:
+                # Audited mixes are pruned as unaudited ones are; the audit
+                # rebuilds its rows, 2 n values each.
+                pruned = pruned_points(monkeypatch, p, spec, configs)[1]
+                rebuilt = audited_counts(monkeypatch, p, spec, configs)[0]
+                assert values == pruned + 2 * n * rebuilt
+            else:
+                assert values == whole
             expected = [bounds.risk_of_selection(sel, p.ensemble.weights, spec)
                         for sel in selections.gather_selections(p, spec, configs)]
             assert same_bits(points, expected)
