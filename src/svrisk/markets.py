@@ -641,10 +641,12 @@ class _SegmentHull(PortfolioKind):
         return np.max([np.hypot(g[:, 0], g[:, 1]) for g in vertices], axis=0)
 
     def parse(self, block, ensemble):
-        if block.pop("extra", None) == "mirror":
+        if "extra" not in block:
+            extra_gains = block.pop("extra_gains")
+        elif block.pop("extra") == "mirror":
             extra_gains = [ensemble.gains[:, ::-1]]
         else:
-            extra_gains = block.pop("extra_gains")
+            raise ValidationError('"extra" must be "mirror"; give other vertices as "extra_gains"')
         return SetPortfolio.segment_hull(ensemble, extra_gains)
 
     def excess(self, p, eta):

@@ -21,7 +21,7 @@ tests exactly: ``selection_auditor`` measures each selection of a block by
 its kind's ``excess``, the cash in both assets that brings it back into
 every scenario's set less the non-negative quadrant, and ``audit_selection``
 is its one-selection call.  An audited bundle audits the selections whose
-risk points can shape the inner region (``_audit_rows``).
+risk points are vertices of the inner region (``_vertex_rows``).
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 
 from . import markets, riskstats
 from .errors import ValidationError
-from .geom2d import TOL, _scale_of, _unit
+from .geom2d import _scale_of, _unit, region_from_points_plus_cone
 from .markets import _BLOCK_VALUES, _IDENTITY, _count, _real, _reals, dual_cone
 from .riskstats import NEG_ESSINF, RiskSpec, WeightedSample, es_empirical, risk_rows, var_empirical
 
@@ -691,45 +691,33 @@ def _product_points(halves, m, risk_spec, weights):
     return points
 
 
-def _shaping_rows(points):
-    """Indices, in order, of the rows of the (m, 2) risk ``points`` that can
-    shape the inner region: the rows whose point is not finite, and those
-    whose point no other finite point beats by more than
-    delta = geom2d.TOL * max(1, max|p|) in both coordinates.
-
-    Every inner vertex is the point of one of them.  The recession cone
-    contains the quadrant, so its unit rays have lo0, -lo1, -hi0, hi1 >= 0.
-    If q = p + d with d0, d1 > delta, the hull's cone coordinates a = lo x p
-    and b = p x hi grow from p to q by lo0 d1 - lo1 d0 and hi1 d0 - hi0 d1,
-    at least min(d0, d1) > delta.  Their float values are within 2 eps
-    max|p| of that, and x - delta below rounds by at most eps max(1, max|p|),
-    both far below delta: so p sorts before q, and the prefix minimum of b
-    drops q from the exact front, which holds every vertex."""
+def _vertex_rows(points, recession):
+    """Indices, in order, of the rows of the (m, 2) risk ``points`` behind the
+    inner region: the rows whose point is not finite, if there are any, so
+    that the audit names their selections before the hull refuses them; else
+    every row whose point equals a vertex of conv(points) + recession bit for
+    bit, the two signed zeros taken as equal, so tied rows are all taken.
+    The region is the hull of its vertices plus the cone, so no other point
+    shapes it."""
     finite = np.isfinite(points).all(axis=1)
-    shaping = ~finite
-    pts = points[finite]
-    if len(pts):
-        delta = TOL * _scale_of(pts)
-        order = np.argsort(pts[:, 0], kind="stable")
-        lowest = np.minimum.accumulate(pts[order, 1])
-        # The first ``left`` points in x order lie more than delta left of p.
-        left = np.searchsorted(pts[order, 0], pts[:, 0] - delta)
-        beaten = (left > 0) & (lowest[np.maximum(left, 1) - 1] < pts[:, 1] - delta)
-        shaping[finite] = ~beaten
-    return np.flatnonzero(shaping)
+    if not finite.all():
+        return np.flatnonzero(~finite)
+    vertices = region_from_points_plus_cone(points, recession).vertices
+    # Complex == compares each coordinate as a float, so 0.0 == -0.0.
+    return np.flatnonzero(np.isin(points.view(complex), vertices.view(complex)))
 
 
-def _audit_rows(portfolio, families, points):
-    """Refuse, by label, the first selection in family order among the
-    ``_shaping_rows`` of ``points`` whose excess is NaN or passes _AUDIT_TOL
-    times the largest of 1 and the largest |entry| of the gains and of the
-    selection.  The rows are rebuilt in buffers of at most _AUDIT_VALUES // n
-    (at least one) selections, with one ``fill`` call per run of
-    consecutive rows of a family, and each buffer is audited with one call."""
+def _audit_rows(portfolio, families, rows):
+    """Refuse, by label, the first selection in family order among ``rows``
+    whose excess is NaN or passes _AUDIT_TOL times the largest of 1 and the
+    largest |entry| of the gains and of the selection.  The rows, indices in
+    order into the families' selections, are rebuilt in buffers of at most
+    _AUDIT_VALUES // n (at least one) selections, with one ``fill`` call per
+    run of consecutive rows of a family, and each buffer is audited with one
+    call."""
     n = portfolio.ensemble.n
     audit = selection_auditor(portfolio)
     scale = _scale_of(portfolio.ensemble.gains)
-    rows = _shaping_rows(points)
     size = max(1, _AUDIT_VALUES // n)
     buf = np.empty((min(len(rows), size), 2, n))
     firsts = np.cumsum([0] + [f.count for f in families])
@@ -780,8 +768,9 @@ def selection_points(portfolio, risk_spec, strategies=None, audit=False):
     riskstats.PRUNE_MIN_N on) on the scenarios that can reach its tail
     (``_run_points``); every other family goes through one buffer of
     _BLOCK_VALUES // n selections (at least one) in ``_family_points``.
-    Audited, the selections that can shape the inner region are then
-    audited (``_audit_rows``)."""
+    Audited, it then builds the inner hull of the points and audits the
+    selections whose points are its vertices, or those whose points are not
+    finite if there are any (``_vertex_rows``, ``_audit_rows``)."""
     n = portfolio.ensemble.n
     weights = portfolio.ensemble.weights
     families = _bundle_families(portfolio, risk_spec, strategies)
@@ -802,7 +791,8 @@ def selection_points(portfolio, risk_spec, strategies=None, audit=False):
         for f, m, p in zip(families, tails, points)
     ])
     if audit:
-        _audit_rows(portfolio, families, points)
+        recession = portfolio.definition.recession(portfolio, risk_spec)
+        _audit_rows(portfolio, families, _vertex_rows(points, recession))
     return points
 
 

@@ -184,6 +184,20 @@ BAD_NUMBERS = {
 }
 
 
+# Segment-hull blocks whose "extra" is not "mirror"; with "extra_gains" also
+# given, each ran to a bundle.
+ZERO_GAINS = [[[0.0, 0.0]] * 40]
+BAD_EXTRAS = {
+    "extra-other": generated({"kind": "segment-hull", "extra": "other",
+                              "extra_gains": ZERO_GAINS}),
+    "extra-null": generated({"kind": "segment-hull", "extra": None,
+                             "extra_gains": ZERO_GAINS}),
+    "extra-number": generated({"kind": "segment-hull", "extra": 5,
+                               "extra_gains": ZERO_GAINS}),
+    "extra-other-alone": generated({"kind": "segment-hull", "extra": "other"}),
+}
+
+
 def gen_config(tmp_path, n=50, seed=7):
     return write_json(
         tmp_path / "gen.json",
@@ -540,6 +554,7 @@ class TestRisk:
              "strategies": [{"strategy": "liquidity-family", "lambda_grid": {"count": True}}]},
             *(patch for patch, _ in BAD_GRIDS.values()),
             *BAD_NUMBERS.values(),
+            *BAD_EXTRAS.values(),
             {"portfolio": {"kind": "teleport"}},
             {"portfolio": {"kind": "ball"}},
             ({}, ["--window=-1,-1,1,x"]),
@@ -567,7 +582,7 @@ class TestRisk:
             "lambda-grid-count-too-large", "t-grid-both-count-too-large",
             "t-grid-values-too-many", "directions-too-many", "t-grid-count-float",
             "lambda-grid-count-float", "lambda-grid-count-string", "lambda-grid-count-bool",
-            *BAD_GRIDS, *BAD_NUMBERS, "portfolio-kind-unknown", "ball-without-radius",
+            *BAD_GRIDS, *BAD_NUMBERS, *BAD_EXTRAS, "portfolio-kind-unknown", "ball-without-radius",
             "window-flag-not-a-number", "lambda-grid-values-above-one", "strategy-number",
             "t-grid-span-negative", "csv-negative-weight",
         ],
@@ -616,6 +631,15 @@ class TestRisk:
         cfg = nonmargin_config(tmp_path, **patch)
         assert entrypoint(["risk", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert words in capsys.readouterr().err
+
+    @pytest.mark.parametrize("patch", BAD_EXTRAS.values(), ids=list(BAD_EXTRAS))
+    def test_bad_extra_is_named(self, tmp_path, capsys, patch):
+        cfg = nonmargin_config(tmp_path, **patch)
+        assert entrypoint(["risk", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            'error: portfolio block: "extra" must be "mirror"; '
+            'give other vertices as "extra_gains"\n'
+        )
 
     def test_tolerance_cycle_of_selection_risks(self, tmp_path):
         # Three selection risk points, each within the hull tolerance of the

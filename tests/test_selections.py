@@ -6,6 +6,7 @@ import pytest
 
 from svrisk import bounds, markets, riskstats, scenarios, selections
 from svrisk.errors import ValidationError
+from svrisk.geom2d import ConvexCone2D
 from svrisk.markets import (
     ExchangeCone2D,
     ScenarioEnsemble,
@@ -791,25 +792,26 @@ def audited_bundle(monkeypatch, p, spec, configs):
 
 
 class TestAuditedRows:
-    """An audited bundle audits the selections whose points no other point
-    beats in both coordinates: the inner vertices come from them, and the
-    bundle is the unaudited one."""
+    """An audited bundle audits the selections whose points are inner
+    vertices, and the bundle is the unaudited one."""
 
-    def test_rows_beaten_by_delta_in_both_coordinates_are_dropped(self):
-        # delta = TOL * 10, from the largest finite |coordinate|; a point
-        # that is not finite is kept and beats nothing.
-        d = 1e-8
+    def test_rows_on_hull_vertices_are_taken(self):
+        quadrant = ConvexCone2D.nonneg_orthant()
         points = np.array([
-            [0.0, 0.0],
-            [2 * d, 2 * d],    # beaten by row 0 in both
-            [d / 2, -1.0],     # beats row 0 by less than delta in x
-            [0.0, 0.0],        # row 0's twin
-            [1.0, d / 2 - 1],  # beaten by row 2 by less than delta in y
-            [10.0, 10.0],      # beaten by row 0 in both
-            [-np.inf, -np.inf],
-            [np.nan, 5.0],
+            [0.0, 1.0],               # vertex
+            [1.0, -0.0],              # vertex
+            [-0.0, 1.0],              # row 0's twin up to the sign of zero
+            [1.0, 0.0],               # row 1's twin up to the sign of zero
+            [0.5, 0.5 - 1e-11],       # within TOL of the edge, outside it
+            [2.0, 2.0],               # dominated
+            [0.0, 1.0],               # row 0's exact twin
         ])
-        assert selections._shaping_rows(points).tolist() == [0, 2, 3, 4, 6, 7]
+        assert selections._vertex_rows(points, quadrant).tolist() == [0, 1, 2, 3, 6]
+        # Points that are not finite are taken instead, before the hull
+        # refuses them.
+        points[4] = [np.nan, 0.5]
+        points[5] = [2.0, -np.inf]
+        assert selections._vertex_rows(points, quadrant).tolist() == [4, 5]
 
     @pytest.mark.parametrize("values", [1, 3, 2**30], ids=["one", "three", "all"])
     @pytest.mark.parametrize("kind", ["cone-det", "liquidity", "segment"])
@@ -825,7 +827,7 @@ class TestAuditedRows:
         for rows in (np.arange(len(sels)), np.arange(0, len(sels), 3),
                      np.r_[0, 2:len(sels):2], np.r_[len(sels) - 1]):
             monkeypatch.setattr(selections, "_AUDIT_VALUES", values * p.ensemble.n)
-            monkeypatch.setattr(selections, "_shaping_rows", lambda points, rows=rows: rows)
+            monkeypatch.setattr(selections, "_vertex_rows", lambda points, rec, rows=rows: rows)
             _, gains = audited_bundle(monkeypatch, p, spec, None)
             assert same_bits(gains, np.stack([sels[i].gains for i in rows])), (kind, rows)
 
@@ -853,14 +855,16 @@ class TestAuditedRows:
             configs.insert(0, {"strategy": "explicit", "gains": p.ensemble.gains, "label": "twin"})
         bundle, gains = audited_bundle(monkeypatch, p, spec, configs)
         assert bundle.to_json() == bounds.compute_bundle(p, spec, configs).to_json()
-        audited = {tuple(bounds.risk_point(g, p.ensemble.weights, spec)) for g in gains}
+        audited = sorted(tuple(bounds.risk_point(g, p.ensemble.weights, spec)) for g in gains)
         for vertex in bundle.inner.vertices:
             assert tuple(vertex) in audited, (kind, case, vertex)
         if case == "twins":
             twins = np.count_nonzero((gains == p.ensemble.gains).all(axis=(1, 2)))
             assert twins != 1, kind
-        if kind == "cone-det" and case == "n2000":
-            assert 0 < len(gains) < bundle.meta["selections"] / 4
+        # The audited rows are exactly those whose point is an inner vertex.
+        points = selections.selection_points(p, spec, configs)
+        on_vertex = (points[:, None] == bundle.inner.vertices).all(axis=2).any(axis=1)
+        assert audited == sorted(map(tuple, points[on_vertex])), (kind, case)
 
 
 def family_cases():
@@ -1233,9 +1237,10 @@ class TestPrunedRuns:
 
     def test_audited_default_bundle_memory_stays_bounded(self):
         # The audited default cone-det bundle at n = 1e4 peaked at 5.87 MiB
-        # with its product audited and evaluated on whole rows.  With the
-        # product audited from its half rows, the one-sided runs' whole-row
-        # blocks set the peak.
+        # with its product audited and evaluated on whole rows.  Audited
+        # bundles now evaluate as plain ones do and then rebuild only the
+        # few rows behind the inner vertices, so the plain path sets the
+        # peak.
         e = scenarios.generate(scenarios.GenSpec(n=10_000, seed=7, correlation=-0.5))
         p = cone_det_runs(e)
         spec = RiskSpec(ES, 0.05)
@@ -1276,20 +1281,21 @@ class TestPrunedRuns:
 
 
 def audited_counts(monkeypatch, p, spec, configs):
-    """The number of audited rows of a bundle's runs families, and of all its
-    families, counted by wrapping ``_shaping_rows``."""
+    """The number of audited rows, those whose points are inner vertices,
+    among a bundle's runs families and among all its families, counted by
+    wrapping ``_vertex_rows``."""
     families = selections._bundle_families(p, spec, configs)
     runs = np.concatenate([np.full(f.count, f.runs is not None) for f in families])
     counted = []
-    shaping = selections._shaping_rows
+    vertex_rows = selections._vertex_rows
 
-    def count(points):
-        rows = shaping(points)
+    def count(points, recession):
+        rows = vertex_rows(points, recession)
         counted.append((int(np.count_nonzero(runs[rows])), len(rows)))
         return rows
 
     with monkeypatch.context() as m:
-        m.setattr(selections, "_shaping_rows", count)
+        m.setattr(selections, "_vertex_rows", count)
         selections.selection_points(p, spec, configs, audit=True)
     (got,) = counted
     return got
