@@ -1,8 +1,8 @@
 """Inner and outer approximations of set-valued portfolio risk.
 
-The inner region is the convex hull of the selection risk points that
-``selections.selection_points`` makes, plus a recession cone that provably
-stays inside the true region; the outer region intersects the dual
+The inner region, the convex hull of the selection risk points plus a
+recession cone that provably stays inside the true region, comes from
+``selections.selection_region``; the outer region intersects the dual
 half-space bounds that the portfolio kind's record in ``markets`` makes
 (``PortfolioKind.outer_cuts``).  So nothing here knows a kind, a block size
 or an audit rule.  Between them sits the coordinatewise marginal bound.
@@ -28,7 +28,7 @@ from .geom2d import (
 )
 from .markets import tail_slope_cone
 from .riskstats import es_var_lognormal_mean_one, risk_rows, var_empirical
-from .selections import gather_selections, selection_points  # noqa: F401 (re-exported)
+from .selections import gather_selections, selection_region  # noqa: F401 (gather_selections)
 
 # Largest slack sandwich_violation may show before compute_bundle refuses
 # to return a bundle, relative to the largest vertex coordinate of the three
@@ -87,8 +87,7 @@ def inner_recession(portfolio, risk_spec):
 def inner_region(portfolio, risk_spec, strategies=None, audit=False):
     """Convex hull of selection risk points plus the provable recession."""
     portfolio.definition.risk_rule(risk_spec)
-    points = selection_points(portfolio, risk_spec, strategies, audit)
-    return region_from_points_plus_cone(points, inner_recession(portfolio, risk_spec))
+    return selection_region(portfolio, risk_spec, strategies, audit)[0]
 
 
 def _outer(cuts):
@@ -175,8 +174,7 @@ def compute_bundle(portfolio, risk_spec, strategies=None, n_dirs=181, audit=Fals
     definition.risk_rule(risk_spec)
     stage = "selection stage"
     try:
-        points = selection_points(portfolio, risk_spec, strategies, audit)
-        inner = region_from_points_plus_cone(points, inner_recession(portfolio, risk_spec))
+        inner, count = selection_region(portfolio, risk_spec, strategies, audit)
         stage = "outer-cut stage"
         outer = _outer(definition.outer_cuts(portfolio, risk_spec, n_dirs))
         stage = "marginal stage"
@@ -185,7 +183,7 @@ def compute_bundle(portfolio, risk_spec, strategies=None, n_dirs=181, audit=Fals
             "portfolio": portfolio.kind,
             "risk": {"kind": risk_spec.kind, "level": risk_spec.level},
             "scenarios": portfolio.ensemble.n,
-            "selections": len(points),
+            "selections": count,
             "directions": int(n_dirs),
         }
         bundle = RiskBundle(inner=inner, outer=outer, marginal=marginal, meta=meta)

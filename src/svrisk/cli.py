@@ -156,7 +156,7 @@ def cmd_risk(args):
     ensemble = _ensemble(config, seed=args.seed, n=args.n)
     portfolio = _portfolio(config, ensemble)
     spec = _risk_spec(config)
-    window = args.window or config.get("window")
+    window = config.get("window") if args.window is None else args.window
     if window is not None:
         window = _parse_window(window)
     strategies = config.get("strategies")
@@ -200,11 +200,11 @@ def cmd_scalarize(args):
 
 
 def cmd_repro(args):
+    window = None if args.window is None else _parse_window(args.window)
     rows, artifacts = run_repro(args.example)
     if args.out:
         out_dir = os.path.join(args.out, args.example)
         os.makedirs(out_dir, exist_ok=True)
-        window = _parse_window(args.window) if args.window else None
         for bundle in artifacts.values():
             _emit_bundle(bundle, out_dir, window)
         report = [

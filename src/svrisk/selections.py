@@ -5,7 +5,7 @@ Each strategy expands into families of selections.  A family is a count,
 lo..hi-1 straight into a block buffer, so a grid of selections costs a few
 array operations per block instead of one object per selection; a selection
 that a strategy makes on its own is a one-row family.  ``selection_points``
-is the bundle's pipeline and takes one family at a time: a family is filled
+evaluates a bundle's selections one family at a time: a family is filled
 into one buffer, which holds each coordinate of a selection as one
 contiguous row, block by block, and each block is evaluated with one kernel
 call, so the inner approximation only has to hull the points.  A family of
@@ -20,8 +20,8 @@ A selection must stay inside the scenario's attainable set, which the audit
 tests exactly: ``selection_auditor`` measures each selection of a block by
 its kind's ``excess``, the cash in both assets that brings it back into
 every scenario's set less the non-negative quadrant, and ``audit_selection``
-is its one-selection call.  An audited bundle audits the selections whose
-risk points are vertices of the inner region (``_vertex_rows``).
+is its one-selection call.  ``selection_region`` hulls the points into the
+inner region and, audited, audits the selections behind its vertices.
 """
 
 from __future__ import annotations
@@ -691,22 +691,6 @@ def _product_points(halves, m, risk_spec, weights):
     return points
 
 
-def _vertex_rows(points, recession):
-    """Indices, in order, of the rows of the (m, 2) risk ``points`` behind the
-    inner region: the rows whose point is not finite, if there are any, so
-    that the audit names their selections before the hull refuses them; else
-    every row whose point equals a vertex of conv(points) + recession bit for
-    bit, the two signed zeros taken as equal, so tied rows are all taken.
-    The region is the hull of its vertices plus the cone, so no other point
-    shapes it."""
-    finite = np.isfinite(points).all(axis=1)
-    if not finite.all():
-        return np.flatnonzero(~finite)
-    vertices = region_from_points_plus_cone(points, recession).vertices
-    # Complex == compares each coordinate as a float, so 0.0 == -0.0.
-    return np.flatnonzero(np.isin(points.view(complex), vertices.view(complex)))
-
-
 def _audit_rows(portfolio, families, rows):
     """Refuse, by label, the first selection in family order among ``rows``
     whose excess is NaN or passes _AUDIT_TOL times the largest of 1 and the
@@ -757,23 +741,10 @@ def _family_points(family, n, risk_spec, weights, buf):
     return points
 
 
-def selection_points(portfolio, risk_spec, strategies=None, audit=False):
-    """The (m, 2) risk points of the selections that ``gather_selections``
-    makes, in order, one family at a time, once every configuration is
-    parsed.  Under equal-weight expected shortfall whose tail holds at most
-    riskstats.PRUNE_MAX_TAIL of the scenarios, the two-sided (t, s) product
-    is evaluated from its halves at any n (``_product_points``) and each
-    other family of runs (one-sided scaled grids from
-    riskstats.PARTITION_MIN_N scenarios on, convex mixes from
-    riskstats.PRUNE_MIN_N on) on the scenarios that can reach its tail
-    (``_run_points``); every other family goes through one buffer of
-    _BLOCK_VALUES // n selections (at least one) in ``_family_points``.
-    Audited, it then builds the inner hull of the points and audits the
-    selections whose points are its vertices, or those whose points are not
-    finite if there are any (``_vertex_rows``, ``_audit_rows``)."""
+def _points(portfolio, risk_spec, families):
+    """The families' risk points, in order (see ``selection_points``)."""
     n = portfolio.ensemble.n
     weights = portfolio.ensemble.weights
-    families = _bundle_families(portfolio, risk_spec, strategies)
     tails = [f.runs and riskstats._prunable_tail(risk_spec, weights, f.runs.min_n)
              for f in families]
     # One buffer serves every whole-row family and is freed before the first
@@ -784,16 +755,47 @@ def selection_points(portfolio, risk_spec, strategies=None, audit=False):
     points = [_family_points(f, n, risk_spec, weights, buf) if m is None else None
               for f, m in zip(families, tails)]
     del buf
-    points = np.concatenate([
+    return np.concatenate([
         p if m is None
         else _product_points(f.halves, m, risk_spec, weights) if f.halves is not None
         else _run_points(f.runs, m, risk_spec, weights)
         for f, m, p in zip(families, tails, points)
     ])
+
+
+def selection_points(portfolio, risk_spec, strategies=None):
+    """The (m, 2) risk points of the selections that ``gather_selections``
+    makes, in order, one family at a time, once every configuration is
+    parsed.  Under equal-weight expected shortfall whose tail holds at most
+    riskstats.PRUNE_MAX_TAIL of the scenarios, the two-sided (t, s) product
+    is evaluated from its halves at any n (``_product_points``) and each
+    other family of runs (one-sided scaled grids from
+    riskstats.PARTITION_MIN_N scenarios on, convex mixes from
+    riskstats.PRUNE_MIN_N on) on the scenarios that can reach its tail
+    (``_run_points``); every other family goes through one buffer of
+    _BLOCK_VALUES // n selections (at least one) in ``_family_points``.
+    Nothing is audited (see ``selection_region``)."""
+    return _points(portfolio, risk_spec, _bundle_families(portfolio, risk_spec, strategies))
+
+
+def selection_region(portfolio, risk_spec, strategies=None, audit=False):
+    """The inner region, conv(``selection_points``) plus the kind's recession
+    cone, and the number of points.  Audited, ``_audit_rows`` takes the rows
+    whose point is not finite first, if any, so that one is named before the
+    hull refuses it; then every row whose point equals a vertex bit for bit,
+    the two signed zeros taken as equal, so tied rows are all audited.  No
+    other point shapes the region."""
+    families = _bundle_families(portfolio, risk_spec, strategies)
+    points = _points(portfolio, risk_spec, families)
+    if audit and not np.isfinite(points).all():
+        _audit_rows(portfolio, families, np.flatnonzero(~np.isfinite(points).all(axis=1)))
+    recession = portfolio.definition.recession(portfolio, risk_spec)
+    region = region_from_points_plus_cone(points, recession)
     if audit:
-        recession = portfolio.definition.recession(portfolio, risk_spec)
-        _audit_rows(portfolio, families, _vertex_rows(points, recession))
-    return points
+        # Complex == compares each coordinate as a float, so 0.0 == -0.0.
+        vertex = np.isin(points.view(complex), region.vertices.view(complex))
+        _audit_rows(portfolio, families, np.flatnonzero(vertex))
+    return region, len(points)
 
 
 def default_strategy_configs(portfolio):

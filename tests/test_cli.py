@@ -558,6 +558,7 @@ class TestRisk:
             {"portfolio": {"kind": "teleport"}},
             {"portfolio": {"kind": "ball"}},
             ({}, ["--window=-1,-1,1,x"]),
+            ({"window": [-3, -3, 3, 3]}, ["--window="]),
             {**LIQUIDITY, "strategies": [{"strategy": "liquidity-family",
                                           "lambda_grid": {"values": [0.5, 2]}}]},
             {"strategies": [1]},
@@ -583,8 +584,8 @@ class TestRisk:
             "t-grid-values-too-many", "directions-too-many", "t-grid-count-float",
             "lambda-grid-count-float", "lambda-grid-count-string", "lambda-grid-count-bool",
             *BAD_GRIDS, *BAD_NUMBERS, *BAD_EXTRAS, "portfolio-kind-unknown", "ball-without-radius",
-            "window-flag-not-a-number", "lambda-grid-values-above-one", "strategy-number",
-            "t-grid-span-negative", "csv-negative-weight",
+            "window-flag-not-a-number", "window-flag-empty", "lambda-grid-values-above-one",
+            "strategy-number", "t-grid-span-negative", "csv-negative-weight",
         ],
     )
     def test_malformed_input_exits_two(self, tmp_path, capsys, patch):
@@ -830,6 +831,24 @@ class TestRepro:
         with pytest.raises(SystemExit) as err:
             entrypoint(["repro", "warp-drive"])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize(
+        "flags", [["--window", "abc"], ["--window="], ["--out", None, "--window", "1,1,0,0"]],
+        ids=["not-numbers", "empty-string", "empty-box-with-out"],
+    )
+    def test_bad_window_exits_two_before_the_repro(self, monkeypatch, tmp_path, capsys, flags):
+        # The window is checked first, with or without --out: no example
+        # runs and no output directory is made.
+        ran = []
+        rows = [
+            {"name": "probe", "computed": 1.0, "expected": 1.0, "tol": 0.1, "ok": True}
+        ]
+        monkeypatch.setattr(cli, "run_repro", lambda example: ran.append(example) or (rows, {}))
+        flags = [str(tmp_path) if flag is None else flag for flag in flags]
+        assert entrypoint(["repro", "nonmargin", *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: window") and err.count("\n") == 1, err
+        assert ran == [] and list(tmp_path.iterdir()) == []
 
     def test_mismatch_exits_one(self, monkeypatch, capsys):
         rows = [

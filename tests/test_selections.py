@@ -6,7 +6,6 @@ import pytest
 
 from svrisk import bounds, markets, riskstats, scenarios, selections
 from svrisk.errors import ValidationError
-from svrisk.geom2d import ConvexCone2D
 from svrisk.markets import (
     ExchangeCone2D,
     ScenarioEnsemble,
@@ -449,7 +448,7 @@ class TestAudit:
         overflowed = selections.Family(1, lambda i: "overflowed", fill)
         monkeypatch.setattr(selections, "_bundle_families", lambda *args: [overflowed])
         with np.errstate(all="ignore"), pytest.raises(ValidationError, match="'overflowed'"):
-            selections.selection_points(p, RiskSpec(ES, 0.5), audit=True)
+            selections.selection_region(p, RiskSpec(ES, 0.5), audit=True)
 
     def test_pipeline_refuses_non_finite_point(self, monkeypatch):
         # A selection with a -inf entry in the tail has an infinite risk
@@ -467,7 +466,7 @@ class TestAudit:
         with np.errstate(all="ignore"):
             assert not np.isfinite(selections.selection_points(p, RiskSpec(ES, 0.5))).all()
             with pytest.raises(ValidationError, match="'overflowed'"):
-                selections.selection_points(p, RiskSpec(ES, 0.5), audit=True)
+                selections.selection_region(p, RiskSpec(ES, 0.5), audit=True)
 
     def test_cone_det_violation_caught_on_dual_ray(self):
         e = ScenarioEnsemble(np.zeros((1, 2)))
@@ -618,7 +617,7 @@ def family_blocks(families, n, size):
 
 def pipeline_gaps(p, families, rows):
     """Gaps of the families' selections audited as views of a block buffer
-    of ``rows`` selections, the way ``selection_points`` hands its audited
+    of ``rows`` selections, the way ``selection_region`` hands its audited
     rows to the auditor."""
     audit = selection_auditor(p)
     return np.concatenate([
@@ -795,8 +794,10 @@ class TestAuditedRows:
     """An audited bundle audits the selections whose points are inner
     vertices, and the bundle is the unaudited one."""
 
-    def test_rows_on_hull_vertices_are_taken(self):
-        quadrant = ConvexCone2D.nonneg_orthant()
+    def test_rows_on_hull_vertices_are_taken(self, monkeypatch):
+        # Hand-made points in place of the pipeline's, so that rows can
+        # differ in the sign of a zero.  The ball's recession is the quadrant.
+        p = SetPortfolio.ball(ScenarioEnsemble(np.zeros((1, 2))), radius=1.0)
         points = np.array([
             [0.0, 1.0],               # vertex
             [1.0, -0.0],              # vertex
@@ -806,12 +807,57 @@ class TestAuditedRows:
             [2.0, 2.0],               # dominated
             [0.0, 1.0],               # row 0's exact twin
         ])
-        assert selections._vertex_rows(points, quadrant).tolist() == [0, 1, 2, 3, 6]
-        # Points that are not finite are taken instead, before the hull
+
+        def audited_rows():
+            # The rows that each _audit_rows call is handed, then whether
+            # the region was refused.
+            families = [selections.Family(len(points), str, None)]
+            seen = []
+            with monkeypatch.context() as m:
+                m.setattr(selections, "_bundle_families", lambda *args: families)
+                m.setattr(selections, "_points", lambda *args: points)
+                m.setattr(selections, "_audit_rows",
+                          lambda portfolio, fams, rows: seen.append(rows.tolist()))
+                try:
+                    _, count = selections.selection_region(p, RiskSpec(ES, 0.5), audit=True)
+                    assert count == len(points)
+                except ValidationError:
+                    seen.append("refused")
+            return seen
+
+        assert audited_rows() == [[0, 1, 2, 3, 6]]
+        # Points that are not finite are audited first, before the hull
         # refuses them.
         points[4] = [np.nan, 0.5]
         points[5] = [2.0, -np.inf]
-        assert selections._vertex_rows(points, quadrant).tolist() == [4, 5]
+        assert audited_rows() == [[4, 5], "refused"]
+
+    @pytest.mark.parametrize("kind", sorted(AUDIT_KINDS))
+    def test_bundle_builds_one_inner_hull(self, monkeypatch, kind):
+        # Audited or not, a bundle makes the kind's recession cone and the
+        # inner hull once; the other hull is the marginal region's point.
+        e = scenarios.generate(scenarios.GenSpec(n=200, seed=1, correlation=-0.5,
+                                                 rate_mean=1.5, rate_vol=0.4))
+        p = AUDIT_KINDS[kind](e)
+        calls = []
+        hull, recession = selections.region_from_points_plus_cone, p.definition.recession
+
+        def counted_hull(points, cone):
+            calls.append(("hull", len(points)))
+            return hull(points, cone)
+
+        def counted_recession(*args):
+            calls.append("recession")
+            return recession(*args)
+
+        for module in (bounds, selections):
+            monkeypatch.setattr(module, "region_from_points_plus_cone", counted_hull)
+        monkeypatch.setattr(p.definition, "recession", counted_recession)
+        for audit in (False, True):
+            calls.clear()
+            bundle = bounds.compute_bundle(p, RiskSpec(ES, 0.05), audit=audit)
+            count = bundle.meta["selections"]
+            assert calls == ["recession", ("hull", count), ("hull", 1)], (kind, audit)
 
     @pytest.mark.parametrize("values", [1, 3, 2**30], ids=["one", "three", "all"])
     @pytest.mark.parametrize("kind", ["cone-det", "liquidity", "segment"])
@@ -824,10 +870,13 @@ class TestAuditedRows:
         p = AUDIT_KINDS[kind](e)
         spec = RiskSpec(ES, 0.05)
         sels = selections.gather_selections(p, spec)
+        audit_rows = selections._audit_rows
         for rows in (np.arange(len(sels)), np.arange(0, len(sels), 3),
                      np.r_[0, 2:len(sels):2], np.r_[len(sels) - 1]):
             monkeypatch.setattr(selections, "_AUDIT_VALUES", values * p.ensemble.n)
-            monkeypatch.setattr(selections, "_vertex_rows", lambda points, rec, rows=rows: rows)
+            monkeypatch.setattr(selections, "_audit_rows",
+                                lambda portfolio, families, _, rows=rows:
+                                audit_rows(portfolio, families, rows))
             _, gains = audited_bundle(monkeypatch, p, spec, None)
             assert same_bits(gains, np.stack([sels[i].gains for i in rows])), (kind, rows)
 
@@ -1101,9 +1150,15 @@ def origin_bound_runs():
 
 def pruned_points(monkeypatch, p, spec, configs, whole=False, audit=False):
     """The points and the number of selection values that the runs (scaled
-    runs and convex mixes) built for them; with ``whole`` every selection
-    takes whole rows."""
-    counted = []
+    runs and convex mixes) built for them, through ``selection_points`` or,
+    with ``audit``, through an audited ``selection_region``; with ``whole``
+    every selection takes whole rows."""
+    counted, made = [], []
+    points_of = selections._points
+
+    def recording(*args):
+        made.append(points_of(*args))
+        return made[-1]
 
     def counting(rows):
         def count(params, x, y, out):
@@ -1117,7 +1172,11 @@ def pruned_points(monkeypatch, p, spec, configs, whole=False, audit=False):
             m.setattr(selections, name, counting(getattr(selections, name)))
         if whole:
             m.setattr(riskstats, "_prunable_tail", lambda *args: None)
-        points = selections.selection_points(p, spec, configs, audit=audit)
+        if not audit:
+            return selections.selection_points(p, spec, configs), sum(counted)
+        m.setattr(selections, "_points", recording)
+        selections.selection_region(p, spec, configs, audit=True)
+    (points,) = made
     return points, sum(counted)
 
 
@@ -1244,10 +1303,10 @@ class TestPrunedRuns:
         e = scenarios.generate(scenarios.GenSpec(n=10_000, seed=7, correlation=-0.5))
         p = cone_det_runs(e)
         spec = RiskSpec(ES, 0.05)
-        selections.selection_points(p, spec, audit=True)
+        selections.selection_region(p, spec, audit=True)
         tracemalloc.start()
         try:
-            selections.selection_points(p, spec, audit=True)
+            selections.selection_region(p, spec, audit=True)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1283,20 +1342,19 @@ class TestPrunedRuns:
 def audited_counts(monkeypatch, p, spec, configs):
     """The number of audited rows, those whose points are inner vertices,
     among a bundle's runs families and among all its families, counted by
-    wrapping ``_vertex_rows``."""
+    wrapping ``_audit_rows``."""
     families = selections._bundle_families(p, spec, configs)
     runs = np.concatenate([np.full(f.count, f.runs is not None) for f in families])
     counted = []
-    vertex_rows = selections._vertex_rows
+    audit_rows = selections._audit_rows
 
-    def count(points, recession):
-        rows = vertex_rows(points, recession)
+    def count(portfolio, families, rows):
         counted.append((int(np.count_nonzero(runs[rows])), len(rows)))
-        return rows
+        return audit_rows(portfolio, families, rows)
 
     with monkeypatch.context() as m:
-        m.setattr(selections, "_vertex_rows", count)
-        selections.selection_points(p, spec, configs, audit=True)
+        m.setattr(selections, "_audit_rows", count)
+        selections.selection_region(p, spec, configs, audit=True)
     (got,) = counted
     return got
 
