@@ -20,28 +20,30 @@ from ._repro import REPRO_IDS, run_repro
 from .bounds import RiskBundle, compute_bundle, scalarize_bundle
 from .errors import ValidationError, WholePlaneError
 from .geom2d import _clip_to_window, _window_halfspaces, canonical_json
-from .markets import KINDS, _count, _real
+from .markets import KINDS, _count, _object, _real
 from .riskstats import RiskSpec
 from .scenarios import GenSpec, generate, read_csv, write_csv
 
+# Keys of a run config, of its "scenarios" block and of its "risk" block.
+_CONFIG_KEYS = ("scenarios", "portfolio", "risk", "strategies", "directions", "window", "audit")
+_SCENARIOS_KEYS = ("csv", "generate")
+_RISK_KEYS = ("kind", "level")
+
 
 def _load_json(path):
-    """The JSON object in the file; configs and bundles are both objects."""
+    """The JSON value in the file."""
     try:
         with open(path) as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path} is not valid JSON: {exc}") from None
-    if not isinstance(data, dict):
-        raise ValidationError(f"{path} must hold a JSON object, got {type(data).__name__}")
-    return data
 
 
 def _risk_spec(config):
-    block = config.get("risk")
-    if not isinstance(block, dict) or "kind" not in block:
+    block = _object(config.get("risk", {}), "'risk'", _RISK_KEYS)
+    if "kind" not in block:
         raise ValidationError('config needs a "risk" block with a "kind"')
     try:
         level = block.get("level")
@@ -51,8 +53,8 @@ def _risk_spec(config):
 
 
 def _ensemble(config, seed=None, n=None):
-    block = config.get("scenarios")
-    if not isinstance(block, dict) or ("generate" in block) == ("csv" in block):
+    block = _object(config.get("scenarios", {}), "'scenarios'", _SCENARIOS_KEYS)
+    if ("generate" in block) == ("csv" in block):
         raise ValidationError(
             'config needs a "scenarios" block with exactly one of "generate" or "csv"'
         )
@@ -136,7 +138,7 @@ def _emit_bundle(bundle, out_dir, window=None):
 
 
 def cmd_gen(args):
-    config = _load_json(args.config)
+    config = _object(_load_json(args.config), "the config", _CONFIG_KEYS)
     block = config.get("scenarios", {})
     if not isinstance(block, dict) or "generate" not in block:
         raise ValidationError('gen needs a "scenarios" block with "generate"')
@@ -152,7 +154,7 @@ def cmd_gen(args):
 
 
 def cmd_risk(args):
-    config = _load_json(args.config)
+    config = _object(_load_json(args.config), "the config", _CONFIG_KEYS)
     ensemble = _ensemble(config, seed=args.seed, n=args.n)
     portfolio = _portfolio(config, ensemble)
     spec = _risk_spec(config)

@@ -53,6 +53,16 @@ def _real(value, name):
         raise ValidationError(f"{name} must be a finite number") from None
 
 
+def _object(value, name, keys):
+    """A config object from outside: a dict whose keys all lie in ``keys``."""
+    if not isinstance(value, dict):
+        raise ValidationError(f"{name} must be an object, got {value!r}")
+    unknown = sorted(set(value) - set(keys))
+    if unknown:
+        raise ValidationError(f"unknown keys in {name}: {unknown}")
+    return value
+
+
 def _reals(value, name):
     """Numbers from outside as a float array: an array of numbers, or nested
     lists whose entries ``_real`` accepts one by one."""

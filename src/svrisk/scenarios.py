@@ -12,7 +12,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .markets import ScenarioEnsemble, _count, _real
+from .markets import ScenarioEnsemble, _count, _object, _real
+
+# Keys of a config's generate block and of its rate block.
+_GENERATE_KEYS = ("n", "seed", "mean", "stdev", "correlation", "rate")
+_RATE_KEYS = ("mean", "vol")
 
 
 @dataclass(frozen=True)
@@ -59,23 +63,16 @@ class GenSpec:
 
     @classmethod
     def from_dict(cls, data):
-        d = dict(data)
-        rate = d.pop("rate", None)
+        d = _object(data, "'generate'", _GENERATE_KEYS)
         kwargs = {
-            "n": d.pop("n"),
-            "seed": d.pop("seed"),
-            "mean": d.pop("mean", (0.0, 0.0)),
-            "stdev": d.pop("stdev", (1.0, 1.0)),
-            "correlation": d.pop("correlation", 0.0),
+            "n": d["n"],
+            "seed": d["seed"],
+            "mean": d.get("mean", (0.0, 0.0)),
+            "stdev": d.get("stdev", (1.0, 1.0)),
+            "correlation": d.get("correlation", 0.0),
         }
-        if d:
-            raise ValidationError(f"unknown generator keys: {sorted(d)}")
-        if rate is not None:
-            if not isinstance(rate, dict):
-                raise ValidationError(f"rate must be an object, got {rate!r}")
-            extra = set(rate) - {"mean", "vol"}
-            if extra:
-                raise ValidationError(f"unknown rate keys: {sorted(extra)}")
+        if d.get("rate") is not None:
+            rate = _object(d["rate"], "'rate'", _RATE_KEYS)
             kwargs["rate_mean"] = rate.get("mean", 1.0)
             kwargs["rate_vol"] = rate.get("vol", 0.0)
         return cls(**kwargs)

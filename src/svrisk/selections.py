@@ -4,7 +4,7 @@ Each strategy expands into families of selections.  A family is a count,
 ``label(i)`` and ``fill(out, lo, hi)``, which writes the gains of selections
 lo..hi-1 straight into a block buffer, so a grid of selections costs a few
 array operations per block instead of one object per selection; a selection
-that a strategy makes on its own is a one-row family.  ``selection_points``
+that a strategy makes on its own is a one-row family.  ``_points``
 evaluates a bundle's selections one family at a time: a family is filled
 into one buffer, which holds each coordinate of a selection as one
 contiguous row, block by block, and each block is evaluated with one kernel
@@ -35,7 +35,7 @@ import numpy as np
 from . import markets, riskstats
 from .errors import ValidationError
 from .geom2d import _scale_of, _unit, region_from_points_plus_cone
-from .markets import _BLOCK_VALUES, _IDENTITY, _count, _real, _reals, dual_cone
+from .markets import _BLOCK_VALUES, _IDENTITY, _count, _object, _real, _reals, dual_cone
 from .riskstats import NEG_ESSINF, RiskSpec, WeightedSample, es_empirical, risk_rows, var_empirical
 
 
@@ -451,18 +451,8 @@ def audit_selection(portfolio, selection):
     return float(selection_auditor(portfolio)(np.stack([selection.gains]))[0])
 
 
-def _grid_object(cfg, key, keys):
-    grid = cfg.get(key, {})
-    if not isinstance(grid, dict):
-        raise ValidationError(f"{key!r} must be an object, got {grid!r}")
-    unknown = sorted(set(grid) - set(keys))
-    if unknown:
-        raise ValidationError(f"unknown keys in {key!r}: {unknown}")
-    return grid
-
-
 def _grid_from_config(cfg, eta):
-    t_cfg = _grid_object(cfg, "t_grid", ("values", "scale", "span", "count"))
+    t_cfg = _object(cfg.get("t_grid", {}), "'t_grid'", ("values", "scale", "span", "count"))
     if "values" in t_cfg:
         return _grid(t_cfg["values"], "scale grid")
     if "scale" in t_cfg:
@@ -476,7 +466,7 @@ def _grid_from_config(cfg, eta):
 
 
 def _lambda_from_config(cfg):
-    lam_cfg = _grid_object(cfg, "lambda_grid", ("values", "count"))
+    lam_cfg = _object(cfg.get("lambda_grid", {}), "'lambda_grid'", ("values", "count"))
     if "values" in lam_cfg:
         return _grid(lam_cfg["values"], "lambda grid")
     return np.linspace(0.0, 1.0, _count(lam_cfg.get("count", 21), "lambda grid count", 1))
@@ -555,14 +545,11 @@ def _families(portfolio, config, risk_spec):
     from outside."""
     if not isinstance(config, dict):
         raise ValidationError(f"a strategy must be an object, got {config!r}")
-    cfg = dict(config)
-    name = cfg.pop("strategy", None)
+    name = config.get("strategy")
     if not isinstance(name, str) or name not in _STRATEGIES:
         raise ValidationError(f"unknown strategy {name!r}")
     build, keys = _STRATEGIES[name]
-    unknown = sorted(set(cfg) - set(keys))
-    if unknown:
-        raise ValidationError(f"unknown keys for strategy {name!r}: {unknown}")
+    cfg = _object(config, f"strategy {name!r}", ("strategy", *keys))
     applies = {c["strategy"] for c in portfolio.definition.strategies}
     if name != "explicit" and name not in applies:
         raise ValidationError(
@@ -742,7 +729,14 @@ def _family_points(family, n, risk_spec, weights, buf):
 
 
 def _points(portfolio, risk_spec, families):
-    """The families' risk points, in order (see ``selection_points``)."""
+    """The (m, 2) risk points of the families' selections, in order.  Under
+    equal-weight expected shortfall whose tail holds at most
+    riskstats.PRUNE_MAX_TAIL of the scenarios, the (t, s) product goes to
+    ``_product_points`` at any n and each other family of runs (one-sided
+    scaled grids from riskstats.PARTITION_MIN_N scenarios on, mixes from
+    riskstats.PRUNE_MIN_N on) to ``_run_points``; every other family goes
+    through one buffer of _BLOCK_VALUES // n selections (at least one) in
+    ``_family_points``.  Nothing is audited."""
     n = portfolio.ensemble.n
     weights = portfolio.ensemble.weights
     tails = [f.runs and riskstats._prunable_tail(risk_spec, weights, f.runs.min_n)
@@ -763,28 +757,13 @@ def _points(portfolio, risk_spec, families):
     ])
 
 
-def selection_points(portfolio, risk_spec, strategies=None):
-    """The (m, 2) risk points of the selections that ``gather_selections``
-    makes, in order, one family at a time, once every configuration is
-    parsed.  Under equal-weight expected shortfall whose tail holds at most
-    riskstats.PRUNE_MAX_TAIL of the scenarios, the two-sided (t, s) product
-    is evaluated from its halves at any n (``_product_points``) and each
-    other family of runs (one-sided scaled grids from
-    riskstats.PARTITION_MIN_N scenarios on, convex mixes from
-    riskstats.PRUNE_MIN_N on) on the scenarios that can reach its tail
-    (``_run_points``); every other family goes through one buffer of
-    _BLOCK_VALUES // n selections (at least one) in ``_family_points``.
-    Nothing is audited (see ``selection_region``)."""
-    return _points(portfolio, risk_spec, _bundle_families(portfolio, risk_spec, strategies))
-
-
 def selection_region(portfolio, risk_spec, strategies=None, audit=False):
-    """The inner region, conv(``selection_points``) plus the kind's recession
-    cone, and the number of points.  Audited, ``_audit_rows`` takes the rows
-    whose point is not finite first, if any, so that one is named before the
-    hull refuses it; then every row whose point equals a vertex bit for bit,
-    the two signed zeros taken as equal, so tied rows are all audited.  No
-    other point shapes the region."""
+    """The inner region, the hull of the bundle's risk points (``_points``)
+    plus the kind's recession cone, and the number of points.  Audited,
+    ``_audit_rows`` takes the rows whose point is not finite first, if any,
+    so that one is named before the hull refuses it; then every row whose
+    point equals a vertex bit for bit, the two signed zeros taken as equal,
+    so tied rows are all audited.  No other point shapes the region."""
     families = _bundle_families(portfolio, risk_spec, strategies)
     points = _points(portfolio, risk_spec, families)
     if audit and not np.isfinite(points).all():

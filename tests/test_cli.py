@@ -324,6 +324,14 @@ class TestGen:
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert not out.exists()
 
+    def test_unknown_config_key_exits_two(self, tmp_path, capsys):
+        cfg = json.loads(pathlib.Path(gen_config(tmp_path)).read_text())
+        cfg = write_json(tmp_path / "gen.json", {**cfg, "audti": True})
+        out = tmp_path / "o"
+        assert entrypoint(["gen", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: unknown keys in the config: ['audti']\n"
+        assert not out.exists()
+
     def test_gen_requires_generate_block(self, tmp_path, capsys):
         cfg = nonmargin_config(tmp_path)
         assert entrypoint(["gen", "--config", cfg]) == 2
@@ -565,6 +573,10 @@ class TestRisk:
             {"strategies": [{"strategy": "quantile-shift", "side": "ray1",
                              "t_grid": {"span": -1}}]},
             negative_weight_csv,
+            {"audti": True},
+            {"stratgies": [{"strategy": "identity"}]},
+            lambda tmp_path: {"scenarios": {"csv": nonmargin_csv(tmp_path), "seed": 3}},
+            {"risk": {"kind": "expected-shortfall", "level": 0.75, "levle": 0.25}},
         ],
         ids=[
             "explicit-without-gains", "explicit-wrong-shape", "directions",
@@ -586,6 +598,8 @@ class TestRisk:
             *BAD_GRIDS, *BAD_NUMBERS, *BAD_EXTRAS, "portfolio-kind-unknown", "ball-without-radius",
             "window-flag-not-a-number", "window-flag-empty", "lambda-grid-values-above-one",
             "strategy-number", "t-grid-span-negative", "csv-negative-weight",
+            "config-unknown-key", "config-misspelt-strategies", "scenarios-unknown-key",
+            "risk-unknown-key",
         ],
     )
     def test_malformed_input_exits_two(self, tmp_path, capsys, patch):

@@ -1,11 +1,13 @@
 import ast
 import importlib
+import json
 import re
 from pathlib import Path
 
 import numpy as np
 
 import svrisk
+from svrisk import cli, scenarios
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -52,3 +54,21 @@ def test_module_references_resolve():
     missing = [f"{module}.{name}" for module, name in refs
                if not hasattr(importlib.import_module(f"svrisk.{module}"), name)]
     assert missing == []
+
+
+def test_config_schema_lists_the_keys_the_reader_accepts():
+    # The `run.json` block, less its `//` comments, is JSON; each object in
+    # it but the portfolio, whose keys depend on its kind, names exactly
+    # the keys that its block accepts.
+    text = README.read_text()
+    block = re.search(r"### Config schema \(`run\.json`\)\n+```jsonc\n(.*?)```", text, re.S)
+    config = json.loads(re.sub(r"//.*", "", block.group(1)))
+    generate = config["scenarios"]["generate"]
+    for stated, keys in [
+        (config, cli._CONFIG_KEYS),
+        (config["scenarios"], cli._SCENARIOS_KEYS),
+        (generate, scenarios._GENERATE_KEYS),
+        (generate["rate"], scenarios._RATE_KEYS),
+        (config["risk"], cli._RISK_KEYS),
+    ]:
+        assert sorted(stated) == sorted(keys)

@@ -35,6 +35,11 @@ NONMARGIN_GAINS = np.array([[-2.0, 4.0], [4.0, -2.0]])
 NONMARGIN_CONE = ExchangeCone2D(5.0, 5.0)
 
 
+def bundle_points(p, spec, configs=None):
+    """The unaudited risk points of the bundle's selections, in family order."""
+    return selections._points(p, spec, selections._bundle_families(p, spec, configs))
+
+
 def same_bits(a, b):
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
@@ -464,7 +469,7 @@ class TestAudit:
         families = selections._bundle_families(p, RiskSpec(ES, 0.5), None) + [overflowed]
         monkeypatch.setattr(selections, "_bundle_families", lambda *args: families)
         with np.errstate(all="ignore"):
-            assert not np.isfinite(selections.selection_points(p, RiskSpec(ES, 0.5))).all()
+            assert not np.isfinite(bundle_points(p, RiskSpec(ES, 0.5))).all()
             with pytest.raises(ValidationError, match="'overflowed'"):
                 selections.selection_region(p, RiskSpec(ES, 0.5), audit=True)
 
@@ -604,7 +609,7 @@ def per_direction_gaps(p, gains):
 
 def family_blocks(families, n, size):
     """Each family's selections filled through its ``fill`` into one buffer
-    of ``size`` selections, as ``selection_points`` fills a buffer: yields
+    of ``size`` selections, as ``selections._points`` fills a buffer: yields
     each block as a (rows, n, 2) view, the family and the block's first
     index."""
     buf = np.empty((size, 2, n))
@@ -911,7 +916,7 @@ class TestAuditedRows:
             twins = np.count_nonzero((gains == p.ensemble.gains).all(axis=(1, 2)))
             assert twins != 1, kind
         # The audited rows are exactly those whose point is an inner vertex.
-        points = selections.selection_points(p, spec, configs)
+        points = bundle_points(p, spec, configs)
         on_vertex = (points[:, None] == bundle.inner.vertices).all(axis=2).any(axis=1)
         assert audited == sorted(map(tuple, points[on_vertex])), (kind, case)
 
@@ -1035,7 +1040,7 @@ class TestSelectionPoints:
             ])
             for rows in (1, 7, 2**20):
                 monkeypatch.setattr(markets, "_BLOCK_VALUES", rows * e.n)
-                points = selections.selection_points(q, spec, configs)
+                points = bundle_points(q, spec, configs)
                 assert same_bits(points, expected), (rows, q is p)
 
     def test_each_block_reaches_the_kernel_once(self, monkeypatch):
@@ -1053,7 +1058,7 @@ class TestSelectionPoints:
 
         monkeypatch.setattr(selections, "risk_rows", counted)
         monkeypatch.setattr(markets, "_BLOCK_VALUES", 7 * n)
-        selections.selection_points(p, spec, configs)
+        bundle_points(p, spec, configs)
         counts = [f.count for f in selections._bundle_families(p, spec, configs)]
         assert max(counts) > 7
         assert calls == [
@@ -1150,7 +1155,7 @@ def origin_bound_runs():
 
 def pruned_points(monkeypatch, p, spec, configs, whole=False, audit=False):
     """The points and the number of selection values that the runs (scaled
-    runs and convex mixes) built for them, through ``selection_points`` or,
+    runs and convex mixes) built for them, through ``bundle_points`` or,
     with ``audit``, through an audited ``selection_region``; with ``whole``
     every selection takes whole rows."""
     counted, made = [], []
@@ -1173,7 +1178,7 @@ def pruned_points(monkeypatch, p, spec, configs, whole=False, audit=False):
         if whole:
             m.setattr(riskstats, "_prunable_tail", lambda *args: None)
         if not audit:
-            return selections.selection_points(p, spec, configs), sum(counted)
+            return bundle_points(p, spec, configs), sum(counted)
         m.setattr(selections, "_points", recording)
         selections.selection_region(p, spec, configs, audit=True)
     (points,) = made
@@ -1285,10 +1290,10 @@ class TestPrunedRuns:
         p = cone_det_runs(e)
         spec = RiskSpec(ES, 0.05)
         # The first call of a process allocates more, once.
-        selections.selection_points(p, spec)
+        bundle_points(p, spec)
         tracemalloc.start()
         try:
-            selections.selection_points(p, spec)
+            bundle_points(p, spec)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
